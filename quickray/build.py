@@ -700,7 +700,6 @@ def build_index(
         agg = lens.aggregate(
             Count(), Sum("doc_len", alias_name="total_tokens"),
             Min("doc_id", alias_name="min_id"), Max("doc_id", alias_name="max_id"),
-            Sum("doc_id", alias_name="id_sum"),
         )
         n_docs = int(agg["count()"])
         total_tokens = int(agg["total_tokens"])
@@ -710,10 +709,21 @@ def build_index(
                 f"max={agg['max_id']} n={n_docs}); pass id_col=None to rank-assign"
             )
         # min/max/count alone accept duplicates paired with gaps
-        # ([0,2,2,3] passes); the id sum rejects them — duplicated ids
-        # would silently corrupt postings (strict-increase breaks) and
-        # the dense doc_len/bits scatter (last write wins)
-        if int(agg["id_sum"]) != n_docs * (n_docs - 1) // 2:
+        # ([0,2,2,3] passes), and so does any fixed set of moments
+        # ([0,0,3,3] matches the id sum). Exact: the n ids all lie in
+        # [0, n), so they mark every slot of an n-slot bitmap iff none
+        # repeats. Duplicated ids would silently corrupt postings
+        # (strict-increase breaks) and the dense doc_len/bits scatter
+        # (last write wins)
+        seen = np.zeros(n_docs, dtype=bool)
+        for b in pads.dataset(docbase_dir, format="parquet").to_batches(
+            columns=["doc_id"], filter=pads.field("kind") == 0
+        ):
+            ids = b.column(0)
+            if ids.null_count:
+                raise ValueError(f"null doc_ids in id column {id_col!r}")
+            seen[ids.to_numpy()] = True
+        if not seen.all():
             raise ValueError(
                 f"doc_ids are not a permutation of 0..N-1 (duplicate ids"
                 f" with matching gaps, id column {id_col!r}); pass"

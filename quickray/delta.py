@@ -28,28 +28,47 @@ add -> search -> delete -> search -> re-add(update) lifecycle
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
-from quickray.engine import Index, LocalEngine, Posting
+from quickray.engine import Index, LocalEngine, Posting, _lru_fetch
 from quickray.query import Query
 
 
 class _MaskedIndex:
     """Read-through view of an Index with tombstoned doc_ids removed
-    from every posting (decoded postings stay LRU-cached underneath;
-    the mask is one vectorized isin per decoded posting)."""
+    from every posting. The tombstone set is fixed at construction, so
+    each term's masked posting is computed once (one vectorized isin)
+    and memoized, bounded by the underlying posting-LRU capacity.
+
+    Masked postings carry no block-max metadata: the merge-time bounds
+    describe the unmasked posting under the index's own statistics, and
+    a view has no own scorer, so block-max pruning never serves it."""
 
     def __init__(self, index: Index, tomb_ids: np.ndarray):
         self._ix = index
         self._tomb = np.sort(np.asarray(tomb_ids, dtype=np.int64))
+        self._memo: OrderedDict[str, Posting | None] = OrderedDict()
         self.n_docs = index.n_docs  # id-space size (dense-array bound)
         self.avgdl = index.avgdl
         self.stats = index.stats
         self.out_dir = index.out_dir
 
+    @property
+    def _cache_cap(self) -> int:
+        return self._ix._cache_cap
+
     def posting(self, term: str) -> Posting | None:
+        if len(self._tomb) == 0:
+            return self._ix.posting(term)
+        return _lru_fetch(
+            self._memo, term, self._cache_cap, lambda: self._mask(term)
+        )
+
+    def _mask(self, term: str) -> Posting | None:
         p = self._ix.posting(term)
-        if p is None or len(self._tomb) == 0:
+        if p is None:
             return p
         live = ~np.isin(p.doc_ids, self._tomb, assume_unique=True)
         if live.all():
@@ -60,12 +79,16 @@ class _MaskedIndex:
             dls=p.dls[live],
             bits=p.bits[live],
             df=int(live.sum()),
-            block_last=p.block_last,  # unused: masked serving never WANDs
-            block_max=p.block_max,
+            block_last=np.empty(0, np.int64),
+            block_max=np.empty(0, np.float64),
         )
 
     def doc_lens(self, doc_ids: np.ndarray) -> np.ndarray:
         return self._ix.doc_lens(doc_ids)
+
+    def docmeta_arrays(self, cols: tuple[str, ...]) -> dict[str, np.ndarray]:
+        # doc-level columns are per doc_id, tombstoned or not
+        return self._ix.docmeta_arrays(cols)
 
     def df_of(self, term: str) -> int:
         # AND-ordering estimate only: the unmasked df upper-bounds the
@@ -208,9 +231,9 @@ class DeltaEngine:
         w = max(a.dtype.itemsize for a in keys)
         k = np.concatenate([a.astype(f"S{w}") for a in keys])
         s = np.concatenate(scores)
-        # bounded merge set (<= k per partition); numpy indexing strips
-        # the \x00 padding, so the byte compare is the string compare
-        order = sorted(range(len(k)), key=lambda i: (-s[i], k[i]))[: q.k]
+        # bounded merge set (<= k per partition); \x00 padding sorts
+        # first, so the fixed-width byte order is the string order
+        order = np.lexsort((k, -s))[: q.k]
         out = np.array([k[i].decode() for i in order], dtype=object)
         return out, s[order]
 

@@ -3,10 +3,15 @@
 - ``Index``: loads a build's segments + stats once (the ST1 "state
   loaded once per worker" mapping — in Ray terms this lives in an
   actor's __init__).
+- ``Scorer``: BM25 under one engine's fixed statistics, memoizing each
+  term's contribution vector (LRU-bounded). An Index owns one for its
+  own statistics; engines with corpus-global statistics (Partitioned-,
+  DeltaEngine parts) get their own and memoize just the same.
 - ``LocalEngine``: boolean set algebra bit-identical to quicker's
   skiplist semantics (IntersectionOfSkipList/UnionOfSkipList + flag
-  filter, skiplist_reverse_index.go:77-206) + exact BM25 top-k with
-  block-max pruning for flat OR shapes (wand.py).
+  filter, skiplist_reverse_index.go:77-206) + exact BM25 top-k. Flat
+  OR and single-term shapes take one entry (wand.py) on every engine;
+  block-max pruning runs there only under the index's own scorer.
 - ``QueryEngineActor``: callable class for ``map_batches`` over a
   Dataset of query JSONs — the distributed batch-query path; the index
   is loaded once per actor.
@@ -19,6 +24,8 @@ from __future__ import annotations
 import functools
 import json
 import os
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,43 +55,71 @@ class Posting:
     df: int
     block_last: np.ndarray
     block_max: np.ndarray
-    # lazily memoized exact BM25 contributions under the OWNING index's
-    # (df, n_docs, avgdl) — query-independent, so computed once per
-    # cached posting instead of once per query (the warm-p95 hot cost)
-    contrib: np.ndarray | None = None
-    # dense doc_id-indexed contrib vector (0.0 where absent) — built
-    # only for stopword-grade terms (df > n_docs/2), where multi-term
-    # OR scoring degenerates to pure vector adds
-    contrib_dense: np.ndarray | None = None
 
 
-def posting_contrib(
-    p: Posting, df, n_docs: int, avgdl: float, memoize: bool
-) -> np.ndarray:
-    """Per-posting BM25 contributions, memoized on the Posting when the
-    scoring stats are the owning index's own (``memoize=True``, the
-    LocalEngine case — stats never change for a loaded index, so the
-    cache can never go stale). Doc-sharded serving overrides df /
-    n_docs / avgdl with corpus-global values (PartitionedEngine); those
-    pass ``memoize=False`` and recompute."""
-    if memoize:
-        if p.contrib is None:
-            p.contrib = bm25_contrib(p.tfs, p.dls, p.df, n_docs, avgdl)
-        return p.contrib
-    return bm25_contrib(p.tfs, p.dls, df, n_docs, avgdl)
+def _lru_fetch(cache: OrderedDict, key, cap: int, make):
+    """The one bounded memo shape: return ``cache[key]`` (refreshing its
+    recency), or store ``make()`` there, evicting the least recently
+    used entry once the cache holds more than ``cap``."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    val = make()
+    cache[key] = val
+    if len(cache) > cap:
+        cache.popitem(last=False)
+    return val
 
 
-def posting_contrib_dense(p: Posting, n_docs: int, avgdl: float) -> np.ndarray:
-    """Doc_id-indexed dense contrib vector (0.0 where the doc lacks the
-    term), memoized. Adding 0.0 is IEEE-exact, so dense vector sums are
-    bit-identical to sparse per-doc accumulation in the same term
-    order. Only worth the 8B*n_docs when df is a sizable fraction of
-    the corpus — callers gate on that."""
-    if p.contrib_dense is None:
-        d = np.zeros(n_docs, dtype=np.float64)
-        d[p.doc_ids] = posting_contrib(p, p.df, n_docs, avgdl, True)
-        p.contrib_dense = d
-    return p.contrib_dense
+class Scorer:
+    """BM25 under one fixed set of statistics: ``n_docs``, ``avgdl`` and
+    a df resolver (``df.get(term, posting_df)``; None scores with each
+    posting's own stored df). An engine's statistics never change, so
+    each term's full per-posting contribution vector — and, for
+    stopword-grade terms, its dense doc_id-indexed vector — is computed
+    once and memoized HERE, per scorer: two engines over one Index with
+    different statistics never see each other's contributions. Both
+    memos are recency-evicting and capped at the index's posting-LRU
+    capacity.
+
+    ``Index.scorer`` is the index's own (its stored df, n_docs, avgdl):
+    the only statistics its merge-time block bounds were computed
+    under, so the only scorer block-max pruning may serve (wand.py)."""
+
+    def __init__(self, index, n_docs: int, avgdl: float, df=None):
+        # weak: the own scorer is an attribute of its index, and a strong
+        # back-reference would make a cycle that keeps every dropped
+        # Index (segments, posting LRU) alive until a full GC pass
+        self._index = weakref.proxy(index)
+        self.n_docs = n_docs
+        self.avgdl = avgdl
+        self._df = df
+        self._contrib: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._dense: OrderedDict[str, np.ndarray] = OrderedDict()
+
+    def contrib(self, term: str, p: Posting) -> np.ndarray:
+        """Exact BM25 contribution of every posting of ``term`` (``p`` is
+        the index's posting for it), aligned with ``p.doc_ids``."""
+
+        def make():
+            df = p.df if self._df is None else self._df.get(term, p.df)
+            return bm25_contrib(p.tfs, p.dls, df, self.n_docs, self.avgdl)
+
+        return _lru_fetch(self._contrib, term, self._index._cache_cap, make)
+
+    def dense(self, term: str, p: Posting) -> np.ndarray:
+        """Doc_id-indexed dense contrib vector (0.0 where the doc lacks
+        the term). Adding 0.0 is IEEE-exact, so dense vector sums are
+        bit-identical to sparse per-doc accumulation in the same term
+        order. Only worth the 8B*n_docs when df is a sizable fraction of
+        the corpus — callers gate on that."""
+
+        def make():
+            d = np.zeros(self._index.n_docs, dtype=np.float64)
+            d[p.doc_ids] = self.contrib(term, p)
+            return d
+
+        return _lru_fetch(self._dense, term, self._index._cache_cap, make)
 
 
 def _dense_topk(
@@ -139,12 +174,11 @@ class Index:
         self._tsort = np.asarray(
             pc.sort_indices(self._term_col), dtype=np.int64
         )
-        from collections import OrderedDict
-
         # decoded-posting LRU (recency eviction — a fill-once cap would
         # stop caching new hot terms on large-vocab serving)
-        self._cache: "OrderedDict[str, Posting | None]" = OrderedDict()
+        self._cache: OrderedDict[str, Posting | None] = OrderedDict()
         self._cache_cap = 4096
+        self.scorer = Scorer(self, self.n_docs, self.avgdl)
         if preload_top_df or preload_bytes:
             # decode the heaviest postings once at load time (serving
             # actors pay this in __init__, never on the query path).
@@ -171,16 +205,14 @@ class Index:
                 # instead of re-resolving each term through the
                 # O(log V) binary search (at preload_bytes scale that
                 # search cost alone dominated actor __init__)
+                term = self._term_col[int(i)].as_py()
                 p = self._posting_at(int(i))
-                self._cache_put(self._term_col[int(i)].as_py(), p)
-                if p.contrib is None:
-                    # pre-warm the memoized contributions too — a cold
-                    # first query then pays neither decode nor scoring
-                    p.contrib = bm25_contrib(
-                        p.tfs, p.dls, p.df, self.n_docs, self.avgdl
-                    )
+                self._cache[term] = p  # n_pre <= cap / 2: no eviction
+                # pre-warm the own scorer's contributions too — a cold
+                # first query then pays neither decode nor scoring
+                self.scorer.contrib(term, p)
                 if len(p.doc_ids) > self.n_docs // 2:
-                    posting_contrib_dense(p, self.n_docs, self.avgdl)
+                    self.scorer.dense(term, p)
             try:
                 # the dense-eval flag path reads doc-level bits once —
                 # pay that here, not on the first flagged query
@@ -226,19 +258,12 @@ class Index:
             block_max=np.asarray(self._seg["block_max"][i].as_py(), np.float64),
         )
 
-    def _cache_put(self, term: str, p: Posting | None) -> None:
-        self._cache[term] = p
-        if len(self._cache) > self._cache_cap:
-            self._cache.popitem(last=False)
-
     def posting(self, term: str) -> Posting | None:
-        if term in self._cache:
-            self._cache.move_to_end(term)
-            return self._cache[term]
-        i = self._term_index(term)
-        p = None if i is None else self._posting_at(i)
-        self._cache_put(term, p)
-        return p
+        def decode():
+            i = self._term_index(term)
+            return None if i is None else self._posting_at(i)
+
+        return _lru_fetch(self._cache, term, self._cache_cap, decode)
 
     @property
     def vocab_size(self) -> int:
@@ -400,17 +425,29 @@ def _topk_select(
 
 class LocalEngine:
     def __init__(self, index: Index, global_stats: dict | None = None):
-        """``global_stats`` overrides scoring statistics when this index
-        is one doc-shard of a larger corpus (PartitionedEngine): keys
-        n_docs, avgdl, df (term -> corpus-wide df). BM25 then scores
-        shard-local postings with corpus-global idf/avgdl, which is what
-        makes doc-sharded scatter results equal a single global build."""
+        """Scores with ``index.scorer`` — the index's own statistics,
+        shared by every engine over that index. ``global_stats``
+        overrides the statistics when this index is one part of a
+        larger corpus (PartitionedEngine doc-shards, DeltaEngine live
+        parts): keys n_docs, avgdl, df (term -> corpus-wide df). BM25
+        then scores part-local postings with corpus-global idf/avgdl,
+        which is what makes scatter results equal a single global build.
+        The engine gets its own Scorer for those statistics, with the
+        same memoized contributions and the same flat-OR entry
+        (wand.block_max_topk); only block-max pruning is reserved to the
+        index's own scorer."""
         self.index = index
-        self._global = global_stats is not None
-        g = global_stats or {}
-        self._n_docs = int(g.get("n_docs", index.n_docs))
-        self._avgdl = float(g.get("avgdl", index.avgdl))
-        self._df = g.get("df") or ({} if self._global else None)
+        if global_stats is None:
+            # boolean evaluation needs only posting()/df_of(): an index
+            # without a scorer of its own can still serve candidates()
+            self.scorer = getattr(index, "scorer", None)
+        else:
+            self.scorer = Scorer(
+                index,
+                int(global_stats.get("n_docs", index.n_docs)),
+                float(global_stats.get("avgdl", index.avgdl)),
+                global_stats.get("df") or None,
+            )
 
     # ------------------------------------------------------- set algebra
     def _leaf(self, term: str, q: Query) -> np.ndarray:
@@ -425,30 +462,32 @@ class LocalEngine:
         """Boolean evaluation — sorted doc_id array. AND = sorted-list
         intersection (J2), OR = sorted union (J3); flags filter at the
         leaf scan exactly like the reference (M3)."""
+        return self._eval(q.tree, q)
 
-        def ev(node) -> np.ndarray:
-            if node is None:
-                return np.empty(0, np.int64)
-            if isinstance(node, Term):
-                return self._leaf(node.key, q)
-            if not node.children:
-                return np.empty(0, np.int64)
-            parts = [ev(c) for c in node.children]
-            if isinstance(node, And):
-                # smallest-first searchsorted intersection: O(m log n)
-                # per step instead of intersect1d's sort-of-concat
-                parts.sort(key=len)
-                out = parts[0]
-                for p in parts[1:]:
-                    if len(out) == 0:
-                        return out
-                    li = np.searchsorted(p, out)
-                    li_c = np.minimum(li, len(p) - 1)
-                    out = out[(li < len(p)) & (p[li_c] == out)]
-                return out
-            return functools.reduce(np.union1d, parts)
-
-        return ev(q.tree)
+    def _eval(self, node, q: Query) -> np.ndarray:
+        # a method, not a recursive closure: a closure that calls itself
+        # is a reference cycle holding the engine (and its memos) until
+        # the next full garbage collection
+        if node is None:
+            return np.empty(0, np.int64)
+        if isinstance(node, Term):
+            return self._leaf(node.key, q)
+        if not node.children:
+            return np.empty(0, np.int64)
+        parts = [self._eval(c, q) for c in node.children]
+        if isinstance(node, And):
+            # smallest-first searchsorted intersection: O(m log n)
+            # per step instead of intersect1d's sort-of-concat
+            parts.sort(key=len)
+            out = parts[0]
+            for p in parts[1:]:
+                if len(out) == 0:
+                    return out
+                li = np.searchsorted(p, out)
+                li_c = np.minimum(li, len(p) - 1)
+                out = out[(li < len(p)) & (p[li_c] == out)]
+            return out
+        return functools.reduce(np.union1d, parts)
 
     # ------------------------------------------- AND-shaped fast path
     def _est_size(self, node) -> int:
@@ -541,19 +580,7 @@ class LocalEngine:
         hit = (li < len(p.doc_ids)) & (p.doc_ids[li_c] == cand)
         if not hit.any():
             return None
-        pos = li_c[hit]
-        if self._global:
-            # corpus-global stat overrides: compute just the hit
-            # positions (no memoization — stats aren't the index's own)
-            df = self._df.get(term, p.df)
-            contrib = bm25_contrib(
-                p.tfs[pos], p.dls[pos], df, self._n_docs, self._avgdl
-            )
-        else:
-            contrib = posting_contrib(
-                p, p.df, self._n_docs, self._avgdl, True
-            )[pos]
-        return cand[hit], contrib
+        return cand[hit], self.scorer.contrib(term, p)[li_c[hit]]
 
     def score(
         self,
@@ -567,16 +594,7 @@ class LocalEngine:
                 # positions already found during AND evaluation —
                 # contrib is a pure gather, docs align with cand
                 p = self.index.posting(term)
-                pos = pos_memo[term]
-                if self._global:
-                    df = self._df.get(term, p.df)
-                    c = bm25_contrib(
-                        p.tfs[pos], p.dls[pos], df, self._n_docs, self._avgdl
-                    )
-                else:
-                    c = posting_contrib(
-                        p, p.df, self._n_docs, self._avgdl, True
-                    )[pos]
+                c = self.scorer.contrib(term, p)[pos_memo[term]]
                 got = (cand, c)
             else:
                 got = self._term_contrib(term, cand)
@@ -602,10 +620,7 @@ class LocalEngine:
             # the END); a nonsensical k must yield zero hits, not n-1
             return np.empty(0, np.int64), np.empty(0, np.float64)
         terms = flat_or_terms(q.tree)
-        if terms is not None and not self._global:
-            # block-max metadata was computed with THIS index's stats;
-            # under global-stat overrides (doc-sharded partition) the
-            # stored upper bounds don't apply — score exhaustively
+        if terms is not None:
             from quickray.wand import block_max_topk
 
             return block_max_topk(self, terms, q)
@@ -769,13 +784,9 @@ class QueryEngineActor:
                     continue
                 m = flags_mask(p.bits, q.on_flag, q.off_flag, q.or_flags)
                 d = p.doc_ids[m]
-                # contribs are memoized per cached posting — repeated
-                # terms across the query batch cost one gather each
-                c = posting_contrib(
-                    p, p.df,
-                    self.engine.index.n_docs, self.engine.index.avgdl,
-                    True,
-                )[m]
+                # contribs are memoized by the scorer — repeated terms
+                # across the query batch cost one gather each
+                c = self.engine.scorer.contrib(t, p)[m]
                 seg_qids.append(q.id)
                 seg_lens.append(len(d))
                 doc_parts.append(d)

@@ -17,17 +17,23 @@ exactly. Provably rank-identical to exhaustive evaluation:
 - pruning uses a 1e-9-relative safety margin so float-cumsum noise in
   the UB can only under-prune, never over-prune.
 
-Lazy evaluation order (the r03 p95 fix): exact contributions are NEVER
-computed for the full posting lists up front. theta comes from each
-term's top-few blocks by block_max (a >=k-posting subset, so its k-th
-largest exact contribution is a valid — merely looser — lower bound),
-pruning decides survival at BLOCK granularity (searchsorted over the
-~n/128 block bounds, not the n postings), and bm25_contrib runs only
-over surviving blocks. Scoring whole surviving blocks is a superset of
-the surviving postings and stays rank-identical: every posting inside
-a kept doc-range is in a surviving block (so kept docs get their FULL
-score), while extra docs dragged in from pruned ranges score partial
-<= full < theta and cannot enter or tie into the top-k.
+Evaluation order: exact contributions come from the engine's Scorer,
+which computes each term's full vector once and memoizes it. theta
+comes from each term's top-few blocks by block_max (a >=k-posting
+subset, so its k-th largest exact contribution is a valid — merely
+looser — lower bound), pruning decides survival at BLOCK granularity
+(searchsorted over the ~n/128 block bounds, not the n postings), and
+only postings of surviving blocks are gathered and accumulated. Scoring
+whole surviving blocks is a superset of the surviving postings and
+stays rank-identical: every posting inside a kept doc-range is in a
+surviving block (so kept docs get their FULL score), while extra docs
+dragged in from pruned ranges score partial <= full < theta and cannot
+enter or tie into the top-k.
+
+Block bounds are computed at merge time under the index's own
+statistics, so only the index's own scorer (``Index.scorer``) may
+prune; engines scoring with corpus-global statistics take the
+exhaustive path.
 """
 
 from __future__ import annotations
@@ -73,21 +79,25 @@ def _expand_blocks(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def block_max_topk(engine, terms: list[str], q: Query):
-    from quickray.engine import _accumulate_topk, posting_contrib
+    """Top-k for a flat OR / single-term query on any LocalEngine;
+    prunes only under the index's own scorer (module docstring)."""
+    from quickray.engine import _accumulate_topk
 
-    index = engine.index
+    index, scorer = engine.index, engine.scorer
     has_flags = q.on_flag != 0 or q.off_flag != 0 or any(q.or_flags)
     k = q.k
-    ps = []
+    # nonempty query terms, their postings and exact contributions
+    ts, ps, cs = [], [], []
     for t in sorted(set(terms)):  # fixed summation order (oracle-identical)
         p = index.posting(t)
         if p is not None and len(p.doc_ids):
+            ts.append(t)
             ps.append(p)
+            cs.append(scorer.contrib(t, p))
     if not ps:
         return np.empty(0, np.int64), np.empty(0, np.float64)
 
-    def _contrib(p, pos=None):
-        c_full = posting_contrib(p, p.df, index.n_docs, index.avgdl, True)
+    def _contrib(p, c_full, pos=None):
         if has_flags:
             bits = p.bits if pos is None else p.bits[pos]
             sel = np.flatnonzero(
@@ -95,7 +105,7 @@ def block_max_topk(engine, terms: list[str], q: Query):
             )
             pos = sel if pos is None else pos[sel]
         if pos is None:
-            return (p.doc_ids, c_full) if len(p.doc_ids) else None
+            return p.doc_ids, c_full
         if len(pos) == 0:
             return None
         return p.doc_ids[pos], c_full[pos]
@@ -111,18 +121,14 @@ def block_max_topk(engine, terms: list[str], q: Query):
             # 0.0 where a doc lacks a term is IEEE-exact). Flags are
             # doc-level bits, so they reduce to ONE mask over the
             # final vector instead of a per-term posting filter.
-            from quickray.engine import _dense_topk, posting_contrib_dense
+            from quickray.engine import _dense_topk
 
             scores_d = np.zeros(index.n_docs, dtype=np.float64)
-            for p in ps:  # ascending term order
+            for t, p, c in zip(ts, ps, cs):
                 if len(p.doc_ids) > index.n_docs // 2:
-                    scores_d += posting_contrib_dense(
-                        p, index.n_docs, index.avgdl
-                    )
+                    scores_d += scorer.dense(t, p)
                 else:
-                    scores_d[p.doc_ids] += posting_contrib(
-                        p, p.df, index.n_docs, index.avgdl, True
-                    )
+                    scores_d[p.doc_ids] += c
             if has_flags:
                 bits = None
                 if not getattr(index, "_bits_absent", False):
@@ -168,13 +174,16 @@ def block_max_topk(engine, terms: list[str], q: Query):
                 scores_d[~ok] = 0.0
             return _dense_topk(scores_d, k)
         docs_l, con_l = [], []
-        for p in ps:
-            got = _contrib(p)
+        for p, c in zip(ps, cs):
+            got = _contrib(p, c)
             if got is not None:
                 docs_l.append(got[0])
                 con_l.append(got[1])
         return _accumulate_topk(docs_l, con_l, k, index.n_docs)
 
+    if scorer is not getattr(index, "scorer", None):
+        # block_max bounds hold only under the index's own statistics
+        return full_eval()
     if k <= 0 or total <= EXHAUSTIVE_CUTOFF:
         return full_eval()
     if k >= total:
@@ -222,7 +231,7 @@ def block_max_topk(engine, terms: list[str], q: Query):
     if len(pool) < k:
         return full_eval()
     pool_scores = np.zeros(len(pool), np.float64)
-    for p in ps:
+    for p, c in zip(ps, cs):
         li = np.searchsorted(p.doc_ids, pool)
         li_c = np.minimum(li, len(p.doc_ids) - 1)
         hit = (li < len(p.doc_ids)) & (p.doc_ids[li_c] == pool)
@@ -230,10 +239,7 @@ def block_max_topk(engine, terms: list[str], q: Query):
             hit &= flags_mask(
                 p.bits[li_c], q.on_flag, q.off_flag, q.or_flags
             )
-        hpos = li_c[hit]
-        pool_scores[hit] += posting_contrib(
-            p, p.df, index.n_docs, index.avgdl, True
-        )[hpos]
+        pool_scores[hit] += c[li_c[hit]]
     theta = float(
         np.partition(pool_scores, len(pool_scores) - k)[len(pool_scores) - k]
     )
@@ -284,7 +290,7 @@ def block_max_topk(engine, terms: list[str], q: Query):
 
     # ---- score only blocks that intersect a kept doc-range
     docs_f, contribs_f = [], []
-    for p, bstarts, bends in exts:
+    for (p, bstarts, bends), c in zip(exts, cs):
         blo = p.doc_ids[bstarts]
         bhi = p.block_last
         idx = np.searchsorted(ends_k, blo, side="right")
@@ -293,7 +299,7 @@ def block_max_topk(engine, terms: list[str], q: Query):
         if not surv.any():
             continue
         ppos = _expand_blocks(bstarts[surv], bends[surv])
-        got = _contrib(p, ppos)
+        got = _contrib(p, c, ppos)
         if got is not None:
             docs_f.append(got[0])
             contribs_f.append(got[1])

@@ -186,26 +186,56 @@ def test_topk_k_exceeds_corpus_dense_path():
     assert sc.tolist() == [2.5, 0.5]
 
 
-def test_posting_contrib_memoized_and_global_bypass():
-    """posting_contrib memoizes only under the index's own stats;
-    global-stat overrides recompute with the supplied df."""
-    from quickray.engine import Posting, posting_contrib
+def test_scorer_memo_per_stats_and_lru_bounded(tmp_path):
+    """Each engine's Scorer memoizes contributions under its own
+    statistics: a hit returns the identical array, two engines over one
+    Index with different stats never see each other's entries,
+    stopword-grade dense vectors are memoized per scorer, and neither
+    memo outgrows the index's posting-LRU capacity."""
+    from quickray.scoring import bm25_contrib
 
-    p = Posting(
-        doc_ids=np.array([0, 1, 2]),
-        tfs=np.array([1, 2, 3]),
-        dls=np.array([10, 10, 10]),
-        bits=np.zeros(3, np.int64),
-        df=3,
-        block_last=np.array([2]),
-        block_max=np.array([1.0]),
+    out = _tiny(
+        tmp_path,
+        ["alpha beta", "beta gamma beta", "gamma delta beta", "beta"],
     )
-    c1 = posting_contrib(p, 3, 100, 10.0, True)
-    assert p.contrib is c1
-    assert posting_contrib(p, 3, 100, 10.0, True) is c1
-    c_global = posting_contrib(p, 50, 1000, 12.0, False)
-    assert p.contrib is c1  # untouched by the global-stats call
-    assert not np.allclose(c1, c_global)
+    ix = Index(out)
+    own = LocalEngine(ix)
+    other = LocalEngine(
+        ix, global_stats={"n_docs": 40, "avgdl": 7.0, "df": {"beta": 9}}
+    )
+    assert own.scorer is ix.scorer and other.scorer is not ix.scorer
+
+    p = ix.posting("beta")
+    c_own = own.scorer.contrib("beta", p)
+    assert own.scorer.contrib("beta", p) is c_own  # memo hit
+    c_other = other.scorer.contrib("beta", p)
+    assert other.scorer.contrib("beta", p) is c_other
+    assert own.scorer.contrib("beta", p) is c_own  # untouched by other
+    np.testing.assert_array_equal(
+        c_own, bm25_contrib(p.tfs, p.dls, p.df, ix.n_docs, ix.avgdl)
+    )
+    np.testing.assert_array_equal(
+        c_other, bm25_contrib(p.tfs, p.dls, 9, 40, 7.0)
+    )
+    assert not np.allclose(c_own, c_other)
+
+    # beta is in every doc: stopword-grade, dense vector per scorer
+    assert len(p.doc_ids) > ix.n_docs // 2
+    d_own = own.scorer.dense("beta", p)
+    assert own.scorer.dense("beta", p) is d_own
+    d_other = other.scorer.dense("beta", p)
+    assert other.scorer.dense("beta", p) is d_other
+    np.testing.assert_array_equal(d_own[p.doc_ids], c_own)
+    np.testing.assert_array_equal(d_other[p.doc_ids], c_other)
+
+    ix._cache_cap = 2
+    for t in ("alpha", "beta", "gamma", "delta", "alpha"):
+        pt = ix.posting(t)
+        for s in (own.scorer, other.scorer):
+            s.contrib(t, pt)
+            s.dense(t, pt)
+            assert len(s._contrib) <= 2 and len(s._dense) <= 2
+    assert list(own.scorer._contrib) == ["delta", "alpha"]  # recency
 
 
 @pytest.mark.parametrize("thresh", [1_000_000, 0])

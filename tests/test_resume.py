@@ -184,6 +184,27 @@ def test_duplicate_ids_with_gap_rejected(tmp_path):
         build_index(tbl, str(tmp_path / "b"), id_col="myid")
 
 
+def test_duplicate_ids_with_matching_sum_rejected(tmp_path):
+    """[0,0,3,3] passes min/max/count AND the id sum (6 == 0+1+2+3);
+    the permutation check must still reject it, naming the id column."""
+    import pyarrow as pa
+    import pytest
+
+    n = 4
+    tbl = pa.table(
+        {
+            "repo": pa.array(["r"] * n),
+            "path": pa.array([f"f{i}.go" for i in range(n)]),
+            "commit": pa.array(["c"] * n),
+            "lang": pa.array(["go"] * n),
+            "content": pa.array([f"word{i}" for i in range(n)]),
+            "myid": pa.array([0, 0, 3, 3], pa.int64()),
+        }
+    )
+    with pytest.raises(ValueError, match="permutation.*'myid'"):
+        build_index(tbl, str(tmp_path / "b"), id_col="myid")
+
+
 def test_stale_manifest_window_closed(tmp_path):
     """Fingerprint change wipes phase dirs AND persists the new (empty)
     manifest immediately: a crash before the first mark_done must not
