@@ -304,7 +304,7 @@ def _ref_queries_sql(flat_or_only: bool) -> str:
     (cand, candf, scored) CTE triple and one ranked UNION ALL arm per
     query. flat_or_only restricts to the term-sharded pipeline's query
     subset (single terms / flat ORs)."""
-    from quickray.query import collect_terms, flat_or_terms
+    from quickray.query import flat_or_terms
 
     queries = _oracle_query_set()
     if flat_or_only:
@@ -313,20 +313,33 @@ def _ref_queries_sql(flat_or_only: bool) -> str:
         from quickray.queryset import sharded_field_queries
 
         queries = queries + sharded_field_queries()
+    return _queries_sql(queries)
+
+
+def _queries_sql(queries) -> str:
+    """Oracle SQL answering ``queries``: shared CTEs + per-query arms."""
+    from quickray.query import collect_terms
+
     all_keys = sorted({t for q in queries for t in collect_terms(q.tree)})
     content_terms = [t for t in all_keys if "\x01" not in t]
     field_keys = [t for t in all_keys if "\x01" in t]
+    # content terms: tf counted from the tokens (no arm when the set
+    # has none: `IN ()` is not SQL). Field keywords: tf = 1 per holding
+    # doc (build.py emits one tf=1 posting per doc per field), df =
+    # holder count — UNION ALL arms, so allcontrib scores both key kinds
+    # with one BM25 expression, summed per doc in ascending posting-KEY
+    # order
     tlist = ", ".join(f"'{t}'" for t in content_terms)
-    # field keywords: tf = 1 per holding doc (build.py emits one tf=1
-    # posting per doc per field), df = holder count — appended as
-    # UNION ALL arms so allcontrib scores both key kinds with one BM25
-    # expression, summed per doc in ascending posting-KEY order
-    tf_arms = "".join(
-        f"\n  UNION ALL SELECT doc_id, {_sql_term(k)} AS term, 1.0::DOUBLE"
-        f" AS tf FROM documents"
+    tf_arms = [
+        "SELECT doc_id, term, count(*)::DOUBLE AS tf\n"
+        f"  FROM tokf WHERE term IN ({tlist})\n  GROUP BY doc_id, term"
+    ] if content_terms else []
+    tf_arms += [
+        f"SELECT doc_id, {_sql_term(k)} AS term, 1.0::DOUBLE AS tf"
+        f" FROM documents"
         f" WHERE lower({k.split(chr(1))[0]}) = '{k.split(chr(1))[1]}'"
         for k in field_keys
-    )
+    ]
     df_arms = "".join(
         f"\n  UNION ALL SELECT {_sql_term(k)} AS term, count(*)::BIGINT"
         f" AS df FROM documents"
@@ -335,11 +348,7 @@ def _ref_queries_sql(flat_or_only: bool) -> str:
     )
     ctes = [
         _TOK.strip(), _DL.strip(), _DF.strip(), _BITS.strip(),
-        f"""alltf AS (
-  SELECT doc_id, term, count(*)::DOUBLE AS tf
-  FROM tokf WHERE term IN ({tlist})
-  GROUP BY doc_id, term{tf_arms}
-)""",
+        "alltf AS (\n  " + "\n  UNION ALL ".join(tf_arms) + "\n)",
         f"""df2 AS (
   SELECT term, df FROM df{df_arms}
 )""",

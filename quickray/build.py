@@ -45,13 +45,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Any
-
-logger = logging.getLogger(__name__)
 
 import numpy as np
 import pyarrow as pa
@@ -62,7 +59,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from quickray.checkpoint import Manifest
+from quickray.checkpoint import MANIFEST, Manifest
 from quickray.merge import make_final_merge, make_level1_merge
 from quickray.schema import BLOCK_SIZE, LANGS
 from quickray.tokenize import Tokenizer, flatten_tokens, rank_lookup
@@ -244,6 +241,8 @@ class _Source:
     """Uniform column-pruned reader over the three accepted source
     forms (parquet path, pyarrow Table, ray Dataset)."""
 
+    generic = False  # a Ray Dataset: fingerprint covers only the schema
+
     def __init__(self, source):
         self.raw = source
         if isinstance(source, str):
@@ -293,17 +292,10 @@ class _Source:
             )
         else:
             # a generic Dataset cannot be content-fingerprinted without
-            # executing it — resume under the SAME out_dir with a
-            # different same-schema Dataset would serve the stale
-            # index. Warn loudly; callers that need resume safety pass
-            # a parquet path (footer signature) or set fingerprint=.
-            logger.warning(
-                "build_index source is a generic Ray Dataset: the"
-                " resume fingerprint covers only the schema, not the"
-                " data. Pass fingerprint= (e.g. a content hash) or use"
-                " a parquet path / pyarrow Table source if this"
-                " out_dir may be reused with different data."
-            )
+            # executing it: this covers only the schema, so build_index
+            # refuses to resume one into an existing build without an
+            # explicit fingerprint=
+            self.generic = True
             self.fingerprint = f"dataset:{source.schema().names}"
 
     def read(self, cols: list[str]) -> "rd.Dataset":
@@ -603,6 +595,14 @@ def build_index(
     src = _Source(source)
     if fingerprint is not None:
         src.fingerprint = fingerprint
+    elif src.generic and os.path.exists(os.path.join(out_dir, MANIFEST)):
+        # resuming would serve the stale index if the Dataset's data
+        # changed under the same schema
+        raise ValueError(
+            f"{out_dir} already holds a build and a generic Ray Dataset"
+            " source cannot be content-fingerprinted: pass fingerprint="
+            " (e.g. a content hash), or a parquet path / pyarrow Table"
+        )
     if num_parts is None or num_shards is None:
         auto = _auto_layout(src.count_rows())
         num_parts = auto if num_parts is None else num_parts

@@ -154,8 +154,51 @@ def encode_postings(doc_ids: np.ndarray) -> bytes:
     return varint_encode(deltas)
 
 
-def decode_postings(buf: bytes | memoryview) -> np.ndarray:
-    return np.cumsum(varint_decode(buf, np.int64))
+def decode_postings(
+    buf: bytes | memoryview | np.ndarray, starts: np.ndarray | None = None
+) -> np.ndarray:
+    """Doc ids of a delta+varint stream. ``starts`` (value indices, first
+    0) marks where concatenated posting lists begin: each restarts its
+    running sum there (one segmented cumsum for many postings)."""
+    deltas = varint_decode(buf, np.int64)
+    if starts is None or len(starts) <= 1:
+        return np.cumsum(deltas)
+    if starts[-1] >= len(deltas):
+        raise ValueError(f"{len(deltas)} values end before list start {starts[-1]}")
+    return segmented_cumsum(deltas, starts)
+
+
+def expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Concatenate the integer ranges [starts[i], ends[i]) (vectorized)."""
+    lens = ends - starts
+    total = int(lens.sum())
+    if total == 0:
+        return np.empty(0, np.int64)
+    offs = np.concatenate(([0], np.cumsum(lens[:-1])))
+    return np.repeat(starts - offs, lens) + np.arange(total, dtype=np.int64)
+
+
+def gather_ranges(
+    data: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``data[starts[i]:ends[i]]`` over i; also return the
+    n+1 bounds of each range inside the result. One range is a view."""
+    if len(starts) == 1:
+        s, e = int(starts[0]), int(ends[0])
+        return data[s:e], np.array((0, e - s))
+    bounds = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(ends - starts, out=bounds[1:])
+    return data[expand_ranges(starts, ends)], bounds
+
+
+def varint_counts(buf: np.ndarray, bounds: np.ndarray, n_values: int) -> np.ndarray:
+    """Values per byte range ``[bounds[i], bounds[i+1])`` of a varint
+    stream of ``n_values`` values (one per terminating byte)."""
+    if n_values == len(buf):  # every value is one byte
+        return np.diff(bounds)
+    ends = np.zeros(len(buf) + 1, dtype=np.int64)
+    np.cumsum(buf < 0x80, out=ends[1:])
+    return ends[bounds[1:]] - ends[bounds[:-1]]
 
 
 def block_max_metadata(

@@ -33,7 +33,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from quickray.codec import decode_postings, varint_decode
+from quickray.codec import (
+    decode_postings,
+    gather_ranges,
+    varint_counts,
+    varint_decode,
+)
 from quickray.query import (
     And,
     Or,
@@ -142,10 +147,56 @@ def _dense_topk(
     return uniq[order], scores[order]
 
 
+# postings per preload decode chunk. A chunk's transients (gathered
+# bytes and their int64 gather indexes, the decoded streams, per-posting
+# df and the BM25 temporaries) cost ~100 B per posting: ~50 MB at this
+# bound, however many postings preload_bytes admits
+_DECODE_CHUNK = 1 << 19
+
+# a segment row's varint streams, in Posting field order
+_STREAMS = ("postings", "tfs", "dls", "bitsv")
+# 64-bit offsets: a combined column may exceed 2 GiB
+_LARGE = {
+    **{c: pa.large_binary() for c in _STREAMS},
+    "block_last": pa.large_list(pa.int64()),
+    "block_max": pa.large_list(pa.float64()),
+}
+
+
+def _one_chunk(col: pa.ChunkedArray) -> pa.Array:
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
+def _column_view(seg: pa.Table, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-copy numpy (int64 offsets, values) of a large-binary or
+    large-list segment column held in one chunk."""
+    arr = _one_chunk(seg[name])
+    if arr.null_count:
+        raise ValueError(f"segment column {name!r} holds nulls")
+    if pa.types.is_large_list(arr.type):
+        return arr.offsets.to_numpy(), arr.values.to_numpy()
+    _, offs, data = arr.buffers()
+    offs = np.frombuffer(offs, np.int64)[arr.offset : arr.offset + len(arr) + 1]
+    return offs, np.frombuffer(data, np.uint8) if data else np.empty(0, np.uint8)
+
+
 class Index:
     """In-memory view of one build's segments. At multi-node scale each
     query actor would load only its term-hash shards (the `shard`
-    column written at merge time); single-node tests load everything."""
+    column written at merge time); single-node tests load everything.
+
+    Load combines each segment column into one chunk (a copy only when
+    the segment table spans several files) and keeps zero-copy numpy
+    views of its offsets and values. ``_decode_rows`` decodes any set
+    of rows from them with one vectorized pass per column, so its cost
+    is per byte, not per term: the miss path decodes one row, and
+    preload decodes its rows ``_DECODE_CHUNK`` postings at a time and
+    scores each chunk with one BM25 call. What is left per term is
+    slicing and memo stores (a 14k-term, 6k-doc index loads fully
+    preloaded in ~0.2 s on one Xeon core; term by term it took ~2.5 s). A
+    preloaded posting's arrays (and its memoized contributions) are
+    views into its chunk's arrays: a chunk stays resident until every
+    term decoded in it has left both memos."""
 
     def __init__(
         self,
@@ -160,17 +211,18 @@ class Index:
         self.n_docs = self.stats["n_docs"]
         self.avgdl = self.stats["avgdl"]
         filters = [("shard", "in", sorted(shards))] if shards is not None else None
-        self._seg = pq.read_table(
-            os.path.join(out_dir, "segments"), filters=filters
-        )
+        seg = pq.read_table(os.path.join(out_dir, "segments"), filters=filters)
+        seg = seg.cast(
+            pa.schema([f.with_type(_LARGE.get(f.name, f.type)) for f in seg.schema])
+        ).combine_chunks()
+        self._seg = seg
+        self._df = _one_chunk(seg["df"]).to_numpy()
+        self._cols = {c: _column_view(seg, c) for c in _LARGE}
         # term lookup = binary search over a sorted VIEW of the segment
         # term column (one int64 permutation array + O(log V) bounded
         # .as_py() per probe) — never a vocabulary-sized Python dict
         # per engine (a 10^8-term vocab would be GBs of PyObjects)
-        tcol = self._seg["term"]
-        self._term_col = (
-            tcol.combine_chunks() if isinstance(tcol, pa.ChunkedArray) else tcol
-        )
+        self._term_col = _one_chunk(seg["term"])
         self._tsort = np.asarray(
             pc.sort_indices(self._term_col), dtype=np.int64
         )
@@ -180,54 +232,125 @@ class Index:
         self._cache_cap = 4096
         self.scorer = Scorer(self, self.n_docs, self.avgdl)
         if preload_top_df or preload_bytes:
-            # decode the heaviest postings once at load time (serving
-            # actors pay this in __init__, never on the query path).
-            # preload_bytes widens the fixed top-N ADAPTIVELY: preload
-            # in descending-df order until the estimated DECODED size
-            # (4 int64 arrays ≈ 32 B/posting) reaches the budget — a
-            # cold ~1M-posting hot term otherwise costs ~170 ms on the
-            # first query that touches it (the r02 p95 tail).
-            df = np.asarray(self._seg["df"], dtype=np.int64)
-            order = np.argsort(-df)
-            n_pre = int(preload_top_df)
-            if preload_bytes is not None:
-                # decoded posting ≈ 4 int64 arrays + memoized contrib
-                # float64 = 40 B/posting
-                cum = np.cumsum(df[order]) * 40
-                n_pre = max(
-                    n_pre,
-                    int(np.searchsorted(cum, preload_bytes, side="right")),
-                )
-            n_pre = min(n_pre, len(order))
-            self._cache_cap = max(self._cache_cap, 2 * n_pre)
-            for i in order[:n_pre]:
-                # the row index is already in hand — decode directly
-                # instead of re-resolving each term through the
-                # O(log V) binary search (at preload_bytes scale that
-                # search cost alone dominated actor __init__)
-                term = self._term_col[int(i)].as_py()
-                p = self._posting_at(int(i))
-                self._cache[term] = p  # n_pre <= cap / 2: no eviction
-                # pre-warm the own scorer's contributions too — a cold
-                # first query then pays neither decode nor scoring
-                self.scorer.contrib(term, p)
-                if len(p.doc_ids) > self.n_docs // 2:
-                    self.scorer.dense(term, p)
+            self._preload(preload_top_df, preload_bytes)
+
+    def _preload(self, preload_top_df: int, preload_bytes: int | None) -> None:
+        """Decode the heaviest postings once at load time (serving
+        actors pay this in __init__, never on the query path) and
+        pre-warm the own scorer's contributions, so a cold first query
+        pays neither decode nor scoring. preload_bytes widens the fixed
+        top-N ADAPTIVELY: preload in descending-df order until the
+        estimated decoded size reaches the budget — a cold
+        ~1M-posting hot term otherwise costs ~170 ms on the first query
+        that touches it (the r02 p95 tail)."""
+        df = self._df
+        order = np.argsort(-df)
+        n_pre = int(preload_top_df)
+        if preload_bytes is not None:
+            # decoded posting ≈ 4 int64 arrays + memoized contrib
+            # float64 = 40 B/posting
+            cum = np.cumsum(df[order]) * 40
+            n_pre = max(
+                n_pre, int(np.searchsorted(cum, preload_bytes, side="right"))
+            )
+        n_pre = min(n_pre, len(order))
+        self._cache_cap = max(self._cache_cap, 2 * n_pre)
+        rows = order[:n_pre]
+        # chunk boundaries: each chunk holds up to _DECODE_CHUNK
+        # postings (a single heavier row is a chunk of its own)
+        cum = np.cumsum(df[rows])
+        lo = 0
+        while lo < n_pre:
+            base = cum[lo - 1] if lo else 0
+            hi = max(
+                lo + 1,
+                int(np.searchsorted(cum, base + _DECODE_CHUNK, side="right")),
+            )
+            self._preload_rows(rows[lo:hi])
+            lo = hi
+        # the dense-eval flag path reads doc-level bits once — pay that
+        # here, not on the first flagged query
+        self.docmeta_arrays(("bits",))
+
+    def _preload_rows(self, rows: np.ndarray) -> None:
+        """Decode ``rows`` as one chunk and seed the posting LRU and the
+        own scorer's memos with per-term slices (n_pre <= cap / 2: no
+        eviction)."""
+        bounds, flat, ps = self._decode_rows(rows)
+        df = self._df[rows]
+        # one BM25 pass over the chunk; with a per-posting df every value
+        # is bit-identical to the per-term call (bm25_contrib)
+        contrib = bm25_contrib(
+            flat["tfs"], flat["dls"], np.repeat(df, df), self.n_docs, self.avgdl
+        )
+        terms = self._term_col.take(pa.array(rows)).to_pylist()
+        # stored directly: with no eviction possible, _lru_fetch would
+        # only store, at a call per term (a quarter of the load time)
+        self._cache.update(zip(terms, ps))
+        b = bounds.tolist()
+        self.scorer._contrib.update(
+            (t, contrib[lo:hi]) for t, lo, hi in zip(terms, b, b[1:])
+        )
+        for term, p in zip(terms, ps):
+            if len(p.doc_ids) > self.n_docs // 2:
+                self.scorer.dense(term, p)
+
+    def _decode_rows(
+        self, rows
+    ) -> tuple[np.ndarray, dict[str, np.ndarray], list[Posting]]:
+        """Decode segment ``rows``: one gather and one varint pass per
+        column, and one segmented cumsum for every row's doc ids.
+        Returns the n+1 posting bounds of the rows, the decoded streams
+        by column, and one Posting per row whose arrays are
+        slices of them. Raises, naming the column, when a row's stream
+        holds a value count other than its df."""
+        rows = np.asarray(rows, dtype=np.int64)
+        df = self._df[rows]
+        bounds = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(df, out=bounds[1:])
+        nxt = rows + 1
+        flat = {}
+        for col in _STREAMS:
+            offs, data = self._cols[col]
+            buf, byte_bounds = gather_ranges(data, offs[rows], offs[nxt])
             try:
-                # the dense-eval flag path reads doc-level bits once —
-                # pay that here, not on the first flagged query
-                self.docmeta_arrays(("bits",))
-            except (OSError, KeyError, pa.ArrowInvalid):
-                # builds without a docmeta bits column: pyarrow raises
-                # ArrowInvalid (a ValueError subclass) for a missing
-                # parquet column, not KeyError
-                pass
+                if col == "postings":
+                    # a running sum restarts at each nonempty row
+                    vals = decode_postings(
+                        buf, bounds[:-1][df > 0] if len(rows) > 1 else None
+                    )
+                else:
+                    vals = varint_decode(buf)
+                ok = len(vals) == bounds[-1] and (
+                    len(rows) == 1
+                    or np.array_equal(varint_counts(buf, byte_bounds, len(vals)), df)
+                )
+            except ValueError:
+                ok = False
+            if not ok:
+                terms = self._term_col.take(pa.array(rows[:4])).to_pylist()
+                raise ValueError(
+                    f"segment column {col!r} in {self.out_dir} disagrees with"
+                    f" df in one of {len(rows)} rows (terms {terms}...)"
+                )
+            flat[col] = vals
+        (bo, bl), (_, bm) = self._cols["block_last"], self._cols["block_max"]
+        bl, bb = gather_ranges(bl, bo[rows], bo[nxt])
+        bm, _ = gather_ranges(bm, bo[rows], bo[nxt])
+        d, t, l, bi = flat.values()
+        b, bb = bounds.tolist(), bb.tolist()
+        ps = [
+            Posting(d[lo:hi], t[lo:hi], l[lo:hi], bi[lo:hi], hi - lo,
+                    bl[c:e], bm[c:e])
+            for lo, hi, c, e in zip(b, b[1:], bb, bb[1:])
+        ]
+        return bounds, flat, ps
 
     def df_of(self, term: str) -> int:
         """Segment df without decoding the posting — O(log V) probe.
         Used to order AND-child evaluation by estimated size."""
         i = self._term_index(term)
-        return 0 if i is None else int(self._seg["df"][i].as_py())
+        return 0 if i is None else int(self._df[i])
 
     def _term_index(self, term: str) -> int | None:
         """Segment row index of `term` via binary search on the sorted
@@ -244,24 +367,10 @@ class Index:
             return int(order[lo])
         return None
 
-    def _posting_at(self, i: int) -> Posting:
-        """Decode the posting stored at segment row ``i`` (callers that
-        already hold the row index — preload — skip the binary search
-        entirely)."""
-        return Posting(
-            doc_ids=decode_postings(self._seg["postings"][i].as_py()),
-            tfs=varint_decode(self._seg["tfs"][i].as_py()),
-            dls=varint_decode(self._seg["dls"][i].as_py()),
-            bits=varint_decode(self._seg["bitsv"][i].as_py()),
-            df=self._seg["df"][i].as_py(),
-            block_last=np.asarray(self._seg["block_last"][i].as_py(), np.int64),
-            block_max=np.asarray(self._seg["block_max"][i].as_py(), np.float64),
-        )
-
     def posting(self, term: str) -> Posting | None:
         def decode():
             i = self._term_index(term)
-            return None if i is None else self._posting_at(i)
+            return None if i is None else self._decode_rows([i])[2][0]
 
         return _lru_fetch(self._cache, term, self._cache_cap, decode)
 
@@ -289,10 +398,14 @@ class Index:
             self._docmeta_cache = cache
         missing = [c for c in cols if c not in cache]
         if missing:
-            dm = pq.read_table(
-                os.path.join(self.out_dir, "docmeta"),
-                columns=["doc_id"] + missing,
-            )
+            path = os.path.join(self.out_dir, "docmeta")
+            try:
+                dm = pq.read_table(path, columns=["doc_id"] + missing)
+            except (OSError, pa.ArrowException) as exc:
+                # every build writes these columns: absence is damage
+                raise ValueError(
+                    f"docmeta column(s) {missing} unreadable in {path}: {exc}"
+                ) from exc
             order = np.asarray(dm["doc_id"])
             for c in missing:
                 vals = dm[c]
@@ -655,11 +768,7 @@ class _SummedDf:
     def get(self, term: str, default: int = 0) -> int:
         df = self._cache.get(term)
         if df is None:
-            df = 0
-            for ix in self._ixs:
-                i = ix._term_index(term)
-                if i is not None:
-                    df += int(ix._seg["df"][i].as_py())
+            df = sum(ix.df_of(term) for ix in self._ixs)
             self._cache[term] = df
         return df if df else default
 

@@ -38,44 +38,13 @@ exhaustive path.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
-import pyarrow as pa
 
+from quickray.codec import expand_ranges as _expand_blocks
 from quickray.query import Query
 from quickray.scoring import flags_mask
 
-logger = logging.getLogger(__name__)
-
-
-def _column_missing(index, col: str) -> bool:
-    """True iff the docmeta schema provably lacks `col` (footer-only
-    probe — no data read). False on any probe failure: a corrupt footer
-    must surface as the per-query warning path, never as absence."""
-    import os
-
-    try:
-        import pyarrow.dataset as pads
-
-        schema = pads.dataset(
-            os.path.join(index.out_dir, "docmeta"), format="parquet"
-        ).schema
-        return col not in schema.names
-    except Exception:
-        return False
-
 EXHAUSTIVE_CUTOFF = 4096  # below this many total postings, just score
-
-
-def _expand_blocks(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenate [starts[i], ends[i]) integer ranges (vectorized)."""
-    lens = ends - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, np.int64)
-    offs = np.concatenate(([0], np.cumsum(lens[:-1])))
-    return np.repeat(starts - offs, lens) + np.arange(total, dtype=np.int64)
 
 
 def block_max_topk(engine, terms: list[str], q: Query):
@@ -130,46 +99,7 @@ def block_max_topk(engine, terms: list[str], q: Query):
                 else:
                     scores_d[p.doc_ids] += c
             if has_flags:
-                bits = None
-                if not getattr(index, "_bits_absent", False):
-                    try:
-                        bits = index.docmeta_arrays(("bits",))["bits"]
-                    except (KeyError, FileNotFoundError):
-                        # missing docmeta dir: GENUINE absence — latch
-                        # so later queries skip the parquet open +
-                        # exception on the hot path
-                        index._bits_absent = True
-                    except (OSError, pa.ArrowInvalid) as exc:
-                        # pyarrow raises ArrowInvalid BOTH for a column
-                        # missing from the file schema (builds
-                        # predating the bits column — genuine absence,
-                        # latch it) and for a corrupted file. A cheap
-                        # footer-only schema probe tells them apart; a
-                        # corrupt/transient failure (EIO under load)
-                        # falls back for THIS query only — results stay
-                        # identical (bits are replicated in postings)
-                        # but a real data problem must not be silently
-                        # latched as "absent" (r04 ADVICE)
-                        if isinstance(
-                            exc, pa.ArrowInvalid
-                        ) and _column_missing(index, "bits"):
-                            index._bits_absent = True
-                        else:
-                            logger.warning(
-                                "docmeta bits read failed (falling back"
-                                " to posting-replicated bits for this"
-                                " query)",
-                                exc_info=True,
-                            )
-                if bits is None:
-                    # bits are doc-level and replicated into every
-                    # posting, so the slice this query needs
-                    # reconstructs from the postings at hand — docs
-                    # outside every posting score 0 and never reach
-                    # the top-k anyway
-                    bits = np.zeros(index.n_docs, dtype=np.int64)
-                    for p in ps:
-                        bits[p.doc_ids] = p.bits
+                bits = index.docmeta_arrays(("bits",))["bits"]
                 ok = flags_mask(bits, q.on_flag, q.off_flag, q.or_flags)
                 scores_d[~ok] = 0.0
             return _dense_topk(scores_d, k)

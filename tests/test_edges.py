@@ -357,38 +357,6 @@ def test_docmeta_hydrate_null_string_column(ray_session, tmp_path):
     assert got["commit"].tolist() == ["", "c2"]
 
 
-def test_dense_flag_eval_without_bits_column(ray_session, tmp_path):
-    """A flagged flat-OR query on the dense path must fall back to
-    per-posting bits when the docmeta bits column is absent (older
-    builds) — same results as with the column present."""
-    import glob
-    import pyarrow.parquet as pq
-
-    n = 64
-    tbl = pa.table(
-        {
-            "repo": pa.array(["r"] * n),
-            "path": pa.array([f"f{i:03d}.go" for i in range(n)]),
-            "commit": pa.array(["c"] * n),
-            "lang": pa.array(["go" if i % 2 else "py" for i in range(n)]),
-            "content": pa.array(
-                [f"shared term w{i % 7} extra" for i in range(n)]
-            ),
-        }
-    )
-    out = str(tmp_path / "idx")
-    build_index(tbl, out, langs=["go", "py"])
-    q = Query(tree=Or((Term("shared"), Term("term"))), on_flag=1, k=10)
-    want_ids, want_sc = LocalEngine(Index(out)).search(q)
-    # strip the bits column from docmeta (an older build's layout)
-    for f in glob.glob(f"{out}/docmeta/**/*.parquet", recursive=True):
-        t = pq.read_table(f)
-        pq.write_table(t.drop_columns(["bits"]), f)
-    got_ids, got_sc = LocalEngine(Index(out)).search(q)
-    assert got_ids.tolist() == want_ids.tolist()
-    assert np.allclose(got_sc, want_sc, rtol=1e-12)
-
-
 def test_lsh_bucket_cap_subgroups():
     """Oversize LSH buckets sub-group by signature digest: star pairs
     within each identical-signature family + full pairs among family

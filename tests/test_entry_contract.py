@@ -95,3 +95,22 @@ def test_lsh_pairs_subset_of_exact():
     assert lset <= eset
     assert len(lset) > 0
     assert len(lset) / len(eset) >= 0.3  # LSH recall sanity floor
+
+
+def test_field_only_query_set_sql_runs():
+    """A query set of field keywords only renders no content-term arm
+    (an empty `term IN ()` list does not parse) and runs in DuckDB."""
+    from quickray.query import Query, Term
+
+    q = Query(tree=Term("fr", field="lang"), k=5, id="qf")
+    sql = entrymod._queries_sql([q])
+    assert "IN ()" not in sql
+    con = duckdb.connect()
+    con.sql(
+        "CREATE VIEW documents AS SELECT * FROM (VALUES"
+        " (0, 'alpha beta', 'fr'), (1, 'gamma', 'en'), (2, 'beta', 'FR'))"
+        " t(doc_id, text, lang)"
+    )
+    got = con.sql(sql).fetchall()
+    # both French docs match; the shorter one ranks first
+    assert [(r[0], r[1], r[2]) for r in got] == [("qf", 1, 2), ("qf", 2, 0)]

@@ -44,18 +44,18 @@ def test_compute_bits_rules():
     assert bits[2] == 1 << 8  # unknown lang -> no lang bit; test_ basename
 
 
-def test_bits_absence_latched_corruption_not(tmp_path, ray_session):
-    """The dense flag path reads docmeta bits once per actor. A docmeta
-    that provably LACKS the bits column (pre-bits build) latches
-    _bits_absent so later flagged queries skip the parquet open; a
-    CORRUPTED docmeta must NOT latch — it falls back per query (results
-    identical: bits are replicated in postings) and warns (r04 ADVICE +
-    r05 review: pyarrow raises ArrowInvalid for both cases)."""
+def test_bits_missing_or_unreadable_raises(tmp_path):
+    """Every build writes docmeta bits, so a docmeta whose bits column
+    is missing or unreadable is damage, not an old format: the dense
+    flag path and preload raise, naming the column and the docmeta dir,
+    instead of rebuilding bits from postings."""
     import glob
     import os
+    import re
     import shutil
 
     import pyarrow.parquet as pq
+    import pytest
 
     from quickray.build import build_index
     from quickray.corpus import generate_corpus
@@ -73,29 +73,22 @@ def test_bits_absence_latched_corruption_not(tmp_path, ray_session):
     hot = [t for t, d in sorted(zip(terms, dfs), key=lambda x: -x[1])
            if "\x01" not in t][:3]
     q = Query(tree=Or(tuple(Term(t) for t in hot)), on_flag=1, k=10)
-    want_ids, want_sc = LocalEngine(ix0).search(q)
-    assert len(want_ids) > 0
+    assert len(LocalEngine(ix0).search(q)[0]) > 0
 
-    # case 1: bits column genuinely absent -> latched after first query
-    out1 = str(tmp_path / "idx_nobits")
-    shutil.copytree(out, out1)
-    for f in glob.glob(os.path.join(out1, "docmeta", "*.parquet")):
-        t = pq.read_table(f)
-        pq.write_table(t.drop_columns(["bits"]), f)
-    ix1 = Index(out1)
-    ids, sc = LocalEngine(ix1).search(q)
-    assert list(ids) == list(want_ids)
-    assert np.allclose(sc, want_sc)
-    assert getattr(ix1, "_bits_absent", False) is True
+    def drop_bits(f):
+        pq.write_table(pq.read_table(f).drop_columns(["bits"]), f)
 
-    # case 2: corrupted docmeta file -> per-query fallback, NO latch
-    out2 = str(tmp_path / "idx_corrupt")
-    shutil.copytree(out, out2)
-    f0 = sorted(glob.glob(os.path.join(out2, "docmeta", "*.parquet")))[0]
-    with open(f0, "wb") as fh:
-        fh.write(b"not a parquet file")
-    ix2 = Index(out2, preload_top_df=0)
-    ids, sc = LocalEngine(ix2).search(q)
-    assert list(ids) == list(want_ids)
-    assert np.allclose(sc, want_sc)
-    assert getattr(ix2, "_bits_absent", False) is False
+    def corrupt(f):
+        with open(f, "wb") as fh:
+            fh.write(b"not a parquet file")
+
+    for name, damage in (("nobits", drop_bits), ("corrupt", corrupt)):
+        outc = str(tmp_path / name)
+        shutil.copytree(out, outc)
+        for f in glob.glob(os.path.join(outc, "docmeta", "*.parquet")):
+            damage(f)
+        want = rf"\['bits'\].*{re.escape(os.path.join(outc, 'docmeta'))}"
+        with pytest.raises(ValueError, match=want):
+            LocalEngine(Index(outc)).search(q)
+        with pytest.raises(ValueError, match=want):
+            Index(outc, preload_top_df=1)

@@ -230,3 +230,21 @@ def test_stale_manifest_window_closed(tmp_path):
     # a rerun under the ORIGINAL fingerprint now rebuilds cleanly
     r = build_index(tbl, out, hot_df=60)
     assert r.stats["n_docs"] == 80
+
+
+def test_generic_dataset_resume_needs_fingerprint(tmp_path):
+    """A Ray Dataset source builds into a fresh directory, but its
+    fingerprint covers only the schema: building it again into a
+    directory that holds a manifest raises unless fingerprint= is
+    given, instead of serving a possibly stale index."""
+    import pytest
+    import ray.data as rd
+
+    from quickray.engine import Index
+
+    tbl = generate_corpus(120, seed=5)
+    out = str(tmp_path / "ds")
+    build_index(rd.from_arrow(tbl), out, num_salts=2)
+    assert Index(out).n_docs == 120
+    with pytest.raises(ValueError, match="fingerprint="):
+        build_index(rd.from_arrow(tbl), out, num_salts=2)
