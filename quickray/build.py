@@ -23,9 +23,10 @@ Phases (each a checkpointed Dataset pipeline, see checkpoint.Manifest):
             hash(term, salt) % num_parts) -> vectorized partition merge
             -> one partial posting per (term, salt).
   segments  groupby(mpart = hash(term) % num_shards) over partials ->
-            vectorized partition merge; per-posting dl/bits looked up
-            from a broadcast doc_id-indexed array (never shuffled);
-            BM25 block-max metadata -> final posting segments.
+            vectorized partition merge -> final posting segments (doc
+            ids + tfs; doc_len and bits stay in docmeta) with BM25
+            block-max metadata, dl looked up from a broadcast
+            doc_id-indexed array (never shuffled).
 
 Skew: hot terms (df > hot_df) are salted with contiguous doc_id-range
 salts (salt = run_min_doc * S // N), spreading a hot term's runs over S
@@ -35,7 +36,7 @@ never depends on run arrival order (SURVEY §7.4; merge.py).
 
 Scale notes: the only all-to-all exchanges are the two run shuffles,
 both over varint-compressed payloads pre-aggregated per batch; reads
-prune columns; small sides (hot set, rank table, dl/bits) are ray.put
+prune columns; small sides (hot set, rank table, doc_len) are ray.put
 broadcasts. The rank table bounds one build partition to ~10^8 docs
 (docids.py); a 10^12-file corpus runs as many independent key-range
 build partitions with doc_id offsets from a driver-side prefix sum.
@@ -611,7 +612,7 @@ def build_index(
     # with a different shuffle/segment layout must invalidate, never
     # silently mix chunk bounds (the partials/segments on disk encode
     # num_parts/num_shards/num_salts/block_size; field_cols change the
-    # posting table's contents; langs change the docmeta/posting BITS
+    # posting table's contents; langs change the docmeta BITS
     # encoding and id_col changes doc_id assignment semantics — a
     # resume under different values must rebuild, not silently serve
     # the stale index)
@@ -621,6 +622,7 @@ def build_index(
         f",fields={'+'.join(field_cols)}"
         f",langs={'+'.join(langs)},id={id_col or 'rank'}"
         ",dbv=2"  # docbase schema v2 (fused sampled-df rows)
+        ",segv=2"  # segment format v2: doc ids + tfs per posting
     )
     man = Manifest(out_dir, src.fingerprint + layout)
     result = BuildResult(out_dir=out_dir)
@@ -910,14 +912,11 @@ def build_index(
             batch_size=tokenizer_batch_size,
         )
 
-    def _dl_bits_ref():
-        dm = pq.read_table(docmeta_dir, columns=["doc_id", "doc_len", "bits"])
-        order = np.asarray(dm["doc_id"])
+    def _dl_ref():
+        dm = pq.read_table(docmeta_dir, columns=["doc_id", "doc_len"])
         dl_arr = np.zeros(stats["n_docs"], dtype=np.int64)
-        bits_arr = np.zeros(stats["n_docs"], dtype=np.int64)
-        dl_arr[order] = np.asarray(dm["doc_len"])
-        bits_arr[order] = np.asarray(dm["bits"])
-        return ray.put((dl_arr, bits_arr))
+        dl_arr[np.asarray(dm["doc_id"])] = np.asarray(dm["doc_len"])
+        return ray.put(dl_arr)
 
     partials_dir = os.path.join(out_dir, "postings")
     if not durable_shuffle:
@@ -940,7 +939,7 @@ def build_index(
                 .map_groups(
                     make_final_merge(
                         stats["n_docs"], stats["avgdl"], block_size,
-                        _dl_bits_ref(),
+                        _dl_ref(),
                     ),
                     batch_format="pyarrow",
                 )
@@ -1010,7 +1009,7 @@ def build_index(
         todo = [ci for ci in range(len(seg_chunks))
                 if not man.phase_done(f"segments:{ci}")]
         if todo:
-            dl_bits = _dl_bits_ref()
+            dl = _dl_ref()
 
             def _make_segments_chunk(ci: int):
                 lo, hi = seg_chunks[ci]
@@ -1027,7 +1026,7 @@ def build_index(
                     .groupby("mpart")
                     .map_groups(
                         make_final_merge(
-                            stats["n_docs"], stats["avgdl"], block_size, dl_bits
+                            stats["n_docs"], stats["avgdl"], block_size, dl
                         ),
                         batch_format="pyarrow",
                     )

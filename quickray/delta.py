@@ -76,9 +76,6 @@ class _MaskedIndex:
         return Posting(
             doc_ids=p.doc_ids[live],
             tfs=p.tfs[live],
-            dls=p.dls[live],
-            bits=p.bits[live],
-            df=int(live.sum()),
             block_last=np.empty(0, np.int64),
             block_max=np.empty(0, np.float64),
         )
@@ -192,9 +189,9 @@ class DeltaEngine:
         for ix, shadow in zip(self._main + self._deltas, shadows):
             tomb_ids = _tomb_ids_for(ix, shadow)
             n_tomb += len(tomb_ids)
-            if len(tomb_ids):
-                dl = ix.docmeta_arrays(("doc_len",))["doc_len"]
-                tomb_tokens += int(dl[tomb_ids].sum())
+            # also loads the bits every flag filter reads: no query
+            # pays a docmeta read
+            tomb_tokens += int(ix.doc_lens(tomb_ids).sum())
             masked.append(_MaskedIndex(ix, tomb_ids))
         parts: list[_MaskedIndex] = masked
         n_live = sum(ix.n_docs for ix in self._main + self._deltas) - n_tomb

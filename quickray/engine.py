@@ -53,13 +53,25 @@ from quickray.scoring import bm25_contrib, flags_mask
 
 @dataclass
 class Posting:
+    """One term's postings. Doc-level data (doc_len, flag bits) is not
+    here: it is gathered by doc_id from the index's docmeta arrays."""
+
     doc_ids: np.ndarray
     tfs: np.ndarray
-    dls: np.ndarray
-    bits: np.ndarray
-    df: int
     block_last: np.ndarray
     block_max: np.ndarray
+
+
+# docmeta's doc-level columns: scoring gathers doc_len and flag filters
+# gather bits, so any docmeta read loads both (one parquet read)
+_DOC_COLS = ("doc_len", "bits")
+
+
+def flags_ok(index, doc_ids: np.ndarray, q: Query) -> np.ndarray:
+    """``q``'s flag filter over ``doc_ids``, on the doc-level bits
+    gathered from ``index``'s dense docmeta array."""
+    bits = index.docmeta_arrays(("bits",))["bits"][doc_ids]
+    return flags_mask(bits, q.on_flag, q.off_flag, q.or_flags)
 
 
 def _lru_fetch(cache: OrderedDict, key, cap: int, make):
@@ -79,7 +91,7 @@ def _lru_fetch(cache: OrderedDict, key, cap: int, make):
 class Scorer:
     """BM25 under one fixed set of statistics: ``n_docs``, ``avgdl`` and
     a df resolver (``df.get(term, posting_df)``; None scores with each
-    posting's own stored df). An engine's statistics never change, so
+    posting's own length). An engine's statistics never change, so
     each term's full per-posting contribution vector — and, for
     stopword-grade terms, its dense doc_id-indexed vector — is computed
     once and memoized HERE, per scorer: two engines over one Index with
@@ -107,8 +119,11 @@ class Scorer:
         the index's posting for it), aligned with ``p.doc_ids``."""
 
         def make():
-            df = p.df if self._df is None else self._df.get(term, p.df)
-            return bm25_contrib(p.tfs, p.dls, df, self.n_docs, self.avgdl)
+            df = len(p.doc_ids)
+            if self._df is not None:
+                df = self._df.get(term, df)
+            dl = self._index.doc_lens(p.doc_ids)
+            return bm25_contrib(p.tfs, dl, df, self.n_docs, self.avgdl)
 
         return _lru_fetch(self._contrib, term, self._index._cache_cap, make)
 
@@ -154,7 +169,7 @@ def _dense_topk(
 _DECODE_CHUNK = 1 << 19
 
 # a segment row's varint streams, in Posting field order
-_STREAMS = ("postings", "tfs", "dls", "bitsv")
+_STREAMS = ("postings", "tfs")
 # 64-bit offsets: a combined column may exceed 2 GiB
 _LARGE = {
     **{c: pa.large_binary() for c in _STREAMS},
@@ -184,6 +199,11 @@ class Index:
     """In-memory view of one build's segments. At multi-node scale each
     query actor would load only its term-hash shards (the `shard`
     column written at merge time); single-node tests load everything.
+
+    Segments hold only doc ids and tfs per posting. Doc-level data lives
+    once, in docmeta: the first docmeta read loads ``doc_len`` and
+    ``bits`` as dense doc_id-indexed arrays, and scoring and flag
+    filters gather from them by doc id.
 
     Load combines each segment column into one chunk (a copy only when
     the segment table spans several files) and keeps zero-copy numpy
@@ -243,13 +263,16 @@ class Index:
         estimated decoded size reaches the budget — a cold
         ~1M-posting hot term otherwise costs ~170 ms on the first query
         that touches it (the r02 p95 tail)."""
+        # scoring reads doc_len and flag filters read bits: one docmeta
+        # read here, not on the first query
+        self.docmeta_arrays(_DOC_COLS)
         df = self._df
         order = np.argsort(-df)
         n_pre = int(preload_top_df)
         if preload_bytes is not None:
-            # decoded posting ≈ 4 int64 arrays + memoized contrib
-            # float64 = 40 B/posting
-            cum = np.cumsum(df[order]) * 40
+            # decoded posting = 2 int64 arrays (doc ids, tfs) + memoized
+            # contrib float64 = 24 B/posting
+            cum = np.cumsum(df[order]) * 24
             n_pre = max(
                 n_pre, int(np.searchsorted(cum, preload_bytes, side="right"))
             )
@@ -268,9 +291,6 @@ class Index:
             )
             self._preload_rows(rows[lo:hi])
             lo = hi
-        # the dense-eval flag path reads doc-level bits once — pay that
-        # here, not on the first flagged query
-        self.docmeta_arrays(("bits",))
 
     def _preload_rows(self, rows: np.ndarray) -> None:
         """Decode ``rows`` as one chunk and seed the posting LRU and the
@@ -281,7 +301,8 @@ class Index:
         # one BM25 pass over the chunk; with a per-posting df every value
         # is bit-identical to the per-term call (bm25_contrib)
         contrib = bm25_contrib(
-            flat["tfs"], flat["dls"], np.repeat(df, df), self.n_docs, self.avgdl
+            flat["tfs"], self.doc_lens(flat["postings"]), np.repeat(df, df),
+            self.n_docs, self.avgdl,
         )
         terms = self._term_col.take(pa.array(rows)).to_pylist()
         # stored directly: with no eviction possible, _lru_fetch would
@@ -337,11 +358,10 @@ class Index:
         (bo, bl), (_, bm) = self._cols["block_last"], self._cols["block_max"]
         bl, bb = gather_ranges(bl, bo[rows], bo[nxt])
         bm, _ = gather_ranges(bm, bo[rows], bo[nxt])
-        d, t, l, bi = flat.values()
+        d, t = flat["postings"], flat["tfs"]
         b, bb = bounds.tolist(), bb.tolist()
         ps = [
-            Posting(d[lo:hi], t[lo:hi], l[lo:hi], bi[lo:hi], hi - lo,
-                    bl[c:e], bm[c:e])
+            Posting(d[lo:hi], t[lo:hi], bl[c:e], bm[c:e])
             for lo, hi, c, e in zip(b, b[1:], bb, bb[1:])
         ]
         return bounds, flat, ps
@@ -391,12 +411,14 @@ class Index:
         dense doc_id-indexed numpy arrays, loaded ONCE per Index (i.e.
         once per serving actor) — the BatchGet analog
         (internal/kvdb/badger_db.go:113-142): top-k -> metadata
-        hydration after the first call reads no parquet."""
+        hydration after the first call reads no parquet. The first read
+        also loads the doc-level ``_DOC_COLS``, whichever are asked for."""
         cache = getattr(self, "_docmeta_cache", None)
         if cache is None:
             cache = {}
             self._docmeta_cache = cache
-        missing = [c for c in cols if c not in cache]
+        want = dict.fromkeys((*cols, *_DOC_COLS))
+        missing = [c for c in want if c not in cache]
         if missing:
             path = os.path.join(self.out_dir, "docmeta")
             try:
@@ -569,7 +591,7 @@ class LocalEngine:
             return np.empty(0, np.int64)
         if q.on_flag == 0 and q.off_flag == 0 and not any(q.or_flags):
             return p.doc_ids
-        return p.doc_ids[flags_mask(p.bits, q.on_flag, q.off_flag, q.or_flags)]
+        return p.doc_ids[flags_ok(self.index, p.doc_ids, q)]
 
     def candidates(self, q: Query) -> np.ndarray:
         """Boolean evaluation — sorted doc_id array. AND = sorted-list
@@ -891,7 +913,7 @@ class QueryEngineActor:
                 p = self.engine.index.posting(t)
                 if p is None:
                     continue
-                m = flags_mask(p.bits, q.on_flag, q.off_flag, q.or_flags)
+                m = flags_ok(self.engine.index, p.doc_ids, q)
                 d = p.doc_ids[m]
                 # contribs are memoized by the scorer — repeated terms
                 # across the query batch cost one gather each

@@ -8,11 +8,11 @@ partition id rather than by term:
   level 1  groupby("part")  — part = hash(term, salt) % num_parts —
            merges each (term, salt) run-set into one partial posting;
   level 2  groupby("mpart") — mpart = hash(term) % num_shards — concats
-           each term's ≤ num_salts partials into the final segment row,
-           reconstructs per-posting (doc_len, bits) from a broadcast
-           doc_id-indexed array (doc_ids are dense 0..N-1, so lookup is
-           a numpy take from a plasma-shared array — those streams are
-           never shuffled), and computes BM25 block-max metadata.
+           each term's ≤ num_salts partials into the final segment row
+           (doc ids + tfs only) and computes BM25 block-max metadata,
+           looking doc_len up in a broadcast doc_id-indexed array
+           (doc_ids are dense 0..N-1, so lookup is a numpy take from a
+           plasma-shared array; doc_len is never shuffled or stored).
 
 One ``map_groups`` call processes a whole partition (hundreds to
 thousands of terms) with fully-vectorized decode → lexsort → re-encode
@@ -137,13 +137,13 @@ def make_level1_merge(num_shards: int):
     return merge_partition
 
 
-def make_final_merge(n_docs: int, avgdl: float, block_size: int, dl_bits_ref):
+def make_final_merge(n_docs: int, avgdl: float, block_size: int, dl_ref):
     """groupby("mpart") finalizer: partials -> final segment rows.
 
-    ``dl_bits_ref`` is a ray.put ObjectRef of (doc_len, bits) int64
-    arrays indexed by doc_id — the broadcast-small-side pattern: fetched
-    once per task from the local plasma store (zero-copy), never
-    re-shipped through the shuffle.
+    ``dl_ref`` is a ray.put ObjectRef of the doc_len int64 array indexed
+    by doc_id — the broadcast-small-side pattern: fetched once per task
+    from the local plasma store (zero-copy), never re-shipped through
+    the shuffle.
     """
 
     def merge_partition(t: pa.Table) -> pa.Table:
@@ -153,18 +153,14 @@ def make_final_merge(n_docs: int, avgdl: float, block_size: int, dl_bits_ref):
 
         if t.num_rows == 0:
             return SEGMENT_SCHEMA.empty_table()
-        dl_arr, bits_arr = ray.get(dl_bits_ref)
+        dl_arr = ray.get(dl_ref)
         m = _concat_decode_sort(t, group_by_salt=False)
         starts = m.g_val_starts
         pbuf, pnb = varint_encode_sizes(segmented_delta_encode(m.docs, starts))
         tbuf, tnb = varint_encode_sizes(m.tfs)
-        dls = dl_arr[m.docs]
-        bits = bits_arr[m.docs]
-        dbuf, dnb = varint_encode_sizes(dls)
-        bbuf, bnb = varint_encode_sizes(bits)
 
         df_per_val = np.repeat(m.g_val_lens, m.g_val_lens)
-        scores = bm25_contrib(m.tfs, dls, df_per_val, n_docs, avgdl)
+        scores = bm25_contrib(m.tfs, dl_arr[m.docs], df_per_val, n_docs, avgdl)
         ends = starts + m.g_val_lens
         # block-max metadata for ALL groups in one pass (a per-term
         # Python loop here was ~60% of the final-merge wall at 2M vocab)
@@ -196,8 +192,6 @@ def make_final_merge(n_docs: int, avgdl: float, block_size: int, dl_bits_ref):
                 "df": pa.array(m.g_val_lens),
                 "postings": pa.array(split_stream(pbuf, pnb, starts), pa.binary()),
                 "tfs": pa.array(split_stream(tbuf, tnb, starts), pa.binary()),
-                "dls": pa.array(split_stream(dbuf, dnb, starts), pa.binary()),
-                "bitsv": pa.array(split_stream(bbuf, bnb, starts), pa.binary()),
                 "block_last": block_last,
                 "block_max": block_max,
                 "shard": pa.array([shard] * len(m.terms), pa.int64()),

@@ -235,11 +235,12 @@ def range_filter(sf_dir: str) -> pa.Table:
     # the flag-free candidate set of a single term IS its posting
     # (engine._leaf), so the filter is one vectorized range mask
     p = eng.index.posting("join")
-    mask = (p.dls >= 40) & (p.dls <= 70)
+    dls = eng.index.doc_lens(p.doc_ids)
+    mask = (dls >= 40) & (dls <= 70)
     return pa.table(
         {
             "doc_id": pa.array(p.doc_ids[mask]),
-            "doc_len": pa.array(p.dls[mask]),
+            "doc_len": pa.array(dls[mask]),
         }
     )
 

@@ -9,8 +9,10 @@ Data-model mapping from the reference (SURVEY.md §1.2):
 - bits        = quicker BitsFeature (api/document.proto:15) derived from
   lang/path/doc_len (demo/job/bits.go:24-69 analog).
 - posting row = quicker's term -> skiplist-of-(DocId, BitsFeature)
-  (skiplist_reverse_index.go:15-18) as delta+varint binary streams with
-  per-block max-score metadata for block-max pruning.
+  (skiplist_reverse_index.go:15-18) as delta+varint doc ids and varint
+  tfs with per-block max-score metadata for block-max pruning. The
+  reference keeps BitsFeature in every posting; here doc_len and bits
+  live once, in docmeta, and serving gathers them by doc_id.
 """
 
 from __future__ import annotations
@@ -56,18 +58,17 @@ DOCMETA_SCHEMA = pa.schema(
     ]
 )
 
-# Final posting-segment row: one row per term. All varint streams are
-# aligned (i-th decoded entry of each stream describes the i-th posting).
+# Final posting-segment row: one row per term. Both varint streams are
+# aligned (i-th decoded entry of each describes the i-th posting).
 # Postings are sorted ascending by doc_id (the reference's one invariant,
-# skiplist_reverse_index.go:49-55).
+# skiplist_reverse_index.go:49-55). Doc-level data (doc_len, bits) is
+# not repeated per posting: docmeta holds it, indexed by doc_id.
 SEGMENT_SCHEMA = pa.schema(
     [
         ("term", pa.string()),
         ("df", pa.int64()),  # == number of postings
         ("postings", pa.binary()),  # delta+varint doc_ids
         ("tfs", pa.binary()),  # varint term frequencies
-        ("dls", pa.binary()),  # varint doc lengths (self-contained scoring)
-        ("bitsv", pa.binary()),  # varint BitsFeature per posting (flag filter)
         ("block_last", pa.list_(pa.int64())),  # last doc_id per block
         ("block_max", pa.list_(pa.float64())),  # max BM25 contribution per block
         ("shard", pa.int64()),  # hash(term) % num_shards (segment layout key)
@@ -83,10 +84,9 @@ SEGMENT_SCHEMA = pa.schema(
 #   min_doc = first doc_id of the run (merge-order key; batch doc
 #             ranges are disjoint, so ordering runs by min_doc makes the
 #             per-group concatenation already globally sorted)
-# Runs carry only doc_ids + tfs: per-posting dl/bits streams are NOT
-# shuffled — the final merge reconstructs them from a broadcast
-# doc_id-indexed (doc_len, bits) array (doc_ids are dense 0..N-1), so
-# the exchange moves ~half the bytes it otherwise would.
+# Runs carry only doc_ids + tfs, like the final segments: the final
+# merge looks doc_len up in a broadcast doc_id-indexed array (doc_ids
+# are dense 0..N-1) for its block-max bounds only.
 RUN_SCHEMA = pa.schema(
     [
         ("term", pa.string()),

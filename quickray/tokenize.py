@@ -235,8 +235,8 @@ def field_posting_keys(
 
 
 class Tokenizer:
-    """Stateful actor-pool stage: corpus batch -> (term, doc_id, tf, dl,
-    bits, salt).
+    """Stateful actor-pool stage: corpus batch -> compressed posting runs
+    (``emit_runs``), or (term, doc_id, tf, salt) rows.
 
     Used as ``ds.map_batches(Tokenizer, fn_constructor_kwargs={...},
     batch_format="pyarrow", concurrency=N)`` — the class form makes Ray
@@ -258,8 +258,6 @@ class Tokenizer:
         hot_ref=None,
         n_docs: int = 1,
         num_salts: int = 1,
-        avgdl: float = 1.0,
-        langs: list[str] | None = None,
         emit_runs: bool = False,
         num_parts: int = 64,
         rank_ref=None,
@@ -286,8 +284,6 @@ class Tokenizer:
         )
         self.n_docs = max(1, n_docs)
         self.num_salts = max(1, num_salts)
-        self.avgdl = avgdl
-        self.langs = langs or []
         self.emit_runs = emit_runs
         self.num_parts = max(1, num_parts)
         self.field_cols = list(field_cols or [])
@@ -336,28 +332,13 @@ class Tokenizer:
                 [grouped.select(["term", "doc_id", "count_all"])]
                 + self._field_rows(batch, row_ids)
             )
-        return grouped, np.asarray(grouped["doc_id"], dtype=np.int64), row_ids
+        return grouped, np.asarray(grouped["doc_id"], dtype=np.int64)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        grouped, gdoc, row_ids = self._grouped(batch)
+        grouped, gdoc = self._grouped(batch)
         if self.emit_runs:
             return self._encode_runs(grouped, gdoc)
-        # rows mode (tests/diagnostics): attach per-posting dl + bits by
-        # positional lookup of doc_id within the batch
-        from quickray.scoring import compute_bits
-
-        base = np.asarray(row_ids, dtype=np.int64)
-        order = np.argsort(base, kind="stable")
-        pos = order[np.searchsorted(base[order], gdoc)]
-        batch_bits = compute_bits(
-            batch["lang"].to_pylist(),
-            batch["path"].to_pylist(),
-            np.asarray(batch["doc_len"], dtype=np.int64),
-            self.avgdl,
-            self.langs,
-        )
-        dl = np.asarray(batch["doc_len"], dtype=np.int64)[pos]
-        bits = batch_bits[pos]
+        # rows mode (tests/diagnostics): one row per (term, doc)
         terms = grouped["term"].to_pylist()
         is_hot = np.fromiter(
             (t in self.hot for t in terms), dtype=bool, count=len(terms)
@@ -370,8 +351,6 @@ class Tokenizer:
                 "term": grouped["term"],
                 "doc_id": grouped["doc_id"],
                 "tf": grouped["count_all"],
-                "dl": pa.array(dl),
-                "bits": pa.array(bits),
                 "salt": pa.array(salt),
             }
         )

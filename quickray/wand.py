@@ -50,7 +50,7 @@ EXHAUSTIVE_CUTOFF = 4096  # below this many total postings, just score
 def block_max_topk(engine, terms: list[str], q: Query):
     """Top-k for a flat OR / single-term query on any LocalEngine;
     prunes only under the index's own scorer (module docstring)."""
-    from quickray.engine import _accumulate_topk
+    from quickray.engine import _accumulate_topk, flags_ok
 
     index, scorer = engine.index, engine.scorer
     has_flags = q.on_flag != 0 or q.off_flag != 0 or any(q.or_flags)
@@ -68,10 +68,8 @@ def block_max_topk(engine, terms: list[str], q: Query):
 
     def _contrib(p, c_full, pos=None):
         if has_flags:
-            bits = p.bits if pos is None else p.bits[pos]
-            sel = np.flatnonzero(
-                flags_mask(bits, q.on_flag, q.off_flag, q.or_flags)
-            )
+            docs = p.doc_ids if pos is None else p.doc_ids[pos]
+            sel = np.flatnonzero(flags_ok(index, docs, q))
             pos = sel if pos is None else pos[sel]
         if pos is None:
             return p.doc_ids, c_full
@@ -152,11 +150,11 @@ def block_max_topk(engine, terms: list[str], q: Query):
         sizes = (bends - bstarts)[order]
         need = int(np.searchsorted(np.cumsum(sizes), k, side="left")) + 1
         sel = np.sort(order[:need])
-        pos = _expand_blocks(bstarts[sel], bends[sel])
+        docs = p.doc_ids[_expand_blocks(bstarts[sel], bends[sel])]
         if has_flags:
-            m = flags_mask(p.bits[pos], q.on_flag, q.off_flag, q.or_flags)
-            pos = pos[m]
-        pool_parts.append(p.doc_ids[pos])
+            docs = docs[flags_ok(index, docs, q)]
+        pool_parts.append(docs)
+    # every pool doc passes the flag filter: bits are doc-level
     pool = np.unique(np.concatenate(pool_parts))
     if len(pool) < k:
         return full_eval()
@@ -165,10 +163,6 @@ def block_max_topk(engine, terms: list[str], q: Query):
         li = np.searchsorted(p.doc_ids, pool)
         li_c = np.minimum(li, len(p.doc_ids) - 1)
         hit = (li < len(p.doc_ids)) & (p.doc_ids[li_c] == pool)
-        if has_flags:
-            hit &= flags_mask(
-                p.bits[li_c], q.on_flag, q.off_flag, q.or_flags
-            )
         pool_scores[hit] += c[li_c[hit]]
     theta = float(
         np.partition(pool_scores, len(pool_scores) - k)[len(pool_scores) - k]

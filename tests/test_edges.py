@@ -211,12 +211,12 @@ def test_scorer_memo_per_stats_and_lru_bounded(tmp_path):
     c_other = other.scorer.contrib("beta", p)
     assert other.scorer.contrib("beta", p) is c_other
     assert own.scorer.contrib("beta", p) is c_own  # untouched by other
+    dl = ix.doc_lens(p.doc_ids)
+    assert sorted(dl.tolist()) == [1, 2, 3, 3]  # every doc holds beta
     np.testing.assert_array_equal(
-        c_own, bm25_contrib(p.tfs, p.dls, p.df, ix.n_docs, ix.avgdl)
+        c_own, bm25_contrib(p.tfs, dl, len(p.doc_ids), ix.n_docs, ix.avgdl)
     )
-    np.testing.assert_array_equal(
-        c_other, bm25_contrib(p.tfs, p.dls, 9, 40, 7.0)
-    )
+    np.testing.assert_array_equal(c_other, bm25_contrib(p.tfs, dl, 9, 40, 7.0))
     assert not np.allclose(c_own, c_other)
 
     # beta is in every doc: stopword-grade, dense vector per scorer

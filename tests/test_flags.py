@@ -44,11 +44,13 @@ def test_compute_bits_rules():
     assert bits[2] == 1 << 8  # unknown lang -> no lang bit; test_ basename
 
 
-def test_bits_missing_or_unreadable_raises(tmp_path):
-    """Every build writes docmeta bits, so a docmeta whose bits column
-    is missing or unreadable is damage, not an old format: the dense
-    flag path and preload raise, naming the column and the docmeta dir,
-    instead of rebuilding bits from postings."""
+def test_bits_missing_or_unreadable_raises(tmp_path, monkeypatch):
+    """Every build writes docmeta doc_len and bits, and segments hold
+    neither, so a docmeta whose doc-level column is missing or
+    unreadable is damage: preload, the first scored query and every flag
+    path (dense, AND leaf, sparse flat OR) raise, naming the column and
+    the docmeta dir. Undamaged, those flag paths and the block-max prune
+    pool's answer like the Oracle."""
     import glob
     import os
     import re
@@ -57,38 +59,81 @@ def test_bits_missing_or_unreadable_raises(tmp_path):
     import pyarrow.parquet as pq
     import pytest
 
+    from quickray import wand
     from quickray.build import build_index
     from quickray.corpus import generate_corpus
     from quickray.engine import Index, LocalEngine
-    from quickray.query import Or, Query, Term
+    from quickray.oracle import Oracle
+    from quickray.query import And, Or, Query, Term
+    from quickray.schema import LANGS
 
-    tbl = generate_corpus(300, seed=13)
+    tbl = generate_corpus(1500, seed=13)
     out = str(tmp_path / "idx")
     build_index(tbl, out, num_salts=2)
+    oracle = Oracle(tbl)
 
     ix0 = Index(out)
-    # a dense-path flagged query: hot terms (df > N/16) + on_flag
-    terms = ix0._seg["term"].to_pylist()
-    dfs = ix0._seg["df"].to_pylist()
-    hot = [t for t, d in sorted(zip(terms, dfs), key=lambda x: -x[1])
-           if "\x01" not in t][:3]
-    q = Query(tree=Or(tuple(Term(t) for t in hot)), on_flag=1, k=10)
-    assert len(LocalEngine(ix0).search(q)[0]) > 0
+    by_df = sorted(
+        (d, t)
+        for t, d in zip(ix0._seg["term"].to_pylist(), ix0._seg["df"].to_pylist())
+        if "\x01" not in t
+    )
+    hot = [t for _, t in by_df[-3:]]  # dense path: df > N/16, + on_flag
+    rare = [t for d, t in by_df if 2 <= d <= 5][:3]  # sparse path
+    assert sum(ix0.df_of(t) for t in rare) <= ix0.n_docs // 16
+    q_dense = Query(tree=Or(tuple(Term(t) for t in hot)), on_flag=1, k=10)
+    q_and = Query(tree=And((Term(hot[0]), Term(hot[1]))), on_flag=1)
+    q_small = Query(tree=Or(tuple(Term(t) for t in rare)), off_flag=1 << 8,
+                    k=10)
+    eng0 = LocalEngine(ix0)
+    for q in (q_dense, q_small):
+        ids, _ = eng0.search(q)
+        assert len(ids) and ids.tolist() == [d for d, _ in oracle.search(q)]
+    got = eng0.candidates(q_and).tolist()
+    assert got and got == oracle.candidates(q_and)
+    # prune pool: cutoff off, k=1, and a flag that excludes each term's
+    # unfiltered top doc; an unfiltered pool would set theta too high
+    monkeypatch.setattr(wand, "EXHAUSTIVE_CUTOFF", 0)
+    bits = ix0.docmeta_arrays(("bits",))["bits"]
+    n = ix0.n_docs
+    for d, t in by_df:
+        if n // 40 < d < n // 4:
+            top = eng0.search(Query(tree=Term(t), k=1))[0][0]
+            lang = int(bits[top]) & ((1 << len(LANGS)) - 1)
+            q = Query(tree=Term(t), k=1, off_flag=lang)
+            want = [doc for doc, _ in oracle.search(q)]
+            assert eng0.search(q)[0].tolist() == want, q
+    monkeypatch.undo()
 
-    def drop_bits(f):
-        pq.write_table(pq.read_table(f).drop_columns(["bits"]), f)
+    def drop(col):
+        def damage(f):
+            pq.write_table(pq.read_table(f).drop_columns([col]), f)
+
+        return damage
 
     def corrupt(f):
         with open(f, "wb") as fh:
             fh.write(b"not a parquet file")
 
-    for name, damage in (("nobits", drop_bits), ("corrupt", corrupt)):
+    for name, damage, col in (
+        ("nobits", drop("bits"), "bits"),
+        ("nolen", drop("doc_len"), "doc_len"),
+        ("corrupt", corrupt, "bits"),
+    ):
         outc = str(tmp_path / name)
         shutil.copytree(out, outc)
         for f in glob.glob(os.path.join(outc, "docmeta", "*.parquet")):
             damage(f)
-        want = rf"\['bits'\].*{re.escape(os.path.join(outc, 'docmeta'))}"
+        dm = re.escape(os.path.join(outc, "docmeta"))
+        want = rf"'{col}'.*{dm}"
+        if name != "corrupt":  # Arrow's cause, after the dir, names it too
+            want += rf": .*\b{col}\b"
         with pytest.raises(ValueError, match=want):
-            LocalEngine(Index(outc)).search(q)
+            LocalEngine(Index(outc)).search(Query(tree=Term(hot[0]), k=10))
         with pytest.raises(ValueError, match=want):
             Index(outc, preload_top_df=1)
+        for q in (q_dense, q_small):
+            with pytest.raises(ValueError, match=want):
+                LocalEngine(Index(outc)).search(q)
+        with pytest.raises(ValueError, match=want):
+            LocalEngine(Index(outc)).candidates(q_and)

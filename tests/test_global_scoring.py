@@ -233,9 +233,11 @@ def test_block_max_never_prunes_under_foreign_scorer(
     monkeypatch, delta_case, partitioned_case
 ):
     """With the exhaustive cutoff off and k=1, block_max_topk attempts
-    pruning (builds its theta pool) under an index's own scorer; the
-    same flat OR on the delta and partitioned engines, whose scorers are
-    not their indexes' own, must never reach that step."""
+    pruning (builds its theta pool) under an index's own scorer, with
+    and without a flag filter, and answers like exhaustive scoring of
+    every candidate; the same flat ORs on the delta and partitioned
+    engines, whose scorers are not their indexes' own, must never reach
+    that step."""
     pool_builds = []
     expand = wand._expand_blocks
 
@@ -254,14 +256,20 @@ def test_block_max_never_prunes_under_foreign_scorer(
         ix = Index(own_dir)
         n = ix.n_docs
         mids = [t for t in _content_terms(ix) if 2 < ix.df_of(t) < n // 4]
-        q = Query(tree=Or(tuple(Term(t) for t in mids[:3])), k=1)
+        tree = Or(tuple(Term(t) for t in mids[:3]))
+        qs = [Query(tree=tree, k=1), Query(tree=tree, k=1, off_flag=1 << 8)]
+
+        own = LocalEngine(ix)
+        for q in qs:
+            pool_builds.clear()
+            ids, sc = own.search(q)
+            assert pool_builds, f"pruning not attempted under own scorer: {q}"
+            want_ids, want_sc = own.score(q, own.candidates(q))
+            assert ids.tolist() == want_ids.tolist(), q
+            np.testing.assert_allclose(sc, want_sc, rtol=1e-9, atol=0)
 
         pool_builds.clear()
-        LocalEngine(ix).search(q)
-        assert pool_builds, "pruning was not attempted under the own scorer"
-
-        pool_builds.clear()
-        for _ in range(2):
+        for q in qs * 2:
             eng.search(q)
         assert not pool_builds, "pruned under a foreign scorer"
         for part in eng.engines:

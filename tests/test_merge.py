@@ -120,9 +120,9 @@ def test_run_merge_matches_naive_inversion(docs, bs, salts, shuffle):
     dl = np.array([len(t) for _, t in doc_rows], dtype=np.int64)
     import ray
 
-    ref = ray.put((dl, np.zeros(n, dtype=np.int64)))
+    ref = ray.put(dl)
     l2 = make_final_merge(n_docs=n, avgdl=float(dl.mean()), block_size=4,
-                          dl_bits_ref=ref)
+                          dl_ref=ref)
     segs = []
     for mp in np.unique(np.asarray(partials_t["mpart"])):
         grp = partials_t.filter(pa.compute.equal(partials_t["mpart"], int(mp)))

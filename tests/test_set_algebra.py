@@ -24,8 +24,7 @@ class FakeIndex:
         arr = np.array(ids, dtype=np.int64)
         ones = np.ones(len(arr), dtype=np.int64)
         return Posting(
-            doc_ids=arr, tfs=ones, dls=ones * 10,
-            bits=np.zeros(len(arr), np.int64), df=len(arr),
+            doc_ids=arr, tfs=ones,
             block_last=np.array([arr[-1]] if len(arr) else [], np.int64),
             block_max=np.array([1.0] if len(arr) else [], np.float64),
         )

@@ -41,21 +41,18 @@ def test_doc_lengths():
     assert doc_lengths(pa.array(texts), 3).tolist() == [3, 0, 2]
 
 
-def test_tokenizer_stage_tf_salt_bits():
+def test_tokenizer_stage_tf_salt():
+    """Rows mode emits (term, doc_id, tf, salt) only: doc-level data
+    (doc_len, bits) lives in docmeta, never per posting."""
     batch = pa.table(
         {
             "doc_id": pa.array([10, 90], pa.int64()),
-            "lang": ["go", "py"],
-            "path": ["src/a.go", "test/b.py"],
             "content": ["func func x", "def def def y"],
-            "doc_len": pa.array([3, 4], pa.int64()),
         }
     )
-    tok = Tokenizer(
-        hot_ref={"func", "def"}, n_docs=100, num_salts=4, avgdl=3.5,
-        langs=["go", "py"],
-    )
+    tok = Tokenizer(hot_ref={"func", "def"}, n_docs=100, num_salts=4)
     out = tok(batch)
+    assert out.column_names == ["term", "doc_id", "tf", "salt"]
     rows = {(r["term"], r["doc_id"]): r for r in out.to_pylist()}
     assert rows[("func", 10)]["tf"] == 2
     assert rows[("def", 90)]["tf"] == 3
@@ -63,10 +60,7 @@ def test_tokenizer_stage_tf_salt_bits():
     assert rows[("func", 10)]["salt"] == 10 * 4 // 100
     assert rows[("def", 90)]["salt"] == 90 * 4 // 100
     assert rows[("x", 10)]["salt"] == 0
-    # bits: lang bit, test-path bit 8, long-doc bit 9
-    assert rows[("x", 10)]["bits"] == 1 << 0
-    assert rows[("y", 90)]["bits"] == (1 << 1) | (1 << 8) | (1 << 9)
-    assert rows[("func", 10)]["dl"] == 3
+    assert rows[("y", 90)]["tf"] == 1
 
 
 def test_flatten_tokens_byte_path_equals_re():
