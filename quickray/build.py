@@ -1,4 +1,4 @@
-"""The Ray Data index-build pipeline (SURVEY.md §7.2/§7.4).
+"""The index-build pipeline (SURVEY.md §7.2/§7.4).
 
 Phases (each a checkpointed Dataset pipeline, see checkpoint.Manifest):
 
@@ -11,10 +11,11 @@ Phases (each a checkpointed Dataset pipeline, see checkpoint.Manifest):
             per-batch partial dfs from the same tokenization (kind=1
             rows) -> one combined table. The corpus itself is NOT
             rewritten, and no later metadata phase reads content.
-  stats     n_docs / total_tokens / avgdl from docbase kind=0 columns
-            (tiny columnar agg) + hot-term detection from the fused
-            kind=1 partial dfs (the hot set only steers level-1
-            partitioning, never output) — zero content reads.
+  stats     one driver scan of the docbase ids and lengths: n_docs /
+            total_tokens / avgdl and the exact dense-id check; plus
+            hot-term detection from the fused kind=1 partial dfs (the
+            hot set only steers level-1 partitioning, never output) —
+            zero content reads.
   docmeta   docbase + bits(lang, path, doc_len > avgdl) — the forward
             index (J1 analog); no content involved.
   postings  content pass two: actor-pool tokenizer emits compressed
@@ -40,14 +41,34 @@ prune columns; small sides (hot set, rank table, doc_len) are ray.put
 broadcasts. The rank table bounds one build partition to ~10^8 docs
 (docids.py); a 10^12-file corpus runs as many independent key-range
 build partitions with doc_id offsets from a driver-side prefix sum.
+
+Executors: every phase is written once against the few ``ray.data``
+calls it needs, and one of two executors runs it.
+
+  ray       Ray Data jobs (the caller initialises Ray).
+  local     _LocalDataset: the same calls, run eagerly in the calling
+            process over one in-memory Arrow table, broadcasts passed
+            as plain values. No Ray job, and no ray.init needed.
+
+The rule: a source of at most ``tokenizer_batch_size`` rows (a row
+count free from parquet footers or the Table length) runs local. Such
+an input is one tokenizer batch, which Ray runs serially anyway (one
+task per map phase, kilobyte shuffles), so Ray would add only per-job
+scheduling and object-store round trips (measured on one core of an
+x86-64 VM: a 200-row upsert batch builds in ~0.15 s instead of ~0.85 s).
+An unknown row count (a generic Ray Dataset) runs on Ray. Both
+executors write the same segments, docmeta and statistics
+(tests/test_executors.py).
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
 import time
+import uuid
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -58,13 +79,12 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
 
 from quickray.checkpoint import MANIFEST, Manifest
 from quickray.merge import make_final_merge, make_level1_merge
 from quickray.schema import BLOCK_SIZE, LANGS
 from quickray.tokenize import Tokenizer, flatten_tokens, rank_lookup
-from quickray.util import sum_by_key
+from quickray.util import fetch, run_starts, sum_by_key
 
 
 
@@ -89,8 +109,6 @@ def _write_parquet_retry(ds: "rd.Dataset", dest: str, attempts: int = 4) -> None
 
 def _segment_row_count(seg_dir: str) -> int:
     """Vocab size from parquet footers only (no data read)."""
-    import glob
-
     return sum(
         pq.read_metadata(f).num_rows
         for f in glob.glob(os.path.join(seg_dir, "**", "*.parquet"), recursive=True)
@@ -131,25 +149,32 @@ _DOCBASE_SCHEMA = pa.schema(
 _WORKER_RANK_NP: dict[str, "np.ndarray"] = {}
 
 
+def _rank_probe(rank_ref) -> np.ndarray:
+    """The rank table's probe view, cached per Ray worker; the local
+    executor passes the table itself, probed once per build."""
+    from quickray.tokenize import rank_probe_np
+
+    key = rank_ref.hex() if isinstance(rank_ref, ray.ObjectRef) else None
+    ranked_np = _WORKER_RANK_NP.get(key)
+    if ranked_np is None:
+        ranked_np = rank_probe_np(fetch(rank_ref))
+        if key is not None:
+            while len(_WORKER_RANK_NP) > 4:
+                # oldest-only eviction (clear() thrashes concurrent
+                # builds' rank tables)
+                _WORKER_RANK_NP.pop(next(iter(_WORKER_RANK_NP)))
+            _WORKER_RANK_NP[key] = ranked_np
+    return ranked_np
+
+
 def _make_docbase_fn(rank_ref, id_col_present: bool, sample_mod: int = 1):
     def to_docbase(t: pa.Table) -> pa.Table:
-        from quickray.tokenize import rank_probe_np
-
         if id_col_present:
             doc_id = t["doc_id"]
             if isinstance(doc_id, pa.ChunkedArray):
                 doc_id = doc_id.combine_chunks()
         else:
-            key = rank_ref.hex()
-            ranked_np = _WORKER_RANK_NP.get(key)
-            if ranked_np is None:
-                while len(_WORKER_RANK_NP) > 4:
-                    # oldest-only eviction (clear() thrashes concurrent
-                    # builds' rank tables)
-                    _WORKER_RANK_NP.pop(next(iter(_WORKER_RANK_NP)))
-                ranked_np = rank_probe_np(ray.get(rank_ref))
-                _WORKER_RANK_NP[key] = ranked_np
-            doc_id = rank_lookup(t, None, ranked_np)
+            doc_id = rank_lookup(t, None, _rank_probe(rank_ref))
         if t["content"].null_count:
             # a null content cell is an ingest bug: fail with the
             # column named instead of an opaque AttributeError deep in
@@ -238,6 +263,80 @@ class BuildResult:
         return os.path.join(self.out_dir, "docmeta")
 
 
+class _LocalDataset:
+    """The local executor: the slice of ``ray.data`` that build_index
+    calls, run eagerly in this process over one in-memory Arrow table.
+    The class stands in for the ``ray.data`` module too
+    (``read_parquet``, ``from_arrow``). Inputs are at most one
+    tokenizer batch, so ``map_batches`` hands ``fn`` the whole table as
+    one batch; Ray's scheduling options are accepted and ignored."""
+
+    def __init__(self, table: pa.Table, group_key: str | None = None):
+        self.table = table
+        self.group_key = group_key
+
+    @classmethod
+    def from_arrow(cls, table: pa.Table) -> "_LocalDataset":
+        return cls(table)
+
+    @classmethod
+    def read_parquet(
+        cls, path: str, columns=None, filter=None, partition_filter=None
+    ) -> "_LocalDataset":
+        """Every ``*.parquet`` under ``path`` with hive partition
+        columns, as Ray reads it; ``partition_filter`` is Ray's
+        PathPartitionFilter, called on the file paths."""
+        files = (
+            sorted(glob.glob(os.path.join(path, "**", "*.parquet"), recursive=True))
+            if os.path.isdir(path)
+            else [path]
+        )
+        if partition_filter is not None:
+            files = partition_filter(files)
+        if not files:
+            return cls(pa.table({}))
+        dset = pads.dataset(
+            files, format="parquet", partitioning="hive", partition_base_dir=path
+        )
+        return cls(dset.to_table(columns=columns, filter=filter))
+
+    def map_batches(self, fn, *, fn_constructor_kwargs=None, **_ray_options):
+        if isinstance(fn, type):  # the actor-pool (callable class) form
+            fn = fn(**(fn_constructor_kwargs or {}))
+        return _LocalDataset(fn(self.table.combine_chunks()))
+
+    def groupby(self, key: str) -> "_LocalDataset":
+        return _LocalDataset(self.table, key)
+
+    def map_groups(self, fn, **_ray_options) -> "_LocalDataset":
+        t = self.table
+        if t.num_rows == 0:  # the merges return their empty schema
+            return _LocalDataset(fn(t))
+        t = t.sort_by(self.group_key).combine_chunks()
+        starts = run_starts(t[self.group_key])
+        ends = np.append(starts[1:], t.num_rows)
+        return _LocalDataset(pa.concat_tables(
+            [fn(t.slice(a, b - a)) for a, b in zip(starts, ends)]
+        ))
+
+    def rename_columns(self, names: dict[str, str]) -> "_LocalDataset":
+        return _LocalDataset(self.table.rename_columns(
+            [names.get(c, c) for c in self.table.column_names]
+        ))
+
+    def sort(self, key: str) -> "_LocalDataset":
+        return _LocalDataset(self.table.sort_by(key))
+
+    def take_all(self) -> list[dict]:
+        return self.table.to_pylist()
+
+    def write_parquet(self, path: str, partition_cols=None) -> None:
+        if partition_cols:
+            pq.write_to_dataset(self.table, path, partition_cols=partition_cols)
+        else:
+            pq.write_table(self.table, os.path.join(path, "0.parquet"))
+
+
 class _Source:
     """Uniform column-pruned reader over the three accepted source
     forms (parquet path, pyarrow Table, ray Dataset)."""
@@ -299,11 +398,13 @@ class _Source:
             self.generic = True
             self.fingerprint = f"dataset:{source.schema().names}"
 
-    def read(self, cols: list[str]) -> "rd.Dataset":
+    def read(self, cols: list[str], data=rd) -> "rd.Dataset":
+        """The ``cols`` of the source on an executor (``data``: the
+        ``ray.data`` module or _LocalDataset)."""
         if isinstance(self.raw, str):
-            return rd.read_parquet(self.raw, columns=cols)
+            return data.read_parquet(self.raw, columns=cols)
         if isinstance(self.raw, pa.Table):
-            return rd.from_arrow(self.raw.select(cols))
+            return data.from_arrow(self.raw.select(cols))
         return self.raw.select_columns(cols)
 
     def keys_table(self) -> pa.Table:
@@ -569,8 +670,11 @@ def build_index(
     fingerprint: str | None = None,
     field_cols: list[str] | None = None,
 ) -> BuildResult:
-    """Run (or resume) the full index build. Ray must be initialised by
-    the caller (never calls ray.init itself). ``fingerprint`` overrides
+    """Run (or resume) the full index build. A source of at most
+    ``tokenizer_batch_size`` rows builds in this process with no Ray job
+    (the local executor, see the module docstring); above that, or for
+    a generic Ray Dataset, Ray must be initialised by the caller (never
+    calls ray.init itself). ``fingerprint`` overrides
     the source identity (callers that know a stronger content signature,
     e.g. build_partitioned's per-partition data signature).
 
@@ -604,8 +708,18 @@ def build_index(
             " source cannot be content-fingerprinted: pass fingerprint="
             " (e.g. a content hash), or a parquet path / pyarrow Table"
         )
+    n_rows = src.count_rows()
+    executor = (
+        "local" if n_rows is not None and n_rows <= tokenizer_batch_size
+        else "ray"
+    )
+    # the executor: ray.data plus ray.put broadcasts, or the same calls
+    # in this process with broadcasts passed as values (util.fetch)
+    data, put = (
+        (_LocalDataset, lambda v: v) if executor == "local" else (rd, ray.put)
+    )
     if num_parts is None or num_shards is None:
-        auto = _auto_layout(src.count_rows())
+        auto = _auto_layout(n_rows)
         num_parts = auto if num_parts is None else num_parts
         num_shards = auto if num_shards is None else num_shards
     # layout-critical params join the fingerprint: resuming a build dir
@@ -624,7 +738,7 @@ def build_index(
         ",dbv=2"  # docbase schema v2 (fused sampled-df rows)
         ",segv=2"  # segment format v2: doc ids + tfs per posting
     )
-    man = Manifest(out_dir, src.fingerprint + layout)
+    man = Manifest(out_dir, src.fingerprint + layout, executor=executor)
     result = BuildResult(out_dir=out_dir)
     use_rank = id_col is None
 
@@ -646,7 +760,7 @@ def build_index(
             raise ValueError(
                 "empty corpus: the source has 0 rows — nothing to index"
             )
-        rank_ref = ray.put(ranked)
+        rank_ref = put(ranked)
         n_docs_expected = len(ranked)
     else:
         if not man.phase_done("docids"):
@@ -663,14 +777,14 @@ def build_index(
     # corpora; the hot set steers salting, never output.
     t0 = time.time()
     docbase_dir = os.path.join(out_dir, "docbase")
-    n_for_mod = n_docs_expected if use_rank else src.count_rows()
+    n_for_mod = n_docs_expected if use_rank else n_rows
     sample_mod = 1 if (n_for_mod or 0) <= 20_000 else 16
     base_cols = ["repo", "path", "commit", "lang", "content"]
     if not use_rank:
         base_cols = [id_col] + base_cols
     if not man.phase_done("docbase"):
         d = man.phase_dir("docbase")
-        ds = src.read(base_cols)
+        ds = src.read(base_cols, data)
         if not use_rank and id_col != "doc_id":
             ds = ds.rename_columns({id_col: "doc_id"})
         ds.map_batches(
@@ -687,28 +801,16 @@ def build_index(
     stats_path = os.path.join(out_dir, "stats", "stats.json")
     if not man.phase_done("stats"):
         d = man.phase_dir("stats")
-        if pads.dataset(docbase_dir, format="parquet").count_rows(
-            filter=pads.field("kind") == 0
-        ) == 0:
+        # ONE driver scan of the docbase ids and lengths gives N, the
+        # token total and the exact dense-id check
+        docs = pads.dataset(docbase_dir, format="parquet")
+        kind0 = pads.field("kind") == 0
+        n_docs = docs.count_rows(filter=kind0)
+        if n_docs == 0:
             # id_col path can't know emptiness before the docbase pass
             raise ValueError(
                 "empty corpus: the source produced 0 docbase rows — "
                 "nothing to index (check the source path/table)"
-            )
-        lens = rd.read_parquet(
-            docbase_dir, columns=["doc_id", "doc_len", "kind"],
-            filter=pads.field("kind") == 0,
-        )
-        agg = lens.aggregate(
-            Count(), Sum("doc_len", alias_name="total_tokens"),
-            Min("doc_id", alias_name="min_id"), Max("doc_id", alias_name="max_id"),
-        )
-        n_docs = int(agg["count()"])
-        total_tokens = int(agg["total_tokens"])
-        if not (agg["min_id"] == 0 and agg["max_id"] == n_docs - 1):
-            raise ValueError(
-                f"doc_ids must be dense 0..N-1 (got min={agg['min_id']} "
-                f"max={agg['max_id']} n={n_docs}); pass id_col=None to rank-assign"
             )
         # min/max/count alone accept duplicates paired with gaps
         # ([0,2,2,3] passes), and so does any fixed set of moments
@@ -718,13 +820,21 @@ def build_index(
         # (strict-increase breaks) and the dense doc_len/bits scatter
         # (last write wins)
         seen = np.zeros(n_docs, dtype=bool)
-        for b in pads.dataset(docbase_dir, format="parquet").to_batches(
-            columns=["doc_id"], filter=pads.field("kind") == 0
-        ):
-            ids = b.column(0)
-            if ids.null_count:
+        total_tokens, lo, hi = 0, float("inf"), -float("inf")
+        for b in docs.to_batches(columns=["doc_id", "doc_len"], filter=kind0):
+            if b.num_rows == 0:
+                continue
+            if b.column(0).null_count:
                 raise ValueError(f"null doc_ids in id column {id_col!r}")
-            seen[ids.to_numpy()] = True
+            ids = b.column(0).to_numpy()
+            total_tokens += int(np.asarray(b.column(1)).sum())
+            lo, hi = min(lo, int(ids.min())), max(hi, int(ids.max()))
+            seen[ids[(ids >= 0) & (ids < n_docs)]] = True
+        if not (lo == 0 and hi == n_docs - 1):
+            raise ValueError(
+                f"doc_ids must be dense 0..N-1 (got min={lo} "
+                f"max={hi} n={n_docs}); pass id_col=None to rank-assign"
+            )
         if not seen.all():
             raise ValueError(
                 f"doc_ids are not a permutation of 0..N-1 (duplicate ids"
@@ -747,7 +857,7 @@ def build_index(
         # Python loop dominates (util.sum_by_key)
         hot_rows = (
             sum_by_key(
-                rd.read_parquet(
+                data.read_parquet(
                     docbase_dir, columns=["term", "partial_df", "kind"],
                     filter=pads.field("kind") == 1,
                 ),
@@ -795,7 +905,7 @@ def build_index(
 
             frows = (
                 sum_by_key(
-                    rd.read_parquet(
+                    data.read_parquet(
                         docbase_dir, columns=list(field_cols) + ["kind"],
                         filter=pads.field("kind") == 0,
                     ).map_batches(_melt_keys, batch_format="pyarrow"),
@@ -848,7 +958,7 @@ def build_index(
             )
             return t.append_column("bits", pa.array(bits))
 
-        rd.read_parquet(
+        data.read_parquet(
             docbase_dir, filter=pads.field("kind") == 0
         ).map_batches(add_bits, batch_format="pyarrow").write_parquet(d)
         man.mark_done("docmeta", elapsed=time.time() - t0)
@@ -870,7 +980,7 @@ def build_index(
     #    mid-shuffle, never re-tokenizing and never redoing a finished
     #    chunk. Costs one extra write+read of the compressed runs; the
     #    right default for multi-hour 10^12-file builds.
-    hot_ref = ray.put(frozenset(stats["hot_terms"]))
+    hot_ref = put(frozenset(stats["hot_terms"]))
     tok_kwargs = {
         "hot_ref": hot_ref,
         "n_docs": stats["n_docs"],
@@ -884,7 +994,7 @@ def build_index(
     def _runs_ds() -> "rd.Dataset":
         tok_cols = ["content"] + ([id_col] if not use_rank else ["repo", "path"])
         tok_cols += [f for f in field_cols if f not in tok_cols]
-        ds = src.read(tok_cols)
+        ds = src.read(tok_cols, data)
         if not use_rank and id_col != "doc_id":
             ds = ds.rename_columns({id_col: "doc_id"})
         if tokenizer_concurrency:
@@ -903,7 +1013,7 @@ def build_index(
         from quickray.tokenize import make_run_tokenizer
 
         return ds.map_batches(
-            make_run_tokenizer(out_dir, **tok_kwargs),
+            make_run_tokenizer(f"{out_dir}:{uuid.uuid4().hex}", **tok_kwargs),
             batch_format="pyarrow",
             # larger batches -> fewer, longer runs per term -> fewer
             # shuffle rows (measured 2x on the postings phase); bound by
@@ -916,7 +1026,7 @@ def build_index(
         dm = pq.read_table(docmeta_dir, columns=["doc_id", "doc_len"])
         dl_arr = np.zeros(stats["n_docs"], dtype=np.int64)
         dl_arr[np.asarray(dm["doc_id"])] = np.asarray(dm["doc_len"])
-        return ray.put(dl_arr)
+        return put(dl_arr)
 
     partials_dir = os.path.join(out_dir, "postings")
     if not durable_shuffle:
@@ -934,7 +1044,7 @@ def build_index(
         if not man.phase_done("segments"):
             d = man.phase_dir("segments")
             (
-                rd.read_parquet(partials_dir)
+                data.read_parquet(partials_dir)
                 .groupby("mpart")
                 .map_groups(
                     make_final_merge(
@@ -982,7 +1092,7 @@ def build_index(
             ds = (
                 # partition_filter = true directory pruning: only this
                 # chunk's part= dirs are even listed
-                rd.read_parquet(runs_dir, partition_filter=pf)
+                data.read_parquet(runs_dir, partition_filter=pf)
                 .groupby("part")
                 .map_groups(make_level1_merge(num_shards), batch_format="pyarrow")
             )
@@ -1018,7 +1128,7 @@ def build_index(
                     pname, subdir=os.path.join("segments", f"chunk_{ci}")
                 )
                 ds = (
-                    rd.read_parquet(
+                    data.read_parquet(
                         partials_dir,
                         filter=(pads.field("mpart") >= lo)
                         & (pads.field("mpart") < hi),
@@ -1044,6 +1154,7 @@ def build_index(
                 list(ex.map(lambda r: r(), s_runs))
         result.phase_times["segments"] = time.time() - t0
     stats["vocab_size"] = _segment_row_count(os.path.join(out_dir, "segments"))
+    stats["executor"] = executor
     with open(stats_path, "w") as f:
         json.dump(stats, f)
     return result

@@ -41,8 +41,11 @@ def parquet_file_stats(directory: str) -> tuple[list[dict[str, Any]], int]:
 
 
 class Manifest:
-    def __init__(self, out_dir: str, fingerprint: str):
+    def __init__(self, out_dir: str, fingerprint: str, executor: str | None = None):
+        """``executor`` ("local" or "ray", build.py) is recorded in
+        every phase this run finishes."""
         self.out_dir = out_dir
+        self.executor = executor
         self.path = os.path.join(out_dir, MANIFEST)
         # chunked phases can complete from concurrent driver threads
         # (build_index runs durable-shuffle chunks in parallel): the
@@ -106,6 +109,8 @@ class Manifest:
         }
         if elapsed is not None:
             rec["elapsed_sec"] = round(elapsed, 3)
+        if self.executor is not None:
+            rec["executor"] = self.executor
         if counters:
             rec["counters"] = counters
         d = os.path.join(self.out_dir, rel)

@@ -41,7 +41,7 @@ from quickray.codec import (
     varint_encode_sizes,
 )
 from quickray.schema import PARTIAL_SCHEMA, SEGMENT_SCHEMA
-from quickray.util import stable_hash_str
+from quickray.util import fetch, stable_hash_str
 
 
 @dataclass
@@ -140,20 +140,18 @@ def make_level1_merge(num_shards: int):
 def make_final_merge(n_docs: int, avgdl: float, block_size: int, dl_ref):
     """groupby("mpart") finalizer: partials -> final segment rows.
 
-    ``dl_ref`` is a ray.put ObjectRef of the doc_len int64 array indexed
-    by doc_id — the broadcast-small-side pattern: fetched once per task
-    from the local plasma store (zero-copy), never re-shipped through
-    the shuffle.
+    ``dl_ref`` is the doc_len int64 array indexed by doc_id, or a
+    ray.put ObjectRef of it — the broadcast-small-side pattern: fetched
+    once per task from the local plasma store (zero-copy), never
+    re-shipped through the shuffle.
     """
 
     def merge_partition(t: pa.Table) -> pa.Table:
-        import ray
-
         from quickray.scoring import bm25_contrib
 
         if t.num_rows == 0:
             return SEGMENT_SCHEMA.empty_table()
-        dl_arr = ray.get(dl_ref)
+        dl_arr = fetch(dl_ref)
         m = _concat_decode_sort(t, group_by_salt=False)
         starts = m.g_val_starts
         pbuf, pnb = varint_encode_sizes(segmented_delta_encode(m.docs, starts))

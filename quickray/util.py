@@ -106,6 +106,15 @@ def stable_hash_str(s: str) -> int:
     return zlib.crc32(s.encode())
 
 
+def fetch(ref):
+    """The value of a build broadcast: ``ray.get`` of the ObjectRef the
+    Ray executor ``ray.put``; the local executor hands the value itself
+    (build.py), and so do direct callers of a kernel."""
+    import ray
+
+    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+
+
 def run_starts(*key_cols: np.ndarray) -> np.ndarray:
     """Start indices of equal-key runs in KEY-SORTED columns (composite
     keys: pass each column; a run breaks where ANY column changes).

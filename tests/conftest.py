@@ -32,11 +32,15 @@ def small_corpus():
 
 @pytest.fixture(scope="session")
 def built_index(small_corpus, tmp_path_factory):
-    """One shared 800-doc build (salting active) for all engine tests."""
+    """One shared 800-doc build (salting active) for all engine tests,
+    on the Ray executor: batches of 256 rows keep it a multi-batch
+    build, the production path (800 rows would otherwise fit one
+    tokenizer batch and build locally)."""
     from quickray.build import build_index
 
     out = str(tmp_path_factory.mktemp("idx") / "build")
-    build_index(small_corpus, out, hot_df=300, num_salts=4)
+    build_index(small_corpus, out, hot_df=300, num_salts=4,
+                tokenizer_batch_size=256)
     yield out
     shutil.rmtree(out, ignore_errors=True)
 
