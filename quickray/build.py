@@ -337,13 +337,18 @@ class _LocalDataset:
             pq.write_table(self.table, os.path.join(path, "0.parquet"))
 
 
+# the source columns a build reads besides ``id_col``: docbase reads
+# them all, and field_cols are a subset
+_BUILD_COLS = ("repo", "path", "commit", "lang", "content")
+
+
 class _Source:
     """Uniform column-pruned reader over the three accepted source
     forms (parquet path, pyarrow Table, ray Dataset)."""
 
     generic = False  # a Ray Dataset: fingerprint covers only the schema
 
-    def __init__(self, source):
+    def __init__(self, source, id_col: str | None = None):
         self.raw = source
         if isinstance(source, str):
             # content-sensitive from parquet footers: compressed sizes +
@@ -375,15 +380,17 @@ class _Source:
         elif isinstance(source, pa.Table):
             # content-sensitive over EVERY row (a 64-row sample let
             # edits in non-sampled rows resume into the stale build
-            # dir): per-row sha256 over memoryview slices of the Arrow
-            # value buffers (digest_slices — no per-row Python objects;
-            # hashes at memory bandwidth, and an in-memory Table source
-            # is by definition node-sized)
+            # dir) and every column the build reads (a changed lang or
+            # id_col must not resume into the old bits or doc ids):
+            # per-row sha256 over memoryview slices of the Arrow value
+            # buffers (digest_slices — no per-row Python objects; hashes
+            # at memory bandwidth, and an in-memory Table source is by
+            # definition node-sized)
             from quickray.util import digest_slices
 
             h = hashlib.sha256()
             n = source.num_rows
-            for col in ("repo", "path", "content"):
+            for col in _BUILD_COLS + ((id_col,) if id_col else ()):
                 if col in source.column_names:
                     h.update(digest_slices(source[col], "sha256", 8))
             self.fingerprint = (
@@ -697,7 +704,7 @@ def build_index(
         # a duplicated field would emit two tf=1 rows per (term, doc),
         # breaking the strictly-increasing posting invariant
         raise ValueError(f"field_cols contains duplicates: {field_cols}")
-    src = _Source(source)
+    src = _Source(source, id_col)
     if fingerprint is not None:
         src.fingerprint = fingerprint
     elif src.generic and os.path.exists(os.path.join(out_dir, MANIFEST)):
@@ -779,7 +786,7 @@ def build_index(
     docbase_dir = os.path.join(out_dir, "docbase")
     n_for_mod = n_docs_expected if use_rank else n_rows
     sample_mod = 1 if (n_for_mod or 0) <= 20_000 else 16
-    base_cols = ["repo", "path", "commit", "lang", "content"]
+    base_cols = list(_BUILD_COLS)
     if not use_rank:
         base_cols = [id_col] + base_cols
     if not man.phase_done("docbase"):

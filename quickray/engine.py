@@ -572,6 +572,8 @@ class LocalEngine:
         (wand.block_max_topk); only block-max pruning is reserved to the
         index's own scorer."""
         self.index = index
+        # the last flat-OR query's path, as wand.block_max_topk left it
+        self.last_path = None
         if global_stats is None:
             # boolean evaluation needs only posting()/df_of(): an index
             # without a scorer of its own can still serve candidates()

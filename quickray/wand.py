@@ -7,33 +7,57 @@ interpreter loop would cost more than it prunes), we use the per-block
 piecewise-constant upper-bound function over the doc_id axis, drop
 every doc-range whose summed block maxima cannot reach a lower bound
 theta of the k-th best score, and then score the surviving postings
-exactly. Provably rank-identical to exhaustive evaluation:
+exactly.
 
-- theta = the k-th largest *single-term* exact contribution within some
-  subset of one term's postings — k docs exist whose final score >=
-  theta, so the true k-th best final score >= theta;
-- a doc in a range with UB < theta has score <= UB < theta and can
-  neither enter the top-k nor tie into it (ties need score == theta);
-- pruning uses a 1e-9-relative safety margin so float-cumsum noise in
-  the UB can only under-prune, never over-prune.
+Prune or score is decided once, up front, by ``plan``: a pure function
+of the query and its postings' block metadata, which scores nothing.
+In order:
 
-Evaluation order: exact contributions come from the engine's Scorer,
-which computes each term's full vector once and memoizes it. theta
-comes from each term's top-few blocks by block_max (a >=k-posting
-subset, so its k-th largest exact contribution is a valid — merely
-looser — lower bound), pruning decides survival at BLOCK granularity
-(searchsorted over the ~n/128 block bounds, not the n postings), and
-only postings of surviving blocks are gathered and accumulated. Scoring
-whole surviving blocks is a superset of the surviving postings and
-stays rank-identical: every posting inside a kept doc-range is in a
-surviving block (so kept docs get their FULL score), while extra docs
-dragged in from pruned ranges score partial <= full < theta and cannot
-enter or tie into the top-k.
+1. exhaustive unless the engine scores with the index's own scorer
+   (``Index.scorer``: block bounds are computed at merge time under
+   the index's own statistics, so delta and doc-sharded parts, which
+   score with corpus-global ones, never prune), k >= 1, and the
+   exhaustive work — the postings scored, capped at n_docs by the
+   dense path — exceeds WORK_CUTOFF. Pruning's fixed cost, about
+   0.1 ms of numpy calls, is more than a whole exhaustive pass below
+   the cutoff;
+2. theta0 = max over terms of that term's k-th largest block_max.
+   block_max is the exact maximum contribution of its block under the
+   own scorer (merge.py computes it with the scorer's own bm25_contrib
+   call), each block's maximum is a distinct doc and every
+   contribution is positive, so k distinct docs score >= theta0 and
+   the true k-th best score is >= theta0. theta0 exists when some term
+   has at least k blocks and the query has no flag filter (a filter
+   may exclude exactly the docs that set the block maxima); otherwise
+   exhaustive;
+3. prune only when the doc-ranges whose summed block bounds reach
+   theta0 cover at most half the doc span: keeping more saves less
+   scoring than the block gather costs.
 
-Block bounds are computed at merge time under the index's own
-statistics, so only the index's own scorer (``Index.scorer``) may
-prune; engines scoring with corpus-global statistics take the
-exhaustive path.
+Pruning is rank-identical to exhaustive evaluation:
+
+- a doc in a range with upper bound UB < theta0 has score <= UB <
+  theta0 <= the k-th best score, so it can neither enter the top-k nor
+  tie into it;
+- the keep test uses a safety margin (1e-9 relative, or more when the
+  cumsum's own rounding could be larger) so float noise in the UB can
+  only under-prune, never over-prune;
+- every block that intersects a kept doc-range is scored whole. That
+  is a superset of the kept postings: kept docs get their FULL score,
+  while docs dragged in from pruned ranges score partial <= full <
+  theta0 and cannot enter or tie into the top-k.
+
+With theta0 known before any gather, pruning has no late exits: fewer
+than k candidates, a non-finite theta, nothing pruned and more than
+half the span kept are all ruled out by ``plan``. theta is not
+sharpened with the exact scores of a candidate pool (each term's top
+blocks): on a 100k-doc corpus that scored 3% fewer blocks and made flat
+ORs slower.
+
+Every call leaves its path on the engine as ``engine.last_path``:
+``("pruned", blocks_scored, blocks_total)`` or
+``("exhaustive", reason)``, the reason being the failed step of
+``plan``.
 """
 
 from __future__ import annotations
@@ -41,138 +65,52 @@ from __future__ import annotations
 import numpy as np
 
 from quickray.codec import expand_ranges as _expand_blocks
+from quickray.engine import _accumulate_topk, _dense_topk, flags_ok
 from quickray.query import Query
 from quickray.scoring import flags_mask
 
-EXHAUSTIVE_CUTOFF = 4096  # below this many total postings, just score
+# exhaustive work (postings, capped at n_docs) up to which scoring
+# everything beats pruning. Measured crossover, forced paths, one core:
+# pruning loses at 6k docs (~0.11 vs ~0.04 ms) and breaks even at 12k
+# docs (work 8k-12k); from 20k docs it wins above ~8k postings
+WORK_CUTOFF = 16384
+# prune only when the kept doc-ranges cover at most this share of the
+# doc span
+PRUNE_SPAN = 0.5
 
 
-def block_max_topk(engine, terms: list[str], q: Query):
-    """Top-k for a flat OR / single-term query on any LocalEngine;
-    prunes only under the index's own scorer (module docstring)."""
-    from quickray.engine import _accumulate_topk, flags_ok
+def theta_floor(ps: list, k: int) -> float | None:
+    """theta0: the largest k-th largest block_max of any posting in
+    ``ps``, a lower bound of the k-th best unfiltered score under the
+    own scorer; None when no posting has k blocks."""
+    deep = [p.block_max for p in ps if len(p.block_max) >= k]
+    if k < 1 or not deep:
+        return None
+    return max(float(np.partition(bm, len(bm) - k)[len(bm) - k]) for bm in deep)
 
-    index, scorer = engine.index, engine.scorer
-    has_flags = q.on_flag != 0 or q.off_flag != 0 or any(q.or_flags)
-    k = q.k
-    # nonempty query terms, their postings and exact contributions
-    ts, ps, cs = [], [], []
-    for t in sorted(set(terms)):  # fixed summation order (oracle-identical)
-        p = index.posting(t)
-        if p is not None and len(p.doc_ids):
-            ts.append(t)
-            ps.append(p)
-            cs.append(scorer.contrib(t, p))
-    if not ps:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
 
-    def _contrib(p, c_full, pos=None):
-        if has_flags:
-            docs = p.doc_ids if pos is None else p.doc_ids[pos]
-            sel = np.flatnonzero(flags_ok(index, docs, q))
-            pos = sel if pos is None else pos[sel]
-        if pos is None:
-            return p.doc_ids, c_full
-        if len(pos) == 0:
-            return None
-        return p.doc_ids[pos], c_full[pos]
+def plan(own: bool, ps: list, k: int, has_flags: bool, n_docs: int):
+    """Prune or score a flat OR of the nonempty postings ``ps``, from
+    block metadata alone (module docstring). Returns
+    ``("exhaustive", reason, None)`` or ``("prune", "bounds", kept)``,
+    ``kept`` being the (starts, exclusive ends) doc-ranges whose summed
+    block bounds reach theta0."""
+    if not own:
+        return "exhaustive", "foreign scorer", None
+    if k < 1:
+        return "exhaustive", "k < 1", None
+    if min(sum(len(p.doc_ids) for p in ps), n_docs) <= WORK_CUTOFF:
+        return "exhaustive", "below cutoff", None
+    if has_flags:
+        return "exhaustive", "flag filter", None
+    theta0 = theta_floor(ps, k)
+    if theta0 is None:
+        return "exhaustive", "k above blocks", None
 
-    total = sum(len(p.doc_ids) for p in ps)
-
-    def full_eval():
-        if total > index.n_docs // 16:
-            # dense exact evaluation: one doc-indexed score vector,
-            # per-term dense vector add (stopword-grade terms,
-            # df > N/2) or sparse scatter-add, in ascending term order
-            # — bit-identical to sparse per-doc accumulation (adding
-            # 0.0 where a doc lacks a term is IEEE-exact). Flags are
-            # doc-level bits, so they reduce to ONE mask over the
-            # final vector instead of a per-term posting filter.
-            from quickray.engine import _dense_topk
-
-            scores_d = np.zeros(index.n_docs, dtype=np.float64)
-            for t, p, c in zip(ts, ps, cs):
-                if len(p.doc_ids) > index.n_docs // 2:
-                    scores_d += scorer.dense(t, p)
-                else:
-                    scores_d[p.doc_ids] += c
-            if has_flags:
-                bits = index.docmeta_arrays(("bits",))["bits"]
-                ok = flags_mask(bits, q.on_flag, q.off_flag, q.or_flags)
-                scores_d[~ok] = 0.0
-            return _dense_topk(scores_d, k)
-        docs_l, con_l = [], []
-        for p, c in zip(ps, cs):
-            got = _contrib(p, c)
-            if got is not None:
-                docs_l.append(got[0])
-                con_l.append(got[1])
-        return _accumulate_topk(docs_l, con_l, k, index.n_docs)
-
-    if scorer is not getattr(index, "scorer", None):
-        # block_max bounds hold only under the index's own statistics
-        return full_eval()
-    if k <= 0 or total <= EXHAUSTIVE_CUTOFF:
-        return full_eval()
-    if k >= total:
-        # the candidate pool (bounded by total posting entries) can
-        # never reach k docs — pruning would only build and discard it
-        return full_eval()
-    if any(len(p.block_last) == 0 for p in ps):
-        # a nonempty posting without block metadata can't contribute to
-        # the UB function — pruning would over-prune; score exhaustively
-        return full_eval()
-
-    if min(len(p.doc_ids) for p in ps) > index.n_docs // 2:
-        # every query term is stopword-grade: the score distribution is
-        # flat and neither block-max nor threshold pruning can drop
-        # anything — skip straight to the dense exact path
-        return full_eval()
-
-    # per-term block extents as posting positions (layout-agnostic:
-    # recovered from block_last by binary search, so any build-time
-    # block_size works)
-    exts = []
-    for p in ps:
-        bends = np.searchsorted(p.doc_ids, p.block_last, side="right")
-        bstarts = np.concatenate(([0], bends[:-1]))
-        exts.append((p, bstarts, bends))
-
-    # ---- theta: exact FULL scores of a small candidate pool — the
-    # union of every term's top blocks by block_max. Any k docs' exact
-    # scores lower-bound the true k-th best, and full (all-term) scores
-    # of block-max-leading docs sit near it, so this theta is far
-    # tighter than the single-term bound when query terms overlap
-    # (the uniform-corpus hot-OR case that defeats per-term theta).
-    pool_parts = []
-    for p, bstarts, bends in exts:
-        order = np.argsort(-p.block_max, kind="stable")
-        sizes = (bends - bstarts)[order]
-        need = int(np.searchsorted(np.cumsum(sizes), k, side="left")) + 1
-        sel = np.sort(order[:need])
-        docs = p.doc_ids[_expand_blocks(bstarts[sel], bends[sel])]
-        if has_flags:
-            docs = docs[flags_ok(index, docs, q)]
-        pool_parts.append(docs)
-    # every pool doc passes the flag filter: bits are doc-level
-    pool = np.unique(np.concatenate(pool_parts))
-    if len(pool) < k:
-        return full_eval()
-    pool_scores = np.zeros(len(pool), np.float64)
-    for p, c in zip(ps, cs):
-        li = np.searchsorted(p.doc_ids, pool)
-        li_c = np.minimum(li, len(p.doc_ids) - 1)
-        hit = (li < len(p.doc_ids)) & (p.doc_ids[li_c] == pool)
-        pool_scores[hit] += c[li_c[hit]]
-    theta = float(
-        np.partition(pool_scores, len(pool_scores) - k)[len(pool_scores) - k]
-    )
-    if not np.isfinite(theta):
-        return full_eval()
-
-    # ---- upper-bound step function over doc_id from block metadata
+    # upper-bound step function over doc_id: +block_max where a block's
+    # doc range starts, -block_max one past its last doc
     pos_parts, delta_parts = [], []
-    for p, _, _ in exts:
+    for p in ps:
         starts_doc = np.empty(len(p.block_last), np.int64)
         starts_doc[0] = p.doc_ids[0]
         starts_doc[1:] = p.block_last[:-1] + 1
@@ -186,45 +124,87 @@ def block_max_topk(engine, terms: list[str], q: Query):
     last_of = np.flatnonzero(np.r_[pos[1:] != pos[:-1], True])
     pos = pos[last_of]
     ub = ub[last_of]
-    # safety margin for the keep test: pruning may only ever
-    # UNDER-prune. np.cumsum is a sequential sum, so its worst-case
-    # rounding error grows with the event count (n * eps * max|partial
-    # sum|) — at mega-term scale (df ~1e9, ~1e7 blocks per term) that
-    # exceeds a fixed 1e-9, which could over-prune a doc-range whose
-    # true upper bound ties theta. Scale the margin with the
-    # accumulation length so the bound dominates the achievable error.
-    err = (
-        len(delta)
-        * np.finfo(np.float64).eps
-        * max(1.0, float(np.max(np.abs(ub))) if len(ub) else 1.0)
-    )
-    margin = max(1e-9 * max(1.0, abs(theta)), err)
-    keep = ub >= theta - margin
-    if keep.all():
-        return full_eval()
-    starts_k = pos[keep]
-    nxt = np.r_[pos[1:], np.iinfo(np.int64).max]
-    ends_k = nxt[keep]  # exclusive
-    # pruning that keeps most of the doc span saves nothing — the
-    # gather/filter overhead would exceed the skipped scoring work
-    span = pos[-1] - pos[0]
-    kept_span = np.sum(np.minimum(ends_k, pos[-1]) - starts_k)
-    if span <= 0 or kept_span > 0.5 * span:
-        return full_eval()
+    # np.cumsum is a sequential sum: its worst-case rounding error grows
+    # with the event count (n * eps * max|partial sum|), which at
+    # mega-term scale (~1e7 blocks per term) exceeds a fixed 1e-9 and
+    # could over-prune a range whose true bound ties theta0
+    err = len(delta) * np.finfo(np.float64).eps * max(1.0, float(np.max(np.abs(ub))))
+    keep = ub >= theta0 - max(1e-9 * max(1.0, theta0), err)
+    starts = pos[keep]
+    ends = np.r_[pos[1:], pos[-1]][keep]  # the last event has ub == 0
+    if np.sum(ends - starts) > PRUNE_SPAN * (pos[-1] - pos[0]):
+        return "exhaustive", "span", None
+    return "prune", "bounds", (starts, ends)
 
-    # ---- score only blocks that intersect a kept doc-range
+
+def block_max_topk(engine, terms: list[str], q: Query):
+    """Top-k for a flat OR / single-term query on any LocalEngine;
+    prunes only under the index's own scorer (module docstring)."""
+    index, scorer = engine.index, engine.scorer
+    # nonempty query terms, their postings and exact contributions
+    ts, ps, cs = [], [], []
+    for t in sorted(set(terms)):  # fixed summation order (oracle-identical)
+        p = index.posting(t)
+        if p is not None and len(p.doc_ids):
+            ts.append(t)
+            ps.append(p)
+            cs.append(scorer.contrib(t, p))
+    has_flags = q.on_flag != 0 or q.off_flag != 0 or any(q.or_flags)
+    own = scorer is getattr(index, "scorer", None)
+    path, why, kept = plan(own, ps, q.k, has_flags, index.n_docs)
+    if path == "exhaustive":
+        engine.last_path = ("exhaustive", why)
+        return full_eval(engine, ts, ps, cs, q, has_flags)
+
+    # ---- score only blocks that intersect a kept doc-range (plan
+    # prunes only queries without a flag filter)
+    starts_k, ends_k = kept
     docs_f, contribs_f = [], []
-    for (p, bstarts, bends), c in zip(exts, cs):
-        blo = p.doc_ids[bstarts]
-        bhi = p.block_last
-        idx = np.searchsorted(ends_k, blo, side="right")
+    scored = total = 0
+    for p, c in zip(ps, cs):
+        bends = np.searchsorted(p.doc_ids, p.block_last, side="right")
+        bstarts = np.r_[0, bends[:-1]]
+        idx = np.searchsorted(ends_k, p.doc_ids[bstarts], side="right")
         idx_c = np.minimum(idx, len(starts_k) - 1)
-        surv = (idx < len(starts_k)) & (starts_k[idx_c] <= bhi)
-        if not surv.any():
-            continue
-        ppos = _expand_blocks(bstarts[surv], bends[surv])
-        got = _contrib(p, c, ppos)
-        if got is not None:
-            docs_f.append(got[0])
-            contribs_f.append(got[1])
-    return _accumulate_topk(docs_f, contribs_f, k, index.n_docs)
+        surv = (idx < len(starts_k)) & (starts_k[idx_c] <= p.block_last)
+        total += len(surv)
+        n = int(np.count_nonzero(surv))
+        if n:
+            scored += n
+            pos = _expand_blocks(bstarts[surv], bends[surv])
+            docs_f.append(p.doc_ids[pos])
+            contribs_f.append(c[pos])
+    engine.last_path = ("pruned", scored, total)
+    return _accumulate_topk(docs_f, contribs_f, q.k, index.n_docs)
+
+
+def full_eval(engine, ts, ps, cs, q: Query, has_flags: bool):
+    """Exhaustive exact top-k over the nonempty postings ``ps`` of the
+    terms ``ts`` (ascending), with contributions ``cs``."""
+    index, scorer = engine.index, engine.scorer
+    if sum(len(p.doc_ids) for p in ps) > index.n_docs // 16:
+        # dense exact evaluation: one doc-indexed score vector, per-term
+        # dense vector add (stopword-grade terms, df > N/2) or sparse
+        # scatter-add, in ascending term order — bit-identical to sparse
+        # per-doc accumulation (adding 0.0 where a doc lacks a term is
+        # IEEE-exact). Flags are doc-level bits, so they reduce to ONE
+        # mask over the final vector instead of a per-term posting filter.
+        scores_d = np.zeros(index.n_docs, dtype=np.float64)
+        for t, p, c in zip(ts, ps, cs):
+            if len(p.doc_ids) > index.n_docs // 2:
+                scores_d += scorer.dense(t, p)
+            else:
+                scores_d[p.doc_ids] += c
+        if has_flags:
+            bits = index.docmeta_arrays(("bits",))["bits"]
+            scores_d[~flags_mask(bits, q.on_flag, q.off_flag, q.or_flags)] = 0.0
+        return _dense_topk(scores_d, q.k)
+    if not has_flags:
+        return _accumulate_topk([p.doc_ids for p in ps], cs, q.k, index.n_docs)
+    docs_l, con_l = [], []
+    for p, c in zip(ps, cs):
+        sel = np.flatnonzero(flags_ok(index, p.doc_ids, q))
+        if len(sel):  # a lone surviving term skips accumulation
+            docs_l.append(p.doc_ids[sel])
+            con_l.append(c[sel])
+    return _accumulate_topk(docs_l, con_l, q.k, index.n_docs)

@@ -49,8 +49,8 @@ def test_bits_missing_or_unreadable_raises(tmp_path, monkeypatch):
     neither, so a docmeta whose doc-level column is missing or
     unreadable is damage: preload, the first scored query and every flag
     path (dense, AND leaf, sparse flat OR) raise, naming the column and
-    the docmeta dir. Undamaged, those flag paths and the block-max prune
-    pool's answer like the Oracle."""
+    the docmeta dir. Undamaged, those flag paths answer like the Oracle,
+    and block-max pruning is never used for a flag-filtered query."""
     import glob
     import os
     import re
@@ -91,18 +91,24 @@ def test_bits_missing_or_unreadable_raises(tmp_path, monkeypatch):
         assert len(ids) and ids.tolist() == [d for d, _ in oracle.search(q)]
     got = eng0.candidates(q_and).tolist()
     assert got and got == oracle.candidates(q_and)
-    # prune pool: cutoff off, k=1, and a flag that excludes each term's
-    # unfiltered top doc; an unfiltered pool would set theta too high
-    monkeypatch.setattr(wand, "EXHAUSTIVE_CUTOFF", 0)
+    # prune side of wand.plan forced (cutoff off, any kept span), k=1,
+    # and a flag that excludes each term's unfiltered top doc: the
+    # unflagged query prunes, while an unfiltered theta0 (that doc's
+    # block max) would be too high for the flagged one, which must take
+    # the exhaustive path
+    monkeypatch.setattr(wand, "WORK_CUTOFF", 0)
+    monkeypatch.setattr(wand, "PRUNE_SPAN", 1.0)
     bits = ix0.docmeta_arrays(("bits",))["bits"]
     n = ix0.n_docs
     for d, t in by_df:
         if n // 40 < d < n // 4:
             top = eng0.search(Query(tree=Term(t), k=1))[0][0]
+            assert eng0.last_path[0] == "pruned", t
             lang = int(bits[top]) & ((1 << len(LANGS)) - 1)
             q = Query(tree=Term(t), k=1, off_flag=lang)
             want = [doc for doc, _ in oracle.search(q)]
             assert eng0.search(q)[0].tolist() == want, q
+            assert eng0.last_path == ("exhaustive", "flag filter"), q
     monkeypatch.undo()
 
     def drop(col):

@@ -232,21 +232,15 @@ def test_partitioned_engine_twice_vs_oracle(partitioned_case):
 def test_block_max_never_prunes_under_foreign_scorer(
     monkeypatch, delta_case, partitioned_case
 ):
-    """With the exhaustive cutoff off and k=1, block_max_topk attempts
-    pruning (builds its theta pool) under an index's own scorer, with
-    and without a flag filter, and answers like exhaustive scoring of
-    every candidate; the same flat ORs on the delta and partitioned
-    engines, whose scorers are not their indexes' own, must never reach
-    that step."""
-    pool_builds = []
-    expand = wand._expand_blocks
-
-    def spy(starts, ends):
-        pool_builds.append(len(starts))
-        return expand(starts, ends)
-
-    monkeypatch.setattr(wand, "_expand_blocks", spy)
-    monkeypatch.setattr(wand, "EXHAUSTIVE_CUTOFF", 0)
+    """With the prune side of wand.plan forced (work cutoff off, any
+    kept span) and k=1, block_max_topk prunes under an index's own
+    scorer without a flag filter, takes the exhaustive path at the flag
+    test with one, and answers like exhaustive scoring of every
+    candidate either way; the same flat ORs on the delta and
+    partitioned engines, whose scorers are not their indexes' own, must
+    never prune (each part records the foreign-scorer exit)."""
+    monkeypatch.setattr(wand, "WORK_CUTOFF", 0)
+    monkeypatch.setattr(wand, "PRUNE_SPAN", 1.0)
 
     cases = [
         (delta_case["main"], delta_case["stages"][-1][1]),
@@ -260,20 +254,18 @@ def test_block_max_never_prunes_under_foreign_scorer(
         qs = [Query(tree=tree, k=1), Query(tree=tree, k=1, off_flag=1 << 8)]
 
         own = LocalEngine(ix)
-        for q in qs:
-            pool_builds.clear()
+        for q, want in zip(qs, (("pruned",), ("exhaustive", "flag filter"))):
             ids, sc = own.search(q)
-            assert pool_builds, f"pruning not attempted under own scorer: {q}"
+            assert own.last_path[: len(want)] == want, (q, own.last_path)
             want_ids, want_sc = own.score(q, own.candidates(q))
             assert ids.tolist() == want_ids.tolist(), q
             np.testing.assert_allclose(sc, want_sc, rtol=1e-9, atol=0)
 
-        pool_builds.clear()
         for q in qs * 2:
             eng.search(q)
-        assert not pool_builds, "pruned under a foreign scorer"
-        for part in eng.engines:
-            assert part.scorer is not getattr(part.index, "scorer", None)
+            for part in eng.engines:
+                assert part.scorer is not getattr(part.index, "scorer", None)
+                assert part.last_path == ("exhaustive", "foreign scorer"), q
 
 
 def test_dropped_engines_free_without_gc(delta_case, partitioned_case):

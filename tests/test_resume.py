@@ -248,3 +248,76 @@ def test_generic_dataset_resume_needs_fingerprint(tmp_path):
     assert Index(out).n_docs == 120
     with pytest.raises(ValueError, match="fingerprint="):
         build_index(rd.from_arrow(tbl), out, num_salts=2)
+
+
+def _changed_column_resume(tmp_path, tbl, edit, **kw):
+    """Build ``tbl``, then build ``edit(tbl)`` into the same dir and
+    into a fresh one; return (resumed, fresh) docmeta and segments."""
+    from quickray.engine import Index
+
+    def dump(out):
+        ix = Index(out)
+        meta = ix.docmeta_arrays(("bits", "doc_len"))
+        return (ix.keys_by_id().tolist(),
+                {c: v.tolist() for c, v in meta.items()},
+                _segments_fingerprint(out))
+
+    out, fresh = str(tmp_path / "b"), str(tmp_path / "fresh")
+    build_index(tbl, out, hot_df=60, **kw)
+    before = dump(out)
+    build_index(edit(tbl), out, hot_df=60, **kw)
+    build_index(edit(tbl), fresh, hot_df=60, **kw)
+    return before, dump(out), dump(fresh)
+
+
+def _replace(tbl, col, values):
+    import pyarrow as pa
+
+    i = tbl.column_names.index(col)
+    return tbl.set_column(i, col, pa.array(values, tbl.schema.field(col).type))
+
+
+def test_table_fingerprint_covers_lang(tmp_path):
+    """Every lang changed, nothing else: the flag bits must change, as
+    in a fresh build (the Table fingerprint used to hash only repo,
+    path and content, and the rebuild resumed into the old bits)."""
+    from quickray.schema import LANGS
+
+    tbl = generate_corpus(200, seed=5)
+    rot = {l: LANGS[(i + 1) % len(LANGS)] for i, l in enumerate(LANGS)}
+    before, resumed, fresh = _changed_column_resume(
+        tmp_path, tbl,
+        lambda t: _replace(t, "lang", [rot[l] for l in t["lang"].to_pylist()]),
+    )
+    assert resumed == fresh
+    assert resumed[1]["bits"] != before[1]["bits"]
+
+
+def test_table_fingerprint_covers_id_col(tmp_path):
+    """Every id_col value permuted: the doc ids must follow the new
+    values, as in a fresh build."""
+    import numpy as np
+    import pyarrow as pa
+
+    tbl = generate_corpus(200, seed=6)
+    n = tbl.num_rows
+    tbl = tbl.append_column("my_id", pa.array(np.arange(n), pa.int64()))
+    perm = np.random.default_rng(0).permutation(n)
+    before, resumed, fresh = _changed_column_resume(
+        tmp_path, tbl, lambda t: _replace(t, "my_id", perm), id_col="my_id",
+    )
+    assert resumed == fresh
+    assert resumed[0] != before[0]
+
+
+def test_table_fingerprint_covers_field_cols(tmp_path):
+    """Every commit changed, indexed as a field: the field postings
+    must hold the new values, as in a fresh build."""
+    tbl = generate_corpus(200, seed=7)
+    before, resumed, fresh = _changed_column_resume(
+        tmp_path, tbl,
+        lambda t: _replace(t, "commit", [c + "x" for c in t["commit"].to_pylist()]),
+        field_cols=["commit"],
+    )
+    assert resumed == fresh
+    assert resumed[2] != before[2]
