@@ -12,6 +12,19 @@
   filter, skiplist_reverse_index.go:77-206) + exact BM25 top-k. Flat
   OR and single-term shapes take one entry (wand.py) on every engine;
   block-max pruning runs there only under the index's own scorer.
+  Every other tree is routed once by its result-size estimate from
+  segment dfs (Term -> df, And -> min, Or -> sum). Above
+  ``n_docs // DENSE_DIVISOR`` it is evaluated term at a time over
+  doc-indexed arrays (Turtle & Flood, IP&M 1995): each term, in
+  ascending order, adds its contributions into one score vector and
+  sets one boolean doc mask; the tree is ``logical_and``/``logical_or``
+  over the masks (an absent term is all-false), the flag filter is one
+  mask over the docmeta bits (bits are doc-level, so this equals
+  filtering at the leaves), and the top-k is selected among the docs
+  of the final mask. Below it, sorted-array set algebra finds the
+  candidates (a root AND from its smallest child) and binary search
+  scores them. Both sides add the same terms in the same order and each
+  doc at most once per term, so their scores are bit-identical.
 - ``QueryEngineActor``: callable class for ``map_batches`` over a
   Dataset of query JSONs — the distributed batch-query path; the index
   is loaded once per actor.
@@ -140,6 +153,18 @@ class Scorer:
             return d
 
         return _lru_fetch(self._dense, term, self._index._cache_cap, make)
+
+
+# evaluation moves to dense doc-indexed arrays once its work (postings
+# accumulated, or a tree's estimated result size) exceeds 1/DENSE_DIVISOR
+# of the doc-id space: below that, O(n_docs) allocations and scans cost
+# more than sorted-array set algebra
+DENSE_DIVISOR = 16
+
+
+def _dense_worth(work: int, n_docs: int) -> bool:
+    """``work > n_docs // DENSE_DIVISOR``, for integer ``work``."""
+    return work * DENSE_DIVISOR > n_docs
 
 
 def _dense_topk(
@@ -367,8 +392,14 @@ class Index:
         return bounds, flat, ps
 
     def df_of(self, term: str) -> int:
-        """Segment df without decoding the posting — O(log V) probe.
-        Used to order AND-child evaluation by estimated size."""
+        """Segment df without decoding the posting: the length of the
+        posting LRU's entry on a hit (a decoded posting holds exactly df
+        doc ids), else an O(log V) probe. Neither decodes nor refreshes
+        recency. Used to route trees and order AND children by estimated
+        result size."""
+        if term in self._cache:
+            p = self._cache[term]
+            return 0 if p is None else len(p.doc_ids)
         i = self._term_index(term)
         return 0 if i is None else int(self._df[i])
 
@@ -524,7 +555,7 @@ def _accumulate_topk(
         # single posting list: docs are already unique and sorted — no
         # accumulation needed at all
         uniq, scores = doc_arrays[0], contrib_arrays[0]
-    elif n_docs is not None and total > n_docs // 16:
+    elif n_docs is not None and _dense_worth(total, n_docs):
         # dense only when postings are a sizable fraction of the corpus;
         # small queries would pay O(n_docs) allocation for nothing.
         # Per-term scatter-add (docs are unique WITHIN a term, so plain
@@ -572,7 +603,9 @@ class LocalEngine:
         (wand.block_max_topk); only block-max pruning is reserved to the
         index's own scorer."""
         self.index = index
-        # the last flat-OR query's path, as wand.block_max_topk left it
+        # the last query's path: for a flat OR as wand.block_max_topk
+        # left it, for any other tree (route, estimated result size)
+        # with route "dense", "and seed" or "sparse"
         self.last_path = None
         if global_stats is None:
             # boolean evaluation needs only posting()/df_of(): an index
@@ -591,14 +624,18 @@ class LocalEngine:
         p = self.index.posting(term)
         if p is None:
             return np.empty(0, np.int64)
-        if q.on_flag == 0 and q.off_flag == 0 and not any(q.or_flags):
+        if not q.has_flags:
             return p.doc_ids
         return p.doc_ids[flags_ok(self.index, p.doc_ids, q)]
 
     def candidates(self, q: Query) -> np.ndarray:
         """Boolean evaluation — sorted doc_id array. AND = sorted-list
         intersection (J2), OR = sorted union (J3); flags filter at the
-        leaf scan exactly like the reference (M3)."""
+        leaf scan exactly like the reference (M3). Above the dense gate
+        the same set comes from the doc mask of ``_dense_keep``."""
+        if _dense_worth(self._est_size(q.tree), self.index.n_docs):
+            ps = {t: self.index.posting(t) for t in collect_terms(q.tree)}
+            return np.flatnonzero(self._dense_keep(q, q.tree, ps))
         return self._eval(q.tree, q)
 
     def _eval(self, node, q: Query) -> np.ndarray:
@@ -626,13 +663,85 @@ class LocalEngine:
             return out
         return functools.reduce(np.union1d, parts)
 
+    # ------------------------------------------ dense tree evaluation
+    def _tree_mask(self, node, masks: dict[str, np.ndarray]) -> np.ndarray:
+        """``node``'s matching docs as a doc-indexed boolean mask, from
+        the per-term ``masks`` (a term without one matches nothing)."""
+        if isinstance(node, Term):
+            if node.key in masks:
+                return masks[node.key]
+        elif node.children:
+            red = np.logical_and if isinstance(node, And) else np.logical_or
+            return functools.reduce(
+                red, (self._tree_mask(c, masks) for c in node.children)
+            )
+        return np.zeros(self.index.n_docs, dtype=bool)
+
+    def _dense_keep(self, q: Query, tree, postings: dict) -> np.ndarray | None:
+        """Doc-indexed mask of the docs that pass ``q``'s flag filter
+        and, given a ``tree``, match it over the term -> Posting map
+        ``postings`` (a term absent there, None or empty matches
+        nothing); None when nothing is excluded."""
+        n = self.index.n_docs
+        keep = None
+        if tree is not None:
+            masks = {}
+            for t, p in postings.items():
+                if p is not None:
+                    masks[t] = m = np.zeros(n, dtype=bool)
+                    m[p.doc_ids] = True
+            keep = self._tree_mask(tree, masks)
+        if q.has_flags:
+            bits = self.index.docmeta_arrays(("bits",))["bits"]
+            ok = flags_mask(bits, q.on_flag, q.off_flag, q.or_flags)
+            keep = ok if keep is None else keep & ok
+        return keep
+
+    def _scored_postings(self, terms: list[str]):
+        """(terms, postings, contributions) of the nonempty postings of
+        ``terms``, in the order given: the summation order."""
+        ts, ps, cs = [], [], []
+        for t in terms:
+            p = self.index.posting(t)
+            if p is not None and len(p.doc_ids):
+                ts.append(t)
+                ps.append(p)
+                cs.append(self.scorer.contrib(t, p))
+        return ts, ps, cs
+
+    def _dense_eval(self, q: Query, ts, ps, cs, tree=None):
+        """Exact top-k over one doc-indexed score vector. Each nonempty
+        posting ``ps`` of the terms ``ts`` (ascending) adds, in order,
+        its scorer's dense vector (stopword-grade terms, df > N/2) or
+        its contributions ``cs`` scattered by doc id. Docs are unique
+        within a posting and adding 0.0 where a doc lacks a term is
+        IEEE-exact, so each doc's sum is bit-identical to sparse
+        accumulation in the same order. The top-k is selected among
+        the docs of ``_dense_keep``; every doc of a tree's mask holds a
+        query term, and contributions are > 0, so without a tree the
+        candidates are the docs with a score."""
+        n = self.index.n_docs
+        scores_d = np.zeros(n, dtype=np.float64)
+        for t, p, c in zip(ts, ps, cs):
+            if len(p.doc_ids) > n // 2:
+                scores_d += self.scorer.dense(t, p)
+            else:
+                scores_d[p.doc_ids] += c
+        keep = self._dense_keep(q, tree, dict(zip(ts, ps)))
+        if keep is None:
+            return _dense_topk(scores_d, q.k)
+        if tree is None:  # a flag mask alone: keep scored docs only
+            keep &= scores_d > 0.0
+        cand = np.flatnonzero(keep)
+        return _topk_select(cand, scores_d[cand], q.k)
+
     # ------------------------------------------- AND-shaped fast path
     def _est_size(self, node) -> int:
         """Upper-bound result-size estimate from segment dfs alone (no
         posting decode): Term -> df, Or -> sum, And -> min."""
         if isinstance(node, Term):
             return self.index.df_of(node.key)
-        if not node.children:
+        if node is None or not node.children:
             return 0
         ests = [self._est_size(c) for c in node.children]
         return min(ests) if isinstance(node, And) else sum(ests)
@@ -751,7 +860,9 @@ class LocalEngine:
         return _accumulate_topk(docs, contribs, q.k, self.index.n_docs)
 
     def search(self, q: Query) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k (doc_ids, scores), rank-identical to the oracle."""
+        """Top-k (doc_ids, scores), rank-identical to the oracle. Flat
+        ORs go to wand.block_max_topk; any other tree is routed once by
+        its estimated result size (module docstring)."""
         if q.k < 0:
             # numpy [:k] with negative k keeps n-|k| rows (drops from
             # the END); a nonsensical k must yield zero hits, not n-1
@@ -761,10 +872,17 @@ class LocalEngine:
             from quickray.wand import block_max_topk
 
             return block_max_topk(self, terms, q)
+        est = self._est_size(q.tree)
+        if _dense_worth(est, self.index.n_docs):
+            self.last_path = ("dense", est)
+            ts, ps, cs = self._scored_postings(collect_terms(q.tree))
+            return self._dense_eval(q, ts, ps, cs, q.tree)
         got = self._root_and_eval(q)
         if got is not None:
+            self.last_path = ("and seed", est)
             cand, pos_memo = got
             return self.score(q, cand, pos_memo)
+        self.last_path = ("sparse", est)
         return self.score(q, self.candidates(q))
 
     def search_df(self, q: Query):

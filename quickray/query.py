@@ -49,6 +49,12 @@ class Query:
     k: int = 10
     id: str = ""
 
+    @property
+    def has_flags(self) -> bool:
+        """Whether the flag filter excludes anything (zero or_flags
+        entries are skipped, as in the reference)."""
+        return self.on_flag != 0 or self.off_flag != 0 or any(self.or_flags)
+
     def to_json(self) -> dict:
         return {
             "id": self.id,

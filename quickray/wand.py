@@ -65,15 +65,17 @@ from __future__ import annotations
 import numpy as np
 
 from quickray.codec import expand_ranges as _expand_blocks
-from quickray.engine import _accumulate_topk, _dense_topk, flags_ok
+from quickray.engine import _accumulate_topk, _dense_worth, flags_ok
 from quickray.query import Query
-from quickray.scoring import flags_mask
 
 # exhaustive work (postings, capped at n_docs) up to which scoring
-# everything beats pruning. Measured crossover, forced paths, one core:
-# pruning loses at 6k docs (~0.11 vs ~0.04 ms) and breaks even at 12k
-# docs (work 8k-12k); from 20k docs it wins above ~8k postings
-WORK_CUTOFF = 16384
+# everything beats pruning. Measured crossover, forced paths, one core,
+# with a lone term scored without the dense vector: pruning loses at 6k
+# and 20k docs at any work (a 16-20k-posting single term 0.31 vs 0.21
+# ms, a 3-term OR 0.61 vs 0.22 ms), and at 100k docs single terms break
+# even at 16-24k postings (0.32 vs 0.30 ms) and prune faster at 24-32k
+# (0.31 vs 0.40 ms)
+WORK_CUTOFF = 24576
 # prune only when the kept doc-ranges cover at most this share of the
 # doc span
 PRUNE_SPAN = 0.5
@@ -140,21 +142,15 @@ def plan(own: bool, ps: list, k: int, has_flags: bool, n_docs: int):
 def block_max_topk(engine, terms: list[str], q: Query):
     """Top-k for a flat OR / single-term query on any LocalEngine;
     prunes only under the index's own scorer (module docstring)."""
-    index, scorer = engine.index, engine.scorer
-    # nonempty query terms, their postings and exact contributions
-    ts, ps, cs = [], [], []
-    for t in sorted(set(terms)):  # fixed summation order (oracle-identical)
-        p = index.posting(t)
-        if p is not None and len(p.doc_ids):
-            ts.append(t)
-            ps.append(p)
-            cs.append(scorer.contrib(t, p))
-    has_flags = q.on_flag != 0 or q.off_flag != 0 or any(q.or_flags)
-    own = scorer is getattr(index, "scorer", None)
-    path, why, kept = plan(own, ps, q.k, has_flags, index.n_docs)
+    index = engine.index
+    # nonempty query terms, their postings and exact contributions, in
+    # a fixed summation order (oracle-identical)
+    ts, ps, cs = engine._scored_postings(sorted(set(terms)))
+    own = engine.scorer is getattr(index, "scorer", None)
+    path, why, kept = plan(own, ps, q.k, q.has_flags, index.n_docs)
     if path == "exhaustive":
         engine.last_path = ("exhaustive", why)
-        return full_eval(engine, ts, ps, cs, q, has_flags)
+        return full_eval(engine, ts, ps, cs, q)
 
     # ---- score only blocks that intersect a kept doc-range (plan
     # prunes only queries without a flag filter)
@@ -178,28 +174,17 @@ def block_max_topk(engine, terms: list[str], q: Query):
     return _accumulate_topk(docs_f, contribs_f, q.k, index.n_docs)
 
 
-def full_eval(engine, ts, ps, cs, q: Query, has_flags: bool):
+def full_eval(engine, ts, ps, cs, q: Query):
     """Exhaustive exact top-k over the nonempty postings ``ps`` of the
-    terms ``ts`` (ascending), with contributions ``cs``."""
-    index, scorer = engine.index, engine.scorer
-    if sum(len(p.doc_ids) for p in ps) > index.n_docs // 16:
-        # dense exact evaluation: one doc-indexed score vector, per-term
-        # dense vector add (stopword-grade terms, df > N/2) or sparse
-        # scatter-add, in ascending term order — bit-identical to sparse
-        # per-doc accumulation (adding 0.0 where a doc lacks a term is
-        # IEEE-exact). Flags are doc-level bits, so they reduce to ONE
-        # mask over the final vector instead of a per-term posting filter.
-        scores_d = np.zeros(index.n_docs, dtype=np.float64)
-        for t, p, c in zip(ts, ps, cs):
-            if len(p.doc_ids) > index.n_docs // 2:
-                scores_d += scorer.dense(t, p)
-            else:
-                scores_d[p.doc_ids] += c
-        if has_flags:
-            bits = index.docmeta_arrays(("bits",))["bits"]
-            scores_d[~flags_mask(bits, q.on_flag, q.off_flag, q.or_flags)] = 0.0
-        return _dense_topk(scores_d, q.k)
-    if not has_flags:
+    terms ``ts`` (ascending), with contributions ``cs``. Several
+    postings holding a sizable share of the corpus go through the
+    engine's dense evaluation, which filters flags with one mask over
+    the docmeta bits; a lone posting is already unique and sorted, so it
+    needs no accumulation at any size."""
+    index = engine.index
+    if len(ps) > 1 and _dense_worth(sum(len(p.doc_ids) for p in ps), index.n_docs):
+        return engine._dense_eval(q, ts, ps, cs)
+    if not q.has_flags:
         return _accumulate_topk([p.doc_ids for p in ps], cs, q.k, index.n_docs)
     docs_l, con_l = [], []
     for p, c in zip(ps, cs):

@@ -17,6 +17,11 @@ class FakeIndex:
         self.n_docs = n_docs
         self.avgdl = 10.0
 
+    def df_of(self, term):
+        # the estimate that routes a tree to dense or sorted-array
+        # evaluation: both are exercised by the fixtures below
+        return len(self._p.get(term, ()))
+
     def posting(self, term):
         ids = self._p.get(term)
         if ids is None:

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Flat-OR serving at a larger corpus size: an ungated companion to
+"""Query serving at a larger corpus size: an ungated companion to
 perfbench's ``query_hot``.
 
-Pruning pays only where exhaustive scoring is expensive, which the
-6k-doc benchmark corpus never reaches. This script builds (or reuses)
-an N-doc corpus and index, loads it as ``query_hot`` does (perfbench's
-``HOT_LOAD``), replays perfbench's own query stream for that corpus and
-prints, per query shape, the p50 and p95 search latency, plus how many
-flat-OR queries took each ``block_max_topk`` path (pruned, or
-exhaustive and why). It is never a gate.
+Pruning and dense evaluation pay only where exhaustive scoring is
+expensive, which the 6k-doc benchmark corpus never reaches. This script
+builds (or reuses) an N-doc corpus and index, loads it as ``query_hot``
+does (perfbench's ``HOT_LOAD``), replays perfbench's own query stream
+for that corpus and prints, per query shape, the p50 and p95 search
+latency, plus how many queries took each ``engine.last_path``: for
+flat ORs the ``block_max_topk`` path (pruned, or exhaustive and why),
+for the ``and`` and ``compound`` trees the route (dense, and seed or
+sparse). It is never a gate.
 
 Run from the root of a quickray checkout:
 
@@ -42,6 +44,7 @@ from inputs import SHAPES, query_stream  # noqa: E402
 from run import HOT_LOAD  # noqa: E402
 
 FLAT_OR = ("term", "or", "flagged")
+TREES = ("and", "compound")
 
 
 def _built(out: str) -> bool:
@@ -107,23 +110,31 @@ def main(argv=None) -> int:
 
     best = np.full(len(queries), np.inf)
     paths = collections.Counter()
+    tree_paths = {s: collections.Counter() for s in TREES}
     blocks = np.zeros(2, np.int64)  # scored, total over pruned queries
     for rep in range(args.passes + 1):
         for i, q in enumerate(queries):
+            eng.last_path = None
             t = time.perf_counter()
             eng.search(q)
             t = time.perf_counter() - t
             if rep:
                 best[i] = min(best[i], t)
-            elif q.id.split(":", 1)[0] in FLAT_OR:
-                rec = getattr(eng, "last_path", None)
-                if rec is None:  # a checkout that records no path
-                    paths["unrecorded"] += 1
-                elif rec[0] == "pruned":
-                    paths["pruned"] += 1
-                    blocks += rec[1:]
-                else:
-                    paths[f"exhaustive: {rec[1]}"] += 1
+                continue
+            shape, rec = q.id.split(":", 1)[0], eng.last_path
+            if rec is None:  # a checkout that records no path here
+                label = "unrecorded"
+            elif rec[0] == "pruned":
+                label = "pruned"
+                blocks += rec[1:]
+            elif rec[0] == "exhaustive":
+                label = f"exhaustive: {rec[1]}"
+            else:
+                label = rec[0]
+            if shape in FLAT_OR:
+                paths[label] += 1
+            elif shape in TREES:
+                tree_paths[shape][label] += 1
 
     shape = np.array([q.id.split(":", 1)[0] for q in queries])
     report = {"docs": ix.n_docs, "queries": len(queries), "load_s": round(load_s, 3)}
@@ -137,6 +148,7 @@ def main(argv=None) -> int:
     flat = np.isin(shape, FLAT_OR)
     report["flat_or_total_s"] = round(float(best[flat].sum()), 3)
     report["paths"] = dict(sorted(paths.items()))
+    report["tree_paths"] = {s: dict(sorted(c.items())) for s, c in tree_paths.items()}
     if blocks[1]:
         report["pruned_blocks_scored"] = round(float(blocks[0] / blocks[1]), 3)
     print(json.dumps(report))
