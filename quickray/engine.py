@@ -631,12 +631,16 @@ class LocalEngine:
     def candidates(self, q: Query) -> np.ndarray:
         """Boolean evaluation — sorted doc_id array. AND = sorted-list
         intersection (J2), OR = sorted union (J3); flags filter at the
-        leaf scan exactly like the reference (M3). Above the dense gate
-        the same set comes from the doc mask of ``_dense_keep``."""
-        if _dense_worth(self._est_size(q.tree), self.index.n_docs):
-            ps = {t: self.index.posting(t) for t in collect_terms(q.tree)}
-            return np.flatnonzero(self._dense_keep(q, q.tree, ps))
-        return self._eval(q.tree, q)
+        leaf scan exactly like the reference (M3). An And/Or above the
+        dense gate takes the same set from the doc mask of
+        ``_dense_keep`` instead; a lone term's set is its posting."""
+        node = q.tree
+        if not isinstance(node, Term) and _dense_worth(
+            self._est_size(node), self.index.n_docs
+        ):
+            ps = {t: self.index.posting(t) for t in collect_terms(node)}
+            return np.flatnonzero(self._dense_keep(q, node, ps))
+        return self._eval(node, q)
 
     def _eval(self, node, q: Query) -> np.ndarray:
         # a method, not a recursive closure: a closure that calls itself
@@ -771,28 +775,20 @@ class LocalEngine:
         return functools.reduce(red, masks)
 
     def _root_and_eval(
-        self, q: Query
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]] | None:
-        """Evaluate a root-AND query smallest-child-first: the smallest
-        child (by segment-df estimate, no decode) is evaluated exactly
-        (with flags), every other child becomes a binary-search
-        membership filter over that seed — no large intersections or
-        unions are ever materialized. Term children additionally record
-        their posting positions so scoring is a pure contrib gather.
-        Returns (candidates, {term: positions aligned with candidates})
-        or None when the tree is not an AND."""
+        self, q: Query, ests: list[int]
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Evaluate a root-AND query smallest-child-first, given each
+        child's result-size estimate ``ests`` (segment dfs, no decode):
+        the smallest child is evaluated exactly (with flags), every
+        other child becomes a binary-search membership filter over that
+        seed — no large intersections or unions are ever materialized.
+        Term children additionally record their posting positions so
+        scoring is a pure contrib gather. Returns (candidates,
+        {term: positions aligned with candidates})."""
         node = q.tree
-        if not isinstance(node, And) or not node.children:
-            return None
-        order = sorted(
-            range(len(node.children)),
-            key=lambda i: self._est_size(node.children[i]),
-        )
+        order = sorted(range(len(node.children)), key=ests.__getitem__)
         seed = node.children[order[0]]
-        out = LocalEngine.candidates(
-            self, Query(tree=seed, on_flag=q.on_flag, off_flag=q.off_flag,
-                        or_flags=q.or_flags, k=q.k)
-        )
+        out = self._eval(seed, q)
         pos_memo: dict[str, np.ndarray] = {}
         if isinstance(seed, Term) and len(out):
             pos_memo[seed.key] = self._member_pos(seed.key, out)[1]
@@ -872,18 +868,22 @@ class LocalEngine:
             from quickray.wand import block_max_topk
 
             return block_max_topk(self, terms, q)
-        est = self._est_size(q.tree)
+        node = q.tree
+        # a root AND's estimate is its children's minimum; they are kept
+        # to order its seed, so no df is looked up twice
+        ests = None
+        if isinstance(node, And):
+            ests = [self._est_size(c) for c in node.children]
+        est = min(ests) if ests else self._est_size(node)
         if _dense_worth(est, self.index.n_docs):
             self.last_path = ("dense", est)
-            ts, ps, cs = self._scored_postings(collect_terms(q.tree))
-            return self._dense_eval(q, ts, ps, cs, q.tree)
-        got = self._root_and_eval(q)
-        if got is not None:
+            ts, ps, cs = self._scored_postings(collect_terms(node))
+            return self._dense_eval(q, ts, ps, cs, node)
+        if ests:
             self.last_path = ("and seed", est)
-            cand, pos_memo = got
-            return self.score(q, cand, pos_memo)
+            return self.score(q, *self._root_and_eval(q, ests))
         self.last_path = ("sparse", est)
-        return self.score(q, self.candidates(q))
+        return self.score(q, self._eval(node, q))
 
     def search_df(self, q: Query):
         ids, scores = self.search(q)

@@ -1,11 +1,15 @@
 """Set-algebra conformance — ports the reference's skiplist fixtures
 (internal/reverse_index/test/skiplist_reverse_index_test.go:13-37, see
 FIXTURES.md F5) plus randomized And/Or trees checked against the
-brute-force oracle's set semantics."""
+brute-force oracle's set semantics. Every check runs on both sides of
+the dense gate (forced by patching ``engine.DENSE_DIVISOR``): sorted
+array intersection/union and doc-indexed boolean masks."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
+from quickray import engine as engine_mod
 from quickray.engine import LocalEngine, Posting
 from quickray.oracle import Oracle
 from quickray.query import And, Or, Query, Term
@@ -19,7 +23,7 @@ class FakeIndex:
 
     def df_of(self, term):
         # the estimate that routes a tree to dense or sorted-array
-        # evaluation: both are exercised by the fixtures below
+        # evaluation
         return len(self._p.get(term, ()))
 
     def posting(self, term):
@@ -39,10 +43,20 @@ L1 = [1, 4, 5, 7, 9, 11]
 L2 = [2, 4, 5, 8, 9]
 L3 = [3, 5, 7, 9]
 ENGINE = LocalEngine(FakeIndex({"l1": L1, "l2": L2, "l3": L3}))
+# patched divisors: every And/Or with a nonzero estimate is dense, or none
+SIDES = (1 << 40, 0)
 
 
-def cands(tree):
-    return ENGINE.candidates(Query(tree=tree)).tolist()
+def cands(tree, eng=ENGINE):
+    """The candidates of ``tree`` on both sides of the dense gate, which
+    must agree."""
+    got = []
+    for div in SIDES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_mod, "DENSE_DIVISOR", div)
+            got.append(eng.candidates(Query(tree=tree)).tolist())
+    assert got[0] == got[1], tree
+    return got[0]
 
 
 def test_reference_intersection_fixtures():
@@ -101,5 +115,4 @@ def test_randomized_trees_vs_oracle():
 
     for _ in range(60):
         tree = random_tree(3)
-        q = Query(tree=tree)
-        assert eng.candidates(q).tolist() == oracle.candidates(q)
+        assert cands(tree, eng) == oracle.candidates(Query(tree=tree))
