@@ -6,23 +6,23 @@ Phases (each a checkpointed Dataset pipeline, see checkpoint.Manifest):
             (docids.rank_keys) -> small parquet artifact; broadcast via
             ray.put so every later stage stamps doc_id with a local C++
             hash probe. Content never shuffles for id assignment.
-  docbase   THE one content pass before postings: doc_id +
-            sha256(content) + doc_len (kind=0 rows) AND sampled
-            per-batch partial dfs from the same tokenization (kind=1
-            rows) -> one combined table. The corpus itself is NOT
-            rewritten, and no later metadata phase reads content.
+  docbase   THE one content pass: each tokenizer batch is tokenized
+            once into doc_id + sha256(content) + doc_len (kind=0 rows)
+            AND its compressed posting runs, content and field keys
+            alike (kind=1 rows: term, min_doc, df, delta+varint doc
+            ids, varint tfs) -> one combined table. The corpus itself
+            is NOT rewritten, and no later phase reads content.
   stats     one driver scan of the docbase ids and lengths: n_docs /
             total_tokens / avgdl and the exact dense-id check; plus
-            hot-term detection from the fused kind=1 partial dfs (the
-            hot set only steers level-1 partitioning, never output) —
-            zero content reads.
+            the EXACT hot set: terms whose summed run df exceeds the
+            threshold (it only steers level-1 partitioning, never
+            output) — zero content reads.
   docmeta   docbase + bits(lang, path, doc_len > avgdl) — the forward
             index (J1 analog); no content involved.
-  postings  content pass two: actor-pool tokenizer emits compressed
-            per-batch posting RUNS (term, salt, part, min_doc, df,
-            delta+varint doc_ids, varint tfs) -> groupby(part =
-            hash(term, salt) % num_parts) -> vectorized partition merge
-            -> one partial posting per (term, salt).
+  postings  shuffle the checkpointed runs: one map assigns each run
+            its salt and part = hash(term, salt) % num_parts from the
+            hot set and n_docs -> groupby(part) -> vectorized partition
+            merge -> one partial posting per (term, salt).
   segments  groupby(mpart = hash(term) % num_shards) over partials ->
             vectorized partition merge -> final posting segments (doc
             ids + tfs; doc_len and bits stay in docmeta) with BM25
@@ -68,12 +68,12 @@ import hashlib
 import json
 import os
 import time
-import uuid
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
@@ -82,8 +82,14 @@ import ray.data as rd
 
 from quickray.checkpoint import MANIFEST, Manifest
 from quickray.merge import make_final_merge, make_level1_merge
-from quickray.schema import BLOCK_SIZE, LANGS
-from quickray.tokenize import Tokenizer, flatten_tokens, rank_lookup
+from quickray.schema import BATCH_RUN_SCHEMA, BLOCK_SIZE, LANGS
+from quickray.tokenize import (
+    batch_postings,
+    encode_runs,
+    flatten_tokens,
+    rank_lookup,
+    salt_runs,
+)
 from quickray.util import fetch, run_starts, sum_by_key
 
 
@@ -123,10 +129,11 @@ def _chunk_bounds(n: int, chunks: int) -> list[tuple[int, int]]:
 
 
 # docbase phase output: kind=0 rows are the per-doc forward-index rows,
-# kind=1 rows are per-batch SAMPLED partial document frequencies reusing
-# the SAME tokenization the doc_len computation already paid for — the
-# stats phase then reads no content at all (one content pass before
-# postings instead of two)
+# kind=1 rows are the batch's posting runs (BATCH_RUN_SCHEMA), from the
+# SAME tokenization the doc_len computation pays for: the build's one
+# content pass. The stats phase sums the run dfs for the hot set, and
+# the postings phase salts and shuffles the runs
+_DOC_COLS = ["doc_id", "repo", "path", "commit", "lang", "sha256", "doc_len"]
 _DOCBASE_SCHEMA = pa.schema(
     [
         ("doc_id", pa.int64()),
@@ -137,15 +144,14 @@ _DOCBASE_SCHEMA = pa.schema(
         ("sha256", pa.string()),
         ("doc_len", pa.int64()),
         ("kind", pa.int32()),
-        ("term", pa.string()),
-        ("partial_df", pa.int64()),
+        *BATCH_RUN_SCHEMA,
     ]
 )
 
 
 # per-worker cache of the rank table's binary-search view, keyed by
-# the broadcast ObjectRef (unique per build) — same pattern as
-# _WORKER_TOKENIZERS; avoids rebuilding a million-entry probe per batch
+# the broadcast ObjectRef (unique per build); avoids rebuilding a
+# million-entry probe per batch
 _WORKER_RANK_NP: dict[str, "np.ndarray"] = {}
 
 
@@ -167,7 +173,7 @@ def _rank_probe(rank_ref) -> np.ndarray:
     return ranked_np
 
 
-def _make_docbase_fn(rank_ref, id_col_present: bool, sample_mod: int = 1):
+def _make_docbase_fn(rank_ref, id_col_present: bool, field_cols: list[str]):
     def to_docbase(t: pa.Table) -> pa.Table:
         if id_col_present:
             doc_id = t["doc_id"]
@@ -192,15 +198,18 @@ def _make_docbase_fn(rank_ref, id_col_present: bool, sample_mod: int = 1):
         # buffer-wide hex string
         hexall = digest_slices(t["content"], "sha256", 32).hex()
         digests = [hexall[64 * i : 64 * (i + 1)] for i in range(t.num_rows)]
-        # ONE tokenization pass serves both doc_len and the sampled
-        # hot-term partial dfs (rows at batch positions 0, mod, 2*mod
-        # ... — deterministic; the hot set only steers salting)
+        # ONE tokenization serves both doc_len and the posting runs
         flat, parents = flatten_tokens(t["content"])
-        par = np.asarray(parents)
-        counts = np.zeros(t.num_rows, dtype=np.int64)
-        np.add.at(counts, par, 1)
         n = t.num_rows
-        base = pa.table(
+        if doc_id.null_count or len(pc.unique(doc_id)) < n:
+            # the stats phase rejects null or repeated ids with the id
+            # column named; encoding their runs would fail first
+            runs = BATCH_RUN_SCHEMA.empty_table()
+        else:
+            runs = encode_runs(
+                batch_postings(t, doc_id, flat, parents, field_cols)
+            )
+        docs = pa.table(
             {
                 "doc_id": doc_id,
                 "repo": t["repo"],
@@ -208,44 +217,27 @@ def _make_docbase_fn(rank_ref, id_col_present: bool, sample_mod: int = 1):
                 "commit": t["commit"],
                 "lang": t["lang"],
                 "sha256": pa.array(digests, pa.string()),
-                "doc_len": pa.array(counts),
+                "doc_len": np.bincount(np.asarray(parents), minlength=n),
                 "kind": pa.array(np.zeros(n, np.int32)),
-                "term": pa.nulls(n, pa.string()),
-                "partial_df": pa.nulls(n, pa.int64()),
             }
-        ).cast(_DOCBASE_SCHEMA)
-        if sample_mod > 1:
-            in_sample = np.zeros(n, dtype=bool)
-            in_sample[::sample_mod] = True
-            tok_mask = in_sample[par] if len(par) else np.zeros(0, bool)
-            sflat = flat.filter(pa.array(tok_mask))
-            spar = pa.array(par[tok_mask])
-        else:
-            sflat, spar = flat, parents
-        pairs = (
-            pa.table({"term": sflat, "d": spar})
-            .group_by(["term", "d"])
-            .aggregate([])
         )
-        out = pairs.group_by("term").aggregate([([], "count_all")])
-        m = out.num_rows
-        dfrows = pa.table(
-            {
-                "doc_id": pa.nulls(m, pa.int64()),
-                "repo": pa.nulls(m, pa.string()),
-                "path": pa.nulls(m, pa.string()),
-                "commit": pa.nulls(m, pa.string()),
-                "lang": pa.nulls(m, pa.string()),
-                "sha256": pa.nulls(m, pa.string()),
-                "doc_len": pa.nulls(m, pa.int64()),
-                "kind": pa.array(np.ones(m, np.int32)),
-                "term": out["term"],
-                "partial_df": out["count_all"],
-            }
+        runs = runs.append_column(
+            "kind", pa.array(np.ones(runs.num_rows, np.int32))
+        )
+        return pa.concat_tables(
+            [docs, runs], promote_options="default"
         ).cast(_DOCBASE_SCHEMA)
-        return pa.concat_tables([base, dfrows])
 
     return to_docbase
+
+
+def _make_salt_fn(hot_ref, n_docs: int, num_salts: int, num_parts: int):
+    """Checkpointed batch runs -> salted RUN_SCHEMA runs (salt_runs)."""
+
+    def salt(t: pa.Table) -> pa.Table:
+        return salt_runs(t, fetch(hot_ref), n_docs, num_salts, num_parts)
+
+    return salt
 
 
 @dataclass
@@ -505,23 +497,17 @@ class _Source:
 
     def count_rows(self) -> int | None:
         """Row count from metadata where free (parquet footers / table
-        length); None for generic Datasets (callers then skip the
-        row-sampling optimization rather than force an execution).
-        Memoized: build_index consults it twice (auto layout + sample
-        stride) and the footer walk is not free on many-fragment
-        sources."""
-        if not hasattr(self, "_count_rows"):
-            self._count_rows = None
-            if isinstance(self.raw, str):
-                try:
-                    self._count_rows = pads.dataset(
-                        self.raw, format="parquet"
-                    ).count_rows()
-                except (OSError, pa.ArrowInvalid):
-                    pass
-            elif isinstance(self.raw, pa.Table):
-                self._count_rows = self.raw.num_rows
-        return self._count_rows
+        length); None for generic Datasets (build_index then takes the
+        Ray executor and the scale-safe layout rather than force an
+        execution)."""
+        if isinstance(self.raw, str):
+            try:
+                return pads.dataset(self.raw, format="parquet").count_rows()
+            except (OSError, pa.ArrowInvalid):
+                return None
+        if isinstance(self.raw, pa.Table):
+            return self.raw.num_rows
+        return None
 
 
 def build_partitioned(
@@ -671,7 +657,6 @@ def build_index(
     num_parts: int | None = None,
     durable_shuffle: bool = False,
     shuffle_chunks: int = 4,
-    tokenizer_concurrency: int | None = None,
     tokenizer_batch_size: int = 4096,
     block_size: int = BLOCK_SIZE,
     fingerprint: str | None = None,
@@ -690,8 +675,9 @@ def build_index(
     demo/job/build_index.go:114-127; posting key field + "\\x01" +
     lower(value), gen/document.go:5) — one tf=1 posting per doc per
     field, queryable as Term(word, field=f). Must be a subset of the
-    docbase metadata columns (repo, path, commit, lang) so field-term
-    dfs are known without another content pass."""
+    metadata columns the docbase pass reads anyway (repo, path, commit,
+    lang): it emits the field runs beside the content runs, so field
+    keys are salted by the same exact run-df sum."""
     langs = langs or LANGS
     field_cols = list(field_cols or [])
     allowed_fields = {"repo", "path", "commit", "lang"}
@@ -742,7 +728,7 @@ def build_index(
         f"chunks={shuffle_chunks if durable_shuffle else 0},bs={block_size}"
         f",fields={'+'.join(field_cols)}"
         f",langs={'+'.join(langs)},id={id_col or 'rank'}"
-        ",dbv=2"  # docbase schema v2 (fused sampled-df rows)
+        ",dbv=3"  # docbase schema v3 (kind=1 rows are posting runs)
         ",segv=2"  # segment format v2: doc ids + tfs per posting
     )
     man = Manifest(out_dir, src.fingerprint + layout, executor=executor)
@@ -778,14 +764,11 @@ def build_index(
     result.phase_times["docids"] = time.time() - t0
 
     # ------------------------------------------------------ phase docbase
-    # ONE content pass produces the forward-index rows AND the sampled
-    # hot-term partial dfs (kind column; _DOCBASE_SCHEMA) — the stats
-    # phase never reads content again. Sampling kicks in only on large
-    # corpora; the hot set steers salting, never output.
+    # THE one content pass: each tokenizer batch is tokenized once into
+    # its forward-index rows and its posting runs (kind column;
+    # _DOCBASE_SCHEMA). No later phase reads content.
     t0 = time.time()
     docbase_dir = os.path.join(out_dir, "docbase")
-    n_for_mod = n_docs_expected if use_rank else n_rows
-    sample_mod = 1 if (n_for_mod or 0) <= 20_000 else 16
     base_cols = list(_BUILD_COLS)
     if not use_rank:
         base_cols = [id_col] + base_cols
@@ -795,12 +778,16 @@ def build_index(
         if not use_rank and id_col != "doc_id":
             ds = ds.rename_columns({id_col: "doc_id"})
         ds.map_batches(
-            _make_docbase_fn(rank_ref, not use_rank, sample_mod),
+            _make_docbase_fn(rank_ref, not use_rank, field_cols),
             batch_format="pyarrow",
+            # larger batches -> fewer, longer runs per term -> fewer
+            # shuffle rows (measured 2x on the postings phase); bound by
+            # batch_size x doc size per task heap — lower it for corpora
+            # of very large files
+            batch_size=tokenizer_batch_size,
         ).write_parquet(d)
         man.mark_done("docbase", elapsed=time.time() - t0,
-                      counters={"id_mode": id_col or "rank(repo,path)",
-                                "sample_mod": sample_mod})
+                      counters={"id_mode": id_col or "rank(repo,path)"})
     result.phase_times["docbase"] = time.time() - t0
 
     # --------------------------------------------------------- phase stats
@@ -854,84 +841,33 @@ def build_index(
             )
         avgdl = total_tokens / max(1, n_docs)
         threshold = hot_df if hot_df is not None else max(256, n_docs // 8)
-        # Hot-term detection from the docbase pass's fused sampled
-        # partial dfs (kind=1 rows) — NO second content read. The hot
-        # set only steers level-1 partitioning (salting), never final
-        # index content, so sampling cannot change the output.
-        sampled_threshold = int(threshold / sample_mod)
-        # sum-by-term as a sort + blockwise reduction: the group count
-        # is VOCABULARY-scale, where the native aggregate's per-group
-        # Python loop dominates (util.sum_by_key)
+        # the exact hot set: each term's df is the sum of its batch
+        # runs' dfs, content and field keys alike (a field value held by
+        # more docs than the threshold, e.g. lang\x01en, is salted like
+        # any hot term). It only steers level-1 partitioning, never
+        # output. Sum-by-term as a sort + blockwise reduction: the
+        # group count is VOCABULARY-scale, where the native aggregate's
+        # per-group Python loop dominates (util.sum_by_key)
         hot_rows = (
             sum_by_key(
                 data.read_parquet(
-                    docbase_dir, columns=["term", "partial_df", "kind"],
+                    docbase_dir, columns=["term", "df", "kind"],
                     filter=pads.field("kind") == 1,
                 ),
-                "term", sums=[("partial_df", "df")],
+                "term", sums=[("df", "df")],
             )
             .map_batches(
-                lambda t: t.filter(
-                    np.asarray(t["df"]) > sampled_threshold
-                ),
+                lambda t: t.filter(np.asarray(t["df"]) > threshold),
                 batch_format="pyarrow",
             )
             .take_all()
         )
-        hot_terms = [r["term"] for r in hot_rows]
-        # field-scoped terms' dfs are exact from docbase metadata (no
-        # content read): a field value held by more docs than the
-        # threshold (e.g. lang\x01en at df ~ N/5) must be salted like
-        # any hot term, or its level-1 merge group becomes exactly the
-        # skewed straggler salting exists to prevent. ONE scan reads
-        # every field column and melts each row into its posting keys;
-        # one groupby counts all fields' dfs together (the per-field
-        # read+groupby loop cost one full metadata scan per field).
-        if field_cols:
-
-            def _melt_keys(t: pa.Table) -> pa.Table:
-                # group by the POSTING KEY (field + '\x01' +
-                # lowercased word), not the raw value: 'EN' and 'en'
-                # map to the same lang\x01en posting, so their dfs must
-                # sum before the threshold test. Derivation + the
-                # empty-value skip are shared with the tokenizer
-                # (tokenize.field_posting_keys — the single source of
-                # the field-key contract)
-                from quickray.tokenize import field_posting_keys
-
-                keys = []
-                for f in field_cols:
-                    k, keep = field_posting_keys(t[f], f)
-                    if keep is not None:
-                        k = k.filter(keep)
-                    keys.append(k)
-                return pa.table({"w": pa.concat_arrays(
-                    [k.combine_chunks() if isinstance(k, pa.ChunkedArray)
-                     else k for k in keys]
-                )})
-
-            frows = (
-                sum_by_key(
-                    data.read_parquet(
-                        docbase_dir, columns=list(field_cols) + ["kind"],
-                        filter=pads.field("kind") == 0,
-                    ).map_batches(_melt_keys, batch_format="pyarrow"),
-                    "w", count_as="fdf",
-                )
-                .map_batches(
-                    lambda t: t.filter(np.asarray(t["fdf"]) > threshold),
-                    batch_format="pyarrow",
-                )
-                .take_all()
-            )
-            hot_terms.extend(r0["w"] for r0 in frows)
-        hot_terms = sorted(set(hot_terms))
+        hot_terms = sorted(r["term"] for r in hot_rows)
         stats = {
             "n_docs": n_docs,
             "total_tokens": total_tokens,
             "avgdl": avgdl,
             "hot_df_threshold": int(threshold),
-            "hot_sample_mod": sample_mod,
             "hot_terms": hot_terms,
             "num_salts": num_salts,
             "num_shards": num_shards,
@@ -958,7 +894,7 @@ def build_index(
         def add_bits(t: pa.Table) -> pa.Table:
             from quickray.scoring import compute_bits
 
-            t = t.drop_columns(["kind", "term", "partial_df"])
+            t = t.drop_columns(["kind"])
             bits = compute_bits(
                 t["lang"].to_pylist(), t["path"].to_pylist(),
                 np.asarray(t["doc_len"]), avgdl, langs,
@@ -966,68 +902,39 @@ def build_index(
             return t.append_column("bits", pa.array(bits))
 
         data.read_parquet(
-            docbase_dir, filter=pads.field("kind") == 0
+            docbase_dir, columns=_DOC_COLS + ["kind"],
+            filter=pads.field("kind") == 0,
         ).map_batches(add_bits, batch_format="pyarrow").write_parquet(d)
         man.mark_done("docmeta", elapsed=time.time() - t0)
     result.phase_times["docmeta"] = time.time() - t0
 
     # -------------------------------------------------------- the shuffle
-    # Tokenizer emits compressed per-batch posting runs (one row per
-    # term per batch, delta+varint streams — ~10x smaller than the
-    # exploded (term, doc, tf) rows).
+    # The docbase runs are salted and assigned a level-1 part from the
+    # hot set and n_docs, both known only now (one row per term per
+    # batch, delta+varint streams — ~10x smaller than the exploded
+    # (term, doc, tf) rows). Nothing is tokenized again.
     #
     # Two execution modes:
-    #  - streaming (default): tokenize -> groupby(part) -> level-1 merge
-    #    as ONE pipeline; Ray lineage re-executes failed tasks, resume
+    #  - streaming (default): runs -> groupby(part) -> level-1 merge as
+    #    ONE pipeline; Ray lineage re-executes failed tasks, resume
     #    granularity is the phase. Fastest.
     #  - durable_shuffle=True: the map side of the exchange is
     #    checkpointed to runs/ hive-partitioned by part, and both merge
     #    levels run as shuffle_chunks independently-manifested chunks
     #    over part/mpart ranges — a DRIVER/cluster restart resumes
-    #    mid-shuffle, never re-tokenizing and never redoing a finished
-    #    chunk. Costs one extra write+read of the compressed runs; the
-    #    right default for multi-hour 10^12-file builds.
-    hot_ref = put(frozenset(stats["hot_terms"]))
-    tok_kwargs = {
-        "hot_ref": hot_ref,
-        "n_docs": stats["n_docs"],
-        "num_salts": num_salts,
-        "emit_runs": True,
-        "num_parts": num_parts,
-        "rank_ref": rank_ref,
-        "field_cols": field_cols,
-    }
+    #    mid-shuffle, never redoing a finished chunk. Costs one extra
+    #    write+read of the compressed runs; the right default for
+    #    multi-hour 10^12-file builds.
+    salt_fn = _make_salt_fn(
+        put(pa.array(stats["hot_terms"], pa.string())),
+        stats["n_docs"], num_salts, num_parts,
+    )
 
     def _runs_ds() -> "rd.Dataset":
-        tok_cols = ["content"] + ([id_col] if not use_rank else ["repo", "path"])
-        tok_cols += [f for f in field_cols if f not in tok_cols]
-        ds = src.read(tok_cols, data)
-        if not use_rank and id_col != "doc_id":
-            ds = ds.rename_columns({id_col: "doc_id"})
-        if tokenizer_concurrency:
-            # actor-pool form (state in __init__); reserves its CPUs for
-            # the phase — prefer task mode unless actors are required
-            return ds.map_batches(
-                Tokenizer,
-                fn_constructor_kwargs=tok_kwargs,
-                batch_format="pyarrow",
-                batch_size=tokenizer_batch_size,
-                concurrency=tokenizer_concurrency,
-                num_cpus=1,
-            )
-        # task mode: per-worker cached state, dynamic scheduling shares
-        # all CPUs with the overlapping shuffle/merge tasks
-        from quickray.tokenize import make_run_tokenizer
-
-        return ds.map_batches(
-            make_run_tokenizer(f"{out_dir}:{uuid.uuid4().hex}", **tok_kwargs),
-            batch_format="pyarrow",
-            # larger batches -> fewer, longer runs per term -> fewer
-            # shuffle rows (measured 2x on the postings phase); bound by
-            # batch_size x doc size per task heap — lower it for corpora
-            # of very large files
-            batch_size=tokenizer_batch_size,
-        )
+        return data.read_parquet(
+            docbase_dir, columns=BATCH_RUN_SCHEMA.names + ["kind"],
+            filter=pads.field("kind") == 1,
+        ).map_batches(salt_fn, batch_format="pyarrow")
 
     def _dl_ref():
         dm = pq.read_table(docmeta_dir, columns=["doc_id", "doc_len"])

@@ -388,8 +388,8 @@ def _pairs_from_ids(
     return np.minimum(a, b), np.maximum(a, b)
 
 
-# task-mode per-worker MinHasher cache (same pattern as
-# tokenize.make_run_tokenizer): tasks schedule on the warm worker pool
+# task-mode per-worker MinHasher cache (same pattern as the build's
+# rank-table probe, build._rank_probe): tasks schedule on the warm worker pool
 # and never reserve CPUs while idle; state is rebuilt at most once per
 # (params) per worker process
 _WORKER_MINHASHERS: dict[tuple, MinHasher] = {}
@@ -403,7 +403,7 @@ def _make_sig_fn(num_perm: int, bands: int, shingle_k: int):
         if mh is None:
             while len(_WORKER_MINHASHERS) > 4:
                 # oldest-only eviction (clear() thrashes concurrent
-                # pipelines' state — see tokenize.make_run_tokenizer)
+                # pipelines' state — see build._rank_probe)
                 _WORKER_MINHASHERS.pop(next(iter(_WORKER_MINHASHERS)))
             mh = MinHasher(num_perm=num_perm, bands=bands, shingle_k=shingle_k)
             _WORKER_MINHASHERS[key] = mh

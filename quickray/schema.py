@@ -75,11 +75,11 @@ SEGMENT_SCHEMA = pa.schema(
     ]
 )
 
-# Per-batch posting run emitted by the tokenizer (emit_runs=True): one
-# row per term present in the batch, streams already delta+varint
-# encoded. The shuffle that follows moves these compressed runs — not
-# one row per (term, doc) — which is what keeps the all-to-all exchange
-# ~10x smaller than the exploded token stream at 100 TB scale.
+# Per-batch posting run: one row per term present in a tokenizer batch,
+# streams already delta+varint encoded. The shuffle moves these
+# compressed runs — not one row per (term, doc) — which is what keeps
+# the all-to-all exchange ~10x smaller than the exploded token stream
+# at 100 TB scale.
 #   part    = level-1 shuffle partition: hash(term, salt) % num_parts
 #   min_doc = first doc_id of the run (merge-order key; batch doc
 #             ranges are disjoint, so ordering runs by min_doc makes the
@@ -97,6 +97,13 @@ RUN_SCHEMA = pa.schema(
         ("postings", pa.binary()),
         ("tfs", pa.binary()),
     ]
+)
+
+# A batch run before salting, as the build's docbase pass checkpoints
+# it: salt and part need the corpus hot set and n_docs, known only
+# after the stats phase.
+BATCH_RUN_SCHEMA = pa.schema(
+    [f for f in RUN_SCHEMA if f.name not in ("salt", "part")]
 )
 
 # Level-1 merge output: one row per (term, salt) partial posting.

@@ -2,10 +2,12 @@
 
 The reference does NO tokenization (callers supply pre-split Keywords,
 demo/job/build_index.go:85-91 merely lowercases + splits a CSV column).
-Our corpus is raw source text, so tokenization is a real stage: an
-actor-pool `map_batches` class whose per-batch body is pure
-pyarrow.compute (RE2 split + list flatten + hash groupby), i.e. C++
-kernels over zero-copy Arrow batches.
+Our corpus is raw source text, so tokenization is a real stage, run
+once per build, inside its docbase pass (build.py): a per-batch body of
+pure pyarrow.compute (RE2 split + list flatten + hash groupby), i.e.
+C++ kernels over zero-copy Arrow batches, then one compressed posting
+run per term per batch (encode_runs), salted after the build's stats
+phase (salt_runs).
 
 The token definition (lowercase; maximal runs of [a-z0-9_]) is shared
 verbatim by: this Arrow kernel, the Python oracle (oracle.py) and the
@@ -20,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from quickray.schema import TOKEN_SPLIT_RE
+from quickray.schema import BATCH_RUN_SCHEMA, RUN_SCHEMA, TOKEN_SPLIT_RE
 
 
 # byte class table: 1 for [a-z0-9_] — the token alphabet. All token
@@ -219,10 +221,10 @@ def field_posting_keys(
     '' for an empty Word; indexing is guarded by len(Author) > 0,
     keyword_author.go:16-54) — a 'field\\x01' key would only inflate
     field dfs and is unreachable via queries (tree_from_json drops
-    empty-word terms). The tokenizer's posting emission, build's
-    hot-field-df detection and the test Oracle must all agree
-    byte-for-byte on this derivation — they all route through here
-    (oracle.py re-states it in dict form with a cross-reference).
+    empty-word terms). The build's posting emission (batch_postings)
+    and the test Oracle must agree byte-for-byte on this derivation —
+    the build routes through here (oracle.py re-states it in dict form
+    with a cross-reference).
 
     Returns (keys aligned with col, keep mask) — keep is None when
     every row survives (callers skip the filter)."""
@@ -234,23 +236,127 @@ def field_posting_keys(
     return keys, (None if pc.all(keep).as_py() else keep)
 
 
+def batch_postings(
+    batch: pa.Table,
+    row_ids: pa.Array,
+    flat: pa.Array,
+    parents: pa.Array,
+    field_cols: list[str] = (),
+) -> pa.Table:
+    """(term, doc_id, count_all) rows of one batch from its flattened
+    tokens (``flatten_tokens(batch["content"])``): tf per (term, doc)
+    by an Arrow hash groupby — exact, as a doc never spans batches —
+    then one tf=1 row per doc per indexed field (field_posting_keys)."""
+    grouped = (
+        pa.table({"term": flat, "doc_id": pc.take(row_ids, parents)})
+        .group_by(["term", "doc_id"])
+        .aggregate([([], "count_all")])
+        .select(["term", "doc_id", "count_all"])
+    )
+    n = batch.num_rows
+    fields = []
+    for f in field_cols:
+        terms, keep = field_posting_keys(batch[f], f)
+        t = pa.table(
+            {
+                "term": terms,
+                "doc_id": row_ids,
+                "count_all": pa.array(np.ones(n, np.int64)),
+            }
+        )
+        fields.append(t if keep is None else t.filter(keep))
+    return pa.concat_tables([grouped] + fields) if fields else grouped
+
+
+def encode_runs(grouped: pa.Table) -> pa.Table:
+    """One compressed posting run per term present in the batch
+    (BATCH_RUN_SCHEMA; doc ids delta+varint, tfs varint) — the
+    shuffle-volume combiner (SURVEY §7.4)."""
+    from quickray.codec import (
+        segmented_delta_encode,
+        split_stream,
+        varint_encode_sizes,
+    )
+
+    if grouped.num_rows == 0:
+        return BATCH_RUN_SCHEMA.empty_table()
+    tcol = grouped["term"]
+    if isinstance(tcol, pa.ChunkedArray):
+        tcol = tcol.combine_chunks()
+    dic = tcol.dictionary_encode()
+    codes = np.asarray(dic.indices, dtype=np.int64)
+    gdoc = np.asarray(grouped["doc_id"], dtype=np.int64)
+    tf = np.asarray(grouped["count_all"], dtype=np.int64)
+
+    order = np.lexsort((gdoc, codes))
+    codes_s, doc_s, tf_s = codes[order], gdoc[order], tf[order]
+    starts = np.concatenate(
+        ([0], np.flatnonzero(np.diff(codes_s)) + 1)
+    ).astype(np.int64)
+    pbuf, pnb = varint_encode_sizes(segmented_delta_encode(doc_s, starts))
+    tbuf, tnb = varint_encode_sizes(tf_s)
+    return pa.table(
+        {
+            "term": dic.dictionary.take(pa.array(codes_s[starts])),
+            "min_doc": pa.array(doc_s[starts]),
+            "df": pa.array(np.diff(np.append(starts, len(doc_s)))),
+            "postings": pa.array(split_stream(pbuf, pnb, starts), pa.binary()),
+            "tfs": pa.array(split_stream(tbuf, tnb, starts), pa.binary()),
+        },
+        schema=BATCH_RUN_SCHEMA,
+    )
+
+
+def hot_salts(
+    terms, docs: np.ndarray, hot: pa.Array, n_docs: int, num_salts: int
+) -> np.ndarray:
+    """Salt per row: terms in ``hot`` (a string Array) get the
+    contiguous doc-range salt ``doc * S // n_docs``, so the merges
+    concatenate a hot term's salted runs in salt order; every other
+    term gets 0."""
+    is_hot = np.asarray(pc.is_in(terms, value_set=hot), dtype=bool)
+    return np.where(
+        is_hot, docs * max(1, num_salts) // max(1, n_docs), 0
+    ).astype(np.int64)
+
+
+def salt_runs(
+    runs: pa.Table, hot: pa.Array, n_docs: int, num_salts: int, num_parts: int
+) -> pa.Table:
+    """Batch runs (BATCH_RUN_SCHEMA) -> RUN_SCHEMA: a run's salt comes
+    from its min_doc (hot_salts), its level-1 shuffle partition is
+    ``part = hash(term, salt) % num_parts``."""
+    from quickray.util import stable_hash_str
+
+    if runs.num_rows == 0:
+        return RUN_SCHEMA.empty_table()
+    terms = runs["term"]
+    salt = hot_salts(
+        terms, np.asarray(runs["min_doc"], np.int64), hot, n_docs, num_salts
+    )
+    th = np.fromiter(
+        map(stable_hash_str, terms.to_pylist()), dtype=np.int64,
+        count=runs.num_rows,
+    )
+    part = (th + salt * np.int64(0x9E3779B1)) % max(1, num_parts)
+    new = {"salt": pa.array(salt), "part": pa.array(part)}
+    return pa.table(
+        {c: new[c] if c in new else runs[c] for c in RUN_SCHEMA.names},
+        schema=RUN_SCHEMA,
+    )
+
+
 class Tokenizer:
-    """Stateful actor-pool stage: corpus batch -> compressed posting runs
-    (``emit_runs``), or (term, doc_id, tf, salt) rows.
+    """One tokenizer batch -> compressed, salted posting runs
+    (``emit_runs``, RUN_SCHEMA), or (term, doc_id, tf, salt) rows.
 
-    Used as ``ds.map_batches(Tokenizer, fn_constructor_kwargs={...},
-    batch_format="pyarrow", concurrency=N)`` — the class form makes Ray
-    run it as an actor pool (SURVEY §2.3 ST1 mapping). Per-actor state
-    paid once in __init__: the broadcast hot-term set is fetched with a
-    single ray.get of an ObjectRef (plasma-local on every node — the
-    broadcast-small-side pattern, never re-shipped per batch).
-
-    tf is computed *within the batch* by an Arrow hash groupby — this is
-    the partial/combiner step that shrinks the (term, doc) stream before
-    the global shuffle (a doc never spans batches, so per-batch tf is
-    exact). Hot terms get a contiguous-range salt
-    ``doc_id * S // n_docs`` so the merge phase can concatenate salted
-    runs in salt order without re-sorting (SURVEY §7.4).
+    The build does not call this class: its docbase phase tokenizes
+    each batch once and checkpoints the batch runs (batch_postings +
+    encode_runs), and its postings phase salts them (salt_runs) once
+    the hot set is known. The class chains the same functions on one
+    batch, for callers that already know the hot set (tests, the
+    tokenize throughput probe); the broadcast arguments take a value
+    or a ray.put ObjectRef (util.fetch).
     """
 
     def __init__(
@@ -265,10 +371,9 @@ class Tokenizer:
     ) -> None:
         from quickray.util import fetch
 
-        self._re = re.compile(TOKEN_SPLIT_RE)
-        self.hot: frozenset[str] = frozenset(fetch(hot_ref) or ())
+        self.hot = pa.array(sorted(fetch(hot_ref) or ()), pa.string())
         self.ranked_keys = fetch(rank_ref)  # plasma-local, zero-copy
-        # per-actor/worker probe view, built once (rank_lookup docstring)
+        # probe view, built once (rank_lookup docstring)
         self.ranked_np = (
             rank_probe_np(self.ranked_keys)
             if self.ranked_keys is not None
@@ -286,58 +391,21 @@ class Tokenizer:
             return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
         return rank_lookup(batch, self.ranked_keys, self.ranked_np)
 
-    def _field_rows(self, batch: pa.Table, row_ids: pa.Array) -> list[pa.Table]:
-        """Field-scoped keyword rows: one (field\\x01lower(value),
-        doc_id, tf=1) posting per doc per indexed field (see
-        field_posting_keys for the key derivation + empty-skip
-        contract)."""
-        n = batch.num_rows
-        out = []
-        for f in self.field_cols:
-            terms, keep = field_posting_keys(batch[f], f)
-            t = pa.table(
-                {
-                    "term": terms,
-                    "doc_id": row_ids,
-                    "count_all": pa.array(np.ones(n, np.int64)),
-                }
-            )
-            if keep is not None:
-                t = t.filter(keep)
-            out.append(t)
-        return out
-
-    def _grouped(self, batch: pa.Table):
-        """(term, doc_id) -> tf within the batch."""
-        row_ids = self._doc_id_col(batch)
-        flat, parents = flatten_tokens(batch["content"])
-        doc_ids = pc.take(row_ids, parents)
-        if isinstance(doc_ids, pa.ChunkedArray):
-            doc_ids = doc_ids.combine_chunks()
-        grouped = (
-            pa.table({"term": flat, "doc_id": doc_ids})
-            .group_by(["term", "doc_id"])
-            .aggregate([([], "count_all")])
-        )
-        if self.field_cols:
-            grouped = pa.concat_tables(
-                [grouped.select(["term", "doc_id", "count_all"])]
-                + self._field_rows(batch, row_ids)
-            )
-        return grouped, np.asarray(grouped["doc_id"], dtype=np.int64)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        grouped, gdoc = self._grouped(batch)
-        if self.emit_runs:
-            return self._encode_runs(grouped, gdoc)
-        # rows mode (tests/diagnostics): one row per (term, doc)
-        terms = grouped["term"].to_pylist()
-        is_hot = np.fromiter(
-            (t in self.hot for t in terms), dtype=bool, count=len(terms)
+        flat, parents = flatten_tokens(batch["content"])
+        grouped = batch_postings(
+            batch, self._doc_id_col(batch), flat, parents, self.field_cols
         )
-        salt = np.where(
-            is_hot, gdoc * self.num_salts // self.n_docs, 0
-        ).astype(np.int64)
+        if self.emit_runs:
+            return salt_runs(
+                encode_runs(grouped), self.hot, self.n_docs,
+                self.num_salts, self.num_parts,
+            )
+        # rows mode (tests/diagnostics): one row per (term, doc)
+        salt = hot_salts(
+            grouped["term"], np.asarray(grouped["doc_id"], dtype=np.int64),
+            self.hot, self.n_docs, self.num_salts,
+        )
         return pa.table(
             {
                 "term": grouped["term"],
@@ -346,92 +414,6 @@ class Tokenizer:
                 "salt": pa.array(salt),
             }
         )
-
-    def _encode_runs(self, grouped, gdoc) -> pa.Table:
-        """One compressed posting run per term present in the batch
-        (RUN_SCHEMA) — the shuffle-volume combiner (SURVEY §7.4)."""
-        from quickray.codec import (
-            segmented_delta_encode,
-            split_stream,
-            varint_encode_sizes,
-        )
-        from quickray.schema import RUN_SCHEMA
-        from quickray.util import stable_hash_str
-
-        if grouped.num_rows == 0:
-            return RUN_SCHEMA.empty_table()
-        tcol = grouped["term"]
-        if isinstance(tcol, pa.ChunkedArray):
-            tcol = tcol.combine_chunks()
-        dic = tcol.dictionary_encode()
-        codes = np.asarray(dic.indices, dtype=np.int64)
-        vocab = dic.dictionary.to_pylist()
-        tf = np.asarray(grouped["count_all"], dtype=np.int64)
-
-        order = np.lexsort((gdoc, codes))
-        codes_s, doc_s, tf_s = codes[order], gdoc[order], tf[order]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(codes_s)) + 1)
-        ).astype(np.int64)
-        run_terms = [vocab[c] for c in codes_s[starts]]
-        df_run = np.diff(np.append(starts, len(doc_s)))
-        min_doc = doc_s[starts]
-        n_runs = len(starts)
-
-        is_hot = np.fromiter(
-            (t in self.hot for t in run_terms), dtype=bool, count=n_runs
-        )
-        salt = np.where(
-            is_hot, min_doc * self.num_salts // self.n_docs, 0
-        ).astype(np.int64)
-        th = np.fromiter(
-            (stable_hash_str(t) for t in run_terms), dtype=np.int64, count=n_runs
-        )
-        part = (th + salt * np.int64(0x9E3779B1)) % self.num_parts
-
-        pbuf, pnb = varint_encode_sizes(segmented_delta_encode(doc_s, starts))
-        tbuf, tnb = varint_encode_sizes(tf_s)
-        return pa.table(
-            {
-                "term": pa.array(run_terms, pa.string()),
-                "salt": pa.array(salt),
-                "part": pa.array(part),
-                "min_doc": pa.array(min_doc),
-                "df": pa.array(df_run),
-                "postings": pa.array(split_stream(pbuf, pnb, starts), pa.binary()),
-                "tfs": pa.array(split_stream(tbuf, tnb, starts), pa.binary()),
-            },
-            schema=RUN_SCHEMA,
-        )
-
-
-_WORKER_TOKENIZERS: dict[str, "Tokenizer"] = {}
-
-
-def make_run_tokenizer(tag: str, **tokenizer_kwargs):
-    """Task-mode tokenizer: a plain map_batches function whose Tokenizer
-    state (hot set, rank table — both plasma ObjectRefs resolved
-    zero-copy on first use) is built once per worker process and cached
-    under ``tag``, which must be unique per build (a worker process, or
-    the driver under the local executor, outlives builds). Equivalent
-    state-per-worker semantics to the actor-pool form, but tasks schedule on the already-warm worker pool
-    and never reserve CPUs while idle — measured ~2x faster end-to-end
-    on mixed tokenize+shuffle phases. Pass ``tokenizer_concurrency`` to
-    build_index to use the actor-pool form instead."""
-
-    def tokenize_runs(batch: pa.Table) -> pa.Table:
-        tok = _WORKER_TOKENIZERS.get(tag)
-        if tok is None:
-            while len(_WORKER_TOKENIZERS) > 4:
-                # evict the OLDEST tag only — clear() would drop state
-                # another in-flight pipeline is actively reusing, and
-                # competing tags would thrash each other's rank tables
-                _WORKER_TOKENIZERS.pop(next(iter(_WORKER_TOKENIZERS)))
-            tok = Tokenizer(**tokenizer_kwargs)
-            _WORKER_TOKENIZERS[tag] = tok
-        return tok(batch)
-
-    return tokenize_runs
 
 
 def tokenize_py(text: str) -> list[str]:

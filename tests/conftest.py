@@ -50,3 +50,22 @@ def oracle(small_corpus):
     from quickray.oracle import Oracle
 
     return Oracle(small_corpus)
+
+
+@pytest.fixture
+def flatten_calls(monkeypatch):
+    """Row counts of every ``flatten_tokens`` call made in this process,
+    patched where the build and the tokenizer look it up."""
+    import quickray.build
+    import quickray.tokenize
+
+    calls = []
+    real = quickray.tokenize.flatten_tokens
+
+    def counting(content):
+        calls.append(len(content))
+        return real(content)
+
+    for mod in (quickray.build, quickray.tokenize):
+        monkeypatch.setattr(mod, "flatten_tokens", counting)
+    return calls

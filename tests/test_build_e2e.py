@@ -134,3 +134,47 @@ def test_assign_doc_ids_fallback_matches_rank(ray_session):
     # Ray wraps worker exceptions (RayTaskError); match the message
     with _pytest.raises(Exception, match="duplicate"):
         assign_doc_ids(dup).materialize()
+
+
+HOT_CASES = {
+    "local": {},
+    "ray": {"tokenizer_batch_size": 128},
+    "durable": {"tokenizer_batch_size": 128, "durable_shuffle": True,
+                "shuffle_chunks": 3},
+}
+
+
+@pytest.mark.parametrize("kw", list(HOT_CASES.values()), ids=list(HOT_CASES))
+def test_hot_set_is_exact(tmp_path, kw):
+    """The hot set is every term, content word or field key, whose
+    corpus df exceeds the threshold: the sum of its batch runs' dfs,
+    on either executor and on the durable shuffle."""
+    from quickray.build import build_index
+    from quickray.corpus import generate_corpus
+
+    res = build_index(generate_corpus(300, seed=11), str(tmp_path / "b"),
+                      hot_df=40, num_salts=4, field_cols=["lang"], **kw)
+    st = res.stats
+    assert st["executor"] == ("ray" if kw else "local")
+    seg = pq.read_table(os.path.join(res.out_dir, "segments"),
+                        columns=["term", "df"])
+    want = sorted(
+        t for t, df in zip(seg["term"].to_pylist(), seg["df"].to_pylist())
+        if df > st["hot_df_threshold"]
+    )
+    assert st["hot_terms"] == want
+    assert any(t.startswith("lang\x01") for t in want)
+    assert any("\x01" not in t for t in want)
+
+
+def test_build_tokenizes_each_batch_once(tmp_path, flatten_calls):
+    """The docbase pass is the build's only tokenization: one
+    flatten_tokens call per tokenizer batch (a local build is one
+    batch), and the postings phase shuffles its checkpointed runs."""
+    from quickray.build import build_index
+    from quickray.corpus import generate_corpus
+
+    res = build_index(generate_corpus(300, seed=11), str(tmp_path / "b"),
+                      hot_df=40, num_salts=4, field_cols=["lang"])
+    assert res.stats["executor"] == "local"
+    assert flatten_calls == [300]

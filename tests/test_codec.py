@@ -9,6 +9,7 @@ from quickray.codec import (
     encode_postings,
     varint_decode,
     varint_encode,
+    varint_encode_sizes,
 )
 
 
@@ -23,6 +24,25 @@ def test_varint_roundtrip_edges():
 def test_varint_roundtrip_property(vals):
     arr = np.array(vals, dtype=np.uint64)
     assert np.array_equal(varint_decode(varint_encode(arr), np.uint64), arr)
+
+
+def _leb128(v: int) -> bytes:
+    out = bytearray()
+    while True:
+        b, v = v & 0x7F, v >> 7
+        out.append(b | (0x80 if v else 0))
+        if not v:
+            return bytes(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=200))
+def test_varint_encode_matches_reference(vals):
+    """Byte for byte the textbook LEB128, with the per-value sizes."""
+    buf, nbytes = varint_encode_sizes(np.array(vals, dtype=np.uint64))
+    want = [_leb128(v) for v in vals]
+    assert buf == b"".join(want)
+    assert nbytes.tolist() == [len(w) for w in want]
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,6 +4,7 @@ larger or uncounted sources build on Ray. Both must write the same
 index; the local one must also resume, fail on bad input and run
 without ray.init."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -187,13 +188,14 @@ def test_bad_input_names_the_column(tmp_path, batch):
     null_content = _tiny(["a b", None, "c", "d"], [0, 1, 2, 3])
     with pytest.raises(Exception, match="null values in 'content'"):
         build_index(null_content, str(tmp_path / "n"), tokenizer_batch_size=batch)
-    for i, (ids, msg) in enumerate((
+    # field_cols: a repeated id would repeat a field posting in its run
+    for i, ((ids, msg), fields) in enumerate(itertools.product((
         ([0, 1, 1, 3], "permutation.*'myid'"),
         ([0, None, 2, 3], "null doc_ids in id column 'myid'"),
         ([0, 1, 2, 7], r"dense 0..N-1 \(got min=0 max=7 n=4\)"),
-    )):
+    ), ([], ["lang"]))):
         with pytest.raises(ValueError, match=msg):
             build_index(
                 _tiny(["a b", "b", "c", "d"], ids), str(tmp_path / f"id{i}"),
-                id_col="myid", tokenizer_batch_size=batch,
+                id_col="myid", tokenizer_batch_size=batch, field_cols=fields,
             )

@@ -25,7 +25,7 @@ def _drop(man, out, prefixes):
         shutil.rmtree(os.path.join(out, p), ignore_errors=True)
 
 
-def test_resume_noop_and_kill_resume(tmp_path):
+def test_resume_noop_and_kill_resume(tmp_path, flatten_calls):
     tbl = generate_corpus(250, seed=3)
     out = str(tmp_path / "b")
     r1 = build_index(tbl, out, hot_df=100, num_salts=2)
@@ -44,6 +44,17 @@ def test_resume_noop_and_kill_resume(tmp_path):
     r2 = build_index(tbl, out, hot_df=100, num_salts=2)
     assert _segments_fingerprint(out) == fresh
     assert r2.stats == r1.stats
+
+    # a crash right after docbase: stats, docmeta and the postings
+    # resume from its checkpointed runs, with no content tokenized
+    man = json.load(open(man_path))
+    _drop(man, out, {"stats", "docmeta", "postings", "segments"})
+    json.dump(man, open(man_path, "w"))
+    del flatten_calls[:]
+    r3 = build_index(tbl, out, hot_df=100, num_salts=2)
+    assert _segments_fingerprint(out) == fresh
+    assert r3.stats == r1.stats
+    assert flatten_calls == []
 
     # manifest records lineage: files + rows per phase (chunked phases
     # record their chunk dir)
@@ -114,6 +125,25 @@ def test_fingerprint_same_shape_different_content(tmp_path):
     idx = Index(out)
     oracle = Oracle(generate_corpus(120, seed=2))
     assert idx.stats["total_tokens"] == oracle.total_tokens
+
+
+def test_old_docbase_layout_rebuilds(tmp_path, flatten_calls):
+    """A directory built with the docbase layout v2 (kind=1 rows held
+    partial dfs, not posting runs) rebuilds instead of resuming."""
+    out = str(tmp_path / "b")
+    tbl = generate_corpus(120, seed=1)
+    build_index(tbl, out, hot_df=60)
+    fresh = _segments_fingerprint(out)
+    man_path = os.path.join(out, "manifest.json")
+    man = json.load(open(man_path))
+    assert ",dbv=3," in man["fingerprint"]
+    man["fingerprint"] = man["fingerprint"].replace(",dbv=3,", ",dbv=2,")
+    json.dump(man, open(man_path, "w"))
+    del flatten_calls[:]
+    build_index(tbl, out, hot_df=60)
+    assert flatten_calls == [120]  # docbase ran again
+    assert ",dbv=3," in json.load(open(man_path))["fingerprint"]
+    assert _segments_fingerprint(out) == fresh
 
 
 def test_layout_param_change_invalidates(tmp_path):

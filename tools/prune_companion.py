@@ -78,8 +78,10 @@ def ensure_index(work: str, n_docs: int, seed: int) -> str:
         ctx.enable_progress_bars = False
         ctx.print_on_execution_start = False
         t0 = time.perf_counter()
-        build_index(corpus, out)
-        print(f"built {n_docs} docs in {time.perf_counter() - t0:.1f} s")
+        res = build_index(corpus, out)
+        phases = {k: round(v, 2) for k, v in res.phase_times.items()}
+        print(f"built {n_docs} docs in {time.perf_counter() - t0:.1f} s;"
+              f" phases {json.dumps(phases)}")
     finally:
         ray.shutdown()
     return out
