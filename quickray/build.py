@@ -16,7 +16,9 @@ Phases (each a checkpointed Dataset pipeline, see checkpoint.Manifest):
             total_tokens / avgdl and the exact dense-id check; plus
             the EXACT hot set: terms whose summed run df exceeds the
             threshold (it only steers level-1 partitioning, never
-            output) — zero content reads.
+            output), from a driver scan of the runs' term and df
+            columns that sums only candidate terms (_hot_terms) —
+            zero content or payload reads.
   docmeta   docbase + bits(lang, path, doc_len > avgdl) — the forward
             index (J1 analog); no content involved.
   postings  shuffle the checkpointed runs: one map assigns each run
@@ -131,8 +133,9 @@ def _chunk_bounds(n: int, chunks: int) -> list[tuple[int, int]]:
 # docbase phase output: kind=0 rows are the per-doc forward-index rows,
 # kind=1 rows are the batch's posting runs (BATCH_RUN_SCHEMA), from the
 # SAME tokenization the doc_len computation pays for: the build's one
-# content pass. The stats phase sums the run dfs for the hot set, and
-# the postings phase salts and shuffles the runs
+# content pass, plus batch_docs, the doc count of the run's batch. The
+# stats phase sums the run dfs for the hot set, and the postings phase
+# salts and shuffles the runs
 _DOC_COLS = ["doc_id", "repo", "path", "commit", "lang", "sha256", "doc_len"]
 _DOCBASE_SCHEMA = pa.schema(
     [
@@ -145,6 +148,7 @@ _DOCBASE_SCHEMA = pa.schema(
         ("doc_len", pa.int64()),
         ("kind", pa.int32()),
         *BATCH_RUN_SCHEMA,
+        ("batch_docs", pa.int64()),
     ]
 )
 
@@ -223,7 +227,7 @@ def _make_docbase_fn(rank_ref, id_col_present: bool, field_cols: list[str]):
         )
         runs = runs.append_column(
             "kind", pa.array(np.ones(runs.num_rows, np.int32))
-        )
+        ).append_column("batch_docs", pa.array(np.full(runs.num_rows, n)))
         return pa.concat_tables(
             [docs, runs], promote_options="default"
         ).cast(_DOCBASE_SCHEMA)
@@ -327,6 +331,40 @@ class _LocalDataset:
             pq.write_to_dataset(self.table, path, partition_cols=partition_cols)
         else:
             pq.write_table(self.table, os.path.join(path, "0.parquet"))
+
+
+def _hot_terms(docbase_dir: str, n_docs: int, threshold: int) -> list:
+    """The sorted terms whose df exceeds ``threshold``, exactly: each
+    term's df is the sum of its batch runs' dfs, content and field keys
+    alike (a field value held by more docs than the threshold, e.g.
+    lang\x01en, is salted like any hot term). A term can be hot only if
+    one of its runs holds more than the threshold's share of its batch
+    (df_b / n_b > T / N): were every run at or below it, the dfs would
+    sum to at most T. So a driver scan of the runs' term, df and
+    batch_docs columns (never their payloads) picks those candidates,
+    a few per batch, and only their runs are summed (util.sum_by_key,
+    over the local executor: a few thousand rows, where a Ray sort of
+    every (term, batch) row cost ~3 s at 100k docs on one core)."""
+    runs = pads.dataset(docbase_dir, format="parquet")
+    kind1 = pads.field("kind") == 1
+    candidates = set()
+    for b in runs.to_batches(columns=["term", "df", "batch_docs"],
+                             filter=kind1):
+        keep = np.asarray(b.column(1)) * n_docs > threshold * np.asarray(
+            b.column(2)
+        )
+        candidates.update(pc.unique(pc.filter(b.column(0), keep)).to_pylist())
+    sums = sum_by_key(
+        _LocalDataset(runs.to_table(
+            columns=["term", "df"],
+            filter=kind1 & pads.field("term").isin(
+                pa.array(sorted(candidates), pa.string())
+            ),
+        )),
+        "term", sums=[("df", "df")],
+    ).table
+    hot = sums.filter(pc.greater(sums["df"], threshold))["term"]
+    return sorted(hot.to_pylist())
 
 
 # the source columns a build reads besides ``id_col``: docbase reads
@@ -841,28 +879,9 @@ def build_index(
             )
         avgdl = total_tokens / max(1, n_docs)
         threshold = hot_df if hot_df is not None else max(256, n_docs // 8)
-        # the exact hot set: each term's df is the sum of its batch
-        # runs' dfs, content and field keys alike (a field value held by
-        # more docs than the threshold, e.g. lang\x01en, is salted like
-        # any hot term). It only steers level-1 partitioning, never
-        # output. Sum-by-term as a sort + blockwise reduction: the
-        # group count is VOCABULARY-scale, where the native aggregate's
-        # per-group Python loop dominates (util.sum_by_key)
-        hot_rows = (
-            sum_by_key(
-                data.read_parquet(
-                    docbase_dir, columns=["term", "df", "kind"],
-                    filter=pads.field("kind") == 1,
-                ),
-                "term", sums=[("df", "df")],
-            )
-            .map_batches(
-                lambda t: t.filter(np.asarray(t["df"]) > threshold),
-                batch_format="pyarrow",
-            )
-            .take_all()
-        )
-        hot_terms = sorted(r["term"] for r in hot_rows)
+        # the exact hot set (_hot_terms): it only steers level-1
+        # partitioning, never output
+        hot_terms = _hot_terms(docbase_dir, n_docs, threshold)
         stats = {
             "n_docs": n_docs,
             "total_tokens": total_tokens,

@@ -4,6 +4,7 @@ import hashlib
 import os
 
 import numpy as np
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -178,3 +179,27 @@ def test_build_tokenizes_each_batch_once(tmp_path, flatten_calls):
                       hot_df=40, num_salts=4, field_cols=["lang"])
     assert res.stats["executor"] == "local"
     assert flatten_calls == [300]
+
+
+def test_hot_candidates_keep_every_hot_term(tmp_path):
+    """The stats phase sums only the runs of candidate terms (a run
+    above the threshold's share of its batch); over uneven batches and
+    every threshold at a df boundary, that is still the exact set of
+    terms whose summed run df exceeds it."""
+    from quickray.build import _hot_terms, build_index
+    from quickray.corpus import generate_corpus
+
+    res = build_index(generate_corpus(300, seed=11), str(tmp_path / "b"),
+                      tokenizer_batch_size=64, field_cols=["lang"])
+    assert res.stats["executor"] == "ray"
+    docbase = os.path.join(res.out_dir, "docbase")
+    runs = pq.read_table(docbase, columns=["term", "df", "batch_docs",
+                                           "kind"])
+    runs = runs.filter(pc.equal(runs["kind"], 1))
+    assert len(set(runs["batch_docs"].to_pylist())) > 1  # uneven batches
+    sums = runs.group_by("term").aggregate([("df", "sum")])
+    df = dict(zip(sums["term"].to_pylist(), sums["df_sum"].to_pylist()))
+    thresholds = {0, 300} | {d - 1 for d in df.values()} | set(df.values())
+    for th in sorted(thresholds):
+        want = sorted(t for t, d in df.items() if d > th)
+        assert _hot_terms(docbase, 300, th) == want, th
