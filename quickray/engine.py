@@ -5,11 +5,14 @@
   actor's __init__).
 - ``Scorer``: BM25 under one engine's fixed statistics, memoizing each
   term's contribution vector (LRU-bounded). An Index owns one for its
-  own statistics; engines with corpus-global statistics (Partitioned-,
-  DeltaEngine parts) get their own and memoize just the same.
+  own statistics; the parts of a multi-part engine score with
+  corpus-global ones, get their own and memoize just the same.
 - ``LocalEngine``: boolean set algebra bit-identical to quicker's
   skiplist semantics (IntersectionOfSkipList/UnionOfSkipList + flag
-  filter, skiplist_reverse_index.go:77-206) + exact BM25 top-k. Flat
+  filter, skiplist_reverse_index.go:77-206) + exact BM25 top-k. An
+  optional doc-indexed ``live`` mask (tombstones) filters docs wherever
+  the flag bits do: both are doc-level facts, so the postings served
+  are the Index's own, block metadata included. Flat
   OR and single-term shapes take one entry (wand.py) on every engine;
   block-max pruning runs there only under the index's own scorer.
   Every other tree is routed once by its result-size estimate from
@@ -25,6 +28,12 @@
   candidates (a root AND from its smallest child) and binary search
   scores them. Both sides add the same terms in the same order and each
   doc at most once per term, so their scores are bit-identical.
+- ``MultiPartEngine``: quicker's one distributed design (every worker
+  holds its own index; the Sentinel broadcasts a query and merges the
+  per-worker results, sentinel.go:137-187) over built parts, each with
+  its live mask, under corpus-global statistics. ``PartitionedEngine``
+  (doc shards, labelled by global doc id) and ``delta.DeltaEngine``
+  (main and delta batches, labelled by key) are its two constructors.
 - ``QueryEngineActor``: callable class for ``map_batches`` over a
   Dataset of query JSONs — the distributed batch-query path; the index
   is loaded once per actor.
@@ -590,19 +599,27 @@ def _topk_select(
 
 
 class LocalEngine:
-    def __init__(self, index: Index, global_stats: dict | None = None):
+    def __init__(
+        self,
+        index: Index,
+        global_stats: dict | None = None,
+        live: np.ndarray | None = None,
+    ):
         """Scores with ``index.scorer`` — the index's own statistics,
         shared by every engine over that index. ``global_stats``
         overrides the statistics when this index is one part of a
-        larger corpus (PartitionedEngine doc-shards, DeltaEngine live
-        parts): keys n_docs, avgdl, df (term -> corpus-wide df). BM25
-        then scores part-local postings with corpus-global idf/avgdl,
-        which is what makes scatter results equal a single global build.
-        The engine gets its own Scorer for those statistics, with the
-        same memoized contributions and the same flat-OR entry
-        (wand.block_max_topk); only block-max pruning is reserved to the
-        index's own scorer."""
+        larger corpus (a MultiPartEngine part): keys n_docs, avgdl, df
+        (term -> corpus-wide df). BM25 then scores part-local postings
+        with corpus-global idf/avgdl, which is what makes scatter
+        results equal a single global build. The engine gets its own
+        Scorer for those statistics, with the same memoized
+        contributions and the same flat-OR entry (wand.block_max_topk);
+        only block-max pruning is reserved to the index's own scorer.
+
+        ``live`` is a doc-indexed boolean mask, False for tombstoned
+        docs (None: every doc is live). It is never written to."""
         self.index = index
+        self.live = live
         # the last query's path: for a flat OR as wand.block_max_topk
         # left it, for any other tree (route, estimated result size)
         # with route "dense", "and seed" or "sparse"
@@ -620,18 +637,31 @@ class LocalEngine:
             )
 
     # ------------------------------------------------------- set algebra
+    def _filters(self, q: Query) -> bool:
+        """Whether ``q``'s flag filter or the live mask may drop docs."""
+        return q.has_flags or self.live is not None
+
+    def _passes(self, doc_ids: np.ndarray, q: Query) -> np.ndarray:
+        """Mask over ``doc_ids`` of the live docs that pass ``q``'s flag
+        filter (call only when ``_filters(q)``)."""
+        if not q.has_flags:
+            return self.live[doc_ids]
+        ok = flags_ok(self.index, doc_ids, q)
+        return ok if self.live is None else ok & self.live[doc_ids]
+
     def _leaf(self, term: str, q: Query) -> np.ndarray:
         p = self.index.posting(term)
         if p is None:
             return np.empty(0, np.int64)
-        if not q.has_flags:
+        if not self._filters(q):
             return p.doc_ids
-        return p.doc_ids[flags_ok(self.index, p.doc_ids, q)]
+        return p.doc_ids[self._passes(p.doc_ids, q)]
 
     def candidates(self, q: Query) -> np.ndarray:
         """Boolean evaluation — sorted doc_id array. AND = sorted-list
         intersection (J2), OR = sorted union (J3); flags filter at the
-        leaf scan exactly like the reference (M3). An And/Or above the
+        leaf scan exactly like the reference (M3), and so does the live
+        mask. An And/Or above the
         dense gate takes the same set from the doc mask of
         ``_dense_keep`` instead; a lone term's set is its posting."""
         node = q.tree
@@ -682,10 +712,11 @@ class LocalEngine:
         return np.zeros(self.index.n_docs, dtype=bool)
 
     def _dense_keep(self, q: Query, tree, postings: dict) -> np.ndarray | None:
-        """Doc-indexed mask of the docs that pass ``q``'s flag filter
-        and, given a ``tree``, match it over the term -> Posting map
-        ``postings`` (a term absent there, None or empty matches
-        nothing); None when nothing is excluded."""
+        """Doc-indexed mask of the live docs that pass ``q``'s flag
+        filter and, given a ``tree``, match it over the term -> Posting
+        map ``postings`` (a term absent there, None or empty matches
+        nothing); None when nothing is excluded. It may be the stored
+        ``live`` array itself: callers must not write to it."""
         n = self.index.n_docs
         keep = None
         if tree is not None:
@@ -699,6 +730,8 @@ class LocalEngine:
             bits = self.index.docmeta_arrays(("bits",))["bits"]
             ok = flags_mask(bits, q.on_flag, q.off_flag, q.or_flags)
             keep = ok if keep is None else keep & ok
+        if self.live is not None:
+            keep = self.live if keep is None else keep & self.live
         return keep
 
     def _scored_postings(self, terms: list[str]):
@@ -734,8 +767,8 @@ class LocalEngine:
         keep = self._dense_keep(q, tree, dict(zip(ts, ps)))
         if keep is None:
             return _dense_topk(scores_d, q.k)
-        if tree is None:  # a flag mask alone: keep scored docs only
-            keep &= scores_d > 0.0
+        if tree is None:  # a doc filter alone: keep scored docs only
+            keep = keep & (scores_d > 0.0)
         cand = np.flatnonzero(keep)
         return _topk_select(cand, scores_d[cand], q.k)
 
@@ -812,9 +845,9 @@ class LocalEngine:
         self, term: str, cand: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray] | None:
         p = self.index.posting(term)
-        # len == 0: a posting can exist yet be empty (fully-tombstoned
-        # term under delta serving, delta._MaskedIndex) — without the
-        # guard, doc_ids[minimum(li, -1)] below raises IndexError
+        # len == 0: on an empty posting doc_ids[minimum(li, -1)] below
+        # would raise IndexError (builds write none; tombstones mask
+        # docs, never postings)
         if p is None or len(p.doc_ids) == 0 or len(cand) == 0:
             return None
         li = np.searchsorted(p.doc_ids, cand)
@@ -896,86 +929,139 @@ class LocalEngine:
         )
 
 
-class _SummedDf:
-    """Lazy corpus-global document frequency over partition indexes:
-    per queried term, sum each partition's stored segment df (one
-    O(log V) probe per partition). Quacks like the dict LocalEngine's
-    global-stats override expects; the cache is bounded by the number
-    of DISTINCT queried terms, not the vocabulary."""
+class _GlobalDf:
+    """Lazy corpus-global document frequency over the parts of a
+    MultiPartEngine: per queried term, the live docs holding it, summed
+    over the parts and cached (the cache grows with the DISTINCT queried
+    terms, never the vocabulary; no merged whole-vocabulary dict is
+    built). A part without tombstones answers with its stored segment
+    df (``df_of``, no decode); a part with them counts the live docs of
+    its posting. Quacks like the dict LocalEngine's global-stats
+    override expects. A zero df means every doc holding the term is
+    dead: it then scores with the posting's own length, and those
+    contributions never reach a result."""
 
-    def __init__(self, indexes: list["Index"]):
-        self._ixs = indexes
+    def __init__(self, indexes: list[Index], lives: list[np.ndarray | None]):
+        self._parts = list(zip(indexes, lives))
         self._cache: dict[str, int] = {}
 
     def get(self, term: str, default: int = 0) -> int:
         df = self._cache.get(term)
         if df is None:
-            df = sum(ix.df_of(term) for ix in self._ixs)
+            df = 0
+            for ix, live in self._parts:
+                if live is None:
+                    df += ix.df_of(term)
+                else:
+                    p = ix.posting(term)
+                    if p is not None:
+                        df += int(np.count_nonzero(live[p.doc_ids]))
             self._cache[term] = df
         return df if df else default
 
 
-class PartitionedEngine:
-    """Doc-sharded distributed serving — the reference's actual model
-    (farmhash doc-sharding + Sentinel broadcast/merge, sentinel.go:
-    137-187) realized over independent partition builds.
+def _decoded(labels: np.ndarray) -> np.ndarray:
+    """Result labels as callers get them: fixed-width byte keys decode
+    to str (only bounded result sets reach here), doc ids stay."""
+    if labels.dtype.kind != "S":
+        return labels
+    return np.array([x.decode() for x in labels], dtype=object)
 
-    ``index_dirs`` are builds over contiguous (repo, path) key ranges of
-    one corpus, in global key order; global doc_id = partition base +
-    local id then equals the single-build dense rank. Scoring uses
-    corpus-GLOBAL statistics (N, avgdl, per-term df summed across
-    partitions) injected into each partition engine, so results are
-    rank- and score-identical to one global build (tested). Each
-    partition's search is the per-worker evaluation; the merge of
-    per-partition top-k under the shared (-score, doc_id) order is the
-    Sentinel gather — correct because the global order restricted to a
-    partition preserves relative order, so every global top-k doc
-    survives its partition's top-k."""
 
-    def __init__(self, index_dirs: list[str]):
-        idxs = [Index(d) for d in index_dirs]
-        counts = [ix.n_docs for ix in idxs]
-        self.bases = np.concatenate(([0], np.cumsum(counts[:-1]))).astype(np.int64)
-        n_docs = int(sum(counts))
-        total_tokens = int(sum(ix.stats["total_tokens"] for ix in idxs))
-        g = {
-            "n_docs": n_docs,
-            "avgdl": total_tokens / max(1, n_docs),
-            # corpus-wide df resolved LAZILY per queried term (probe +
-            # sum over partitions, cached) — never a merged whole-
-            # vocabulary Python dict on the construction path (r02
-            # scale finding: 10^8-10^9 terms would be driver GBs)
-            "df": _SummedDf(idxs),
-        }
-        self.engines = [LocalEngine(ix, global_stats=g) for ix in idxs]
-        self.n_docs = n_docs
-        self.avgdl = g["avgdl"]
+class MultiPartEngine:
+    """Scatter-gather serving over the built parts of one logical
+    corpus: quicker's one distributed design, where every worker holds
+    its own index and the Sentinel broadcasts each query and merges the
+    per-worker results (sentinel.go:137-187).
 
-    def candidates(self, q: Query) -> np.ndarray:
-        """Boolean evaluation across partitions (disjoint doc sets ->
-        bag union of per-partition results, sentinel.go:137-187)."""
-        return np.concatenate(
-            [e.candidates(q) + b for e, b in zip(self.engines, self.bases)]
-        )
+    Each part is an Index, a doc-indexed boolean ``live`` mask (False =
+    tombstoned; None = all live) and a label function from part doc ids
+    to result labels. Scoring uses corpus-GLOBAL statistics over the
+    live docs: n_docs, avgdl from the parts' token totals less the dead
+    docs' docmeta doc_len, and a lazy per-term df (``_GlobalDf``). Each
+    part then scores as one build of the live corpus would. Labels
+    (global doc ids, or 'repo\\x01path' keys) are monotone in key
+    order, as a rebuild's dense doc ids are, so the global
+    (-score, label) order restricted to a part preserves relative
+    order: every global top-k doc survives its part's top-k, and the
+    merge of per-part top-k is exact."""
+
+    def __init__(
+        self,
+        indexes: list[Index],
+        labels: list,
+        lives: list[np.ndarray | None],
+    ):
+        n_live = tokens = 0
+        for ix, live in zip(indexes, lives):
+            dead = np.empty(0, np.int64) if live is None else np.flatnonzero(~live)
+            n_live += ix.n_docs - len(dead)
+            # also loads the docmeta doc_len and bits every query
+            # gathers: no query pays a docmeta read
+            tokens += ix.stats["total_tokens"] - int(ix.doc_lens(dead).sum())
+        self.n_docs = n_live
+        self.avgdl = tokens / max(1, n_live)
+        g = {"n_docs": n_live, "avgdl": self.avgdl, "df": _GlobalDf(indexes, lives)}
+        self.engines = [
+            LocalEngine(ix, global_stats=g, live=live)
+            for ix, live in zip(indexes, lives)
+        ]
+        self._labels = labels
+
+    @property
+    def field_cols(self) -> list[str]:
+        """Indexed field-scoped columns (from the first part: parts of
+        one logical index share a build config)."""
+        return list(self.engines[0].index.stats.get("field_cols") or [])
 
     def search(self, q: Query) -> tuple[np.ndarray, np.ndarray]:
-        docs, scores = [], []
-        for e, b in zip(self.engines, self.bases):
+        """Top-k (labels, scores) over the live corpus: the merge of
+        per-part top-k under (-score, label). Keys stay fixed-width
+        bytes until the final top-k (\\x00 padding sorts first, so
+        their byte order is the string order; concatenation widens to
+        the widest part)."""
+        labels, scores = [], []
+        for e, label in zip(self.engines, self._labels):
             ids, sc = e.search(q)
-            docs.append(ids + b)
+            labels.append(label(ids))
             scores.append(sc)
-        d = np.concatenate(docs)
+        lab = np.concatenate(labels)
         s = np.concatenate(scores)
-        order = np.lexsort((d, -s))[: q.k]
-        return d[order], s[order]
+        order = np.lexsort((lab, -s))[: q.k]
+        return _decoded(lab[order]), s[order]
+
+    def candidates(self, q: Query) -> np.ndarray:
+        """Boolean evaluation over the live corpus -> sorted labels
+        (disjoint live doc sets: the bag union of per-part results)."""
+        return _decoded(np.sort(np.concatenate(
+            [label(e.candidates(q)) for e, label in zip(self.engines, self._labels)]
+        )))
 
     def count(self, q: Query) -> int:
-        """Per-query result count, broadcast-and-sum across partitions.
+        """Live per-query result count, broadcast-and-sum across parts.
         The merge SHAPE matches the reference's Count RPC (sentinel.go:
         190-218 sums per-worker counts) — note the reference's Count()
         counts ALL forward-index docs (indexer.go:60-67), whereas this
-        counts the query's matches; no doc_ids leave the partitions."""
+        counts the query's live matches; no doc ids leave the parts."""
         return sum(len(e.candidates(q)) for e in self.engines)
+
+
+class PartitionedEngine(MultiPartEngine):
+    """Doc-sharded serving over independent partition builds.
+
+    ``index_dirs`` are builds over contiguous (repo, path) key ranges of
+    one corpus, in global key order; a part's doc ids are labelled
+    partition base + local id, which equals the single-build dense
+    rank, so results are rank- and score-identical to one global build
+    (tested)."""
+
+    def __init__(self, index_dirs: list[str]):
+        idxs = [Index(d) for d in index_dirs]
+        bases = np.cumsum([0] + [ix.n_docs for ix in idxs[:-1]])
+        super().__init__(
+            idxs, [functools.partial(np.add, int(b)) for b in bases],
+            [None] * len(idxs),
+        )
 
 
 class QueryEngineActor:

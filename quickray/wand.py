@@ -27,9 +27,9 @@ In order:
    call), each block's maximum is a distinct doc and every
    contribution is positive, so k distinct docs score >= theta0 and
    the true k-th best score is >= theta0. theta0 exists when some term
-   has at least k blocks and the query has no flag filter (a filter
-   may exclude exactly the docs that set the block maxima); otherwise
-   exhaustive;
+   has at least k blocks and no doc filter applies, neither the
+   query's flags nor the engine's live mask (a filter may exclude
+   exactly the docs that set the block maxima); otherwise exhaustive;
 3. prune only when the doc-ranges whose summed block bounds reach
    theta0 cover at most half the doc span: keeping more saves less
    scoring than the block gather costs.
@@ -65,7 +65,7 @@ from __future__ import annotations
 import numpy as np
 
 from quickray.codec import expand_ranges as _expand_blocks
-from quickray.engine import _accumulate_topk, _dense_worth, flags_ok
+from quickray.engine import _accumulate_topk, _dense_worth
 from quickray.query import Query
 
 # exhaustive work (postings, capped at n_docs) up to which scoring
@@ -91,9 +91,10 @@ def theta_floor(ps: list, k: int) -> float | None:
     return max(float(np.partition(bm, len(bm) - k)[len(bm) - k]) for bm in deep)
 
 
-def plan(own: bool, ps: list, k: int, has_flags: bool, n_docs: int):
+def plan(own: bool, ps: list, k: int, filtered: bool, n_docs: int):
     """Prune or score a flat OR of the nonempty postings ``ps``, from
-    block metadata alone (module docstring). Returns
+    block metadata alone (module docstring); ``filtered``: a flag filter
+    or a live mask may drop docs (reason "flag filter"). Returns
     ``("exhaustive", reason, None)`` or ``("prune", "bounds", kept)``,
     ``kept`` being the (starts, exclusive ends) doc-ranges whose summed
     block bounds reach theta0."""
@@ -103,7 +104,7 @@ def plan(own: bool, ps: list, k: int, has_flags: bool, n_docs: int):
         return "exhaustive", "k < 1", None
     if min(sum(len(p.doc_ids) for p in ps), n_docs) <= WORK_CUTOFF:
         return "exhaustive", "below cutoff", None
-    if has_flags:
+    if filtered:
         return "exhaustive", "flag filter", None
     theta0 = theta_floor(ps, k)
     if theta0 is None:
@@ -147,13 +148,13 @@ def block_max_topk(engine, terms: list[str], q: Query):
     # a fixed summation order (oracle-identical)
     ts, ps, cs = engine._scored_postings(sorted(set(terms)))
     own = engine.scorer is getattr(index, "scorer", None)
-    path, why, kept = plan(own, ps, q.k, q.has_flags, index.n_docs)
+    path, why, kept = plan(own, ps, q.k, engine._filters(q), index.n_docs)
     if path == "exhaustive":
         engine.last_path = ("exhaustive", why)
         return full_eval(engine, ts, ps, cs, q)
 
     # ---- score only blocks that intersect a kept doc-range (plan
-    # prunes only queries without a flag filter)
+    # prunes only when no doc filter applies)
     starts_k, ends_k = kept
     docs_f, contribs_f = [], []
     scored = total = 0
@@ -178,17 +179,17 @@ def full_eval(engine, ts, ps, cs, q: Query):
     """Exhaustive exact top-k over the nonempty postings ``ps`` of the
     terms ``ts`` (ascending), with contributions ``cs``. Several
     postings holding a sizable share of the corpus go through the
-    engine's dense evaluation, which filters flags with one mask over
-    the docmeta bits; a lone posting is already unique and sorted, so it
-    needs no accumulation at any size."""
+    engine's dense evaluation, which filters flags and the live mask
+    with one doc mask; a lone posting is already unique and sorted, so
+    it needs no accumulation at any size."""
     index = engine.index
     if len(ps) > 1 and _dense_worth(sum(len(p.doc_ids) for p in ps), index.n_docs):
         return engine._dense_eval(q, ts, ps, cs)
-    if not q.has_flags:
+    if not engine._filters(q):
         return _accumulate_topk([p.doc_ids for p in ps], cs, q.k, index.n_docs)
     docs_l, con_l = [], []
     for p, c in zip(ps, cs):
-        sel = np.flatnonzero(flags_ok(index, p.doc_ids, q))
+        sel = np.flatnonzero(engine._passes(p.doc_ids, q))
         if len(sel):  # a lone surviving term skips accumulation
             docs_l.append(p.doc_ids[sel])
             con_l.append(c[sel])

@@ -6,7 +6,7 @@ delete -> search -> re-add(update) -> search, each step asserting
 
 Class bits are build-time doc attributes (as in the reference), so the
 identity is asserted over the flag-free query set; term/compound/OR
-shapes all go through DeltaEngine's masked-posting scoring with live
+shapes all go through DeltaEngine's live-masked scoring with live
 global statistics.
 """
 
@@ -304,10 +304,9 @@ def test_delta_over_partitioned_main(tmp_path, ray_session):
 def test_fully_tombstoned_term_in_or_query(tmp_path, ray_session):
     """Delete EVERY doc containing one term, then run an OR query mixing
     that term with a live one through the global-stats score path: the
-    fully-tombstoned posting survives as an EMPTY Posting
-    (_MaskedIndex), which must score as 'term absent' — not IndexError
-    (r05 engine review: _term_contrib indexed doc_ids[-1] on a size-0
-    array)."""
+    term's posting is served whole, every doc of it dead in the live
+    mask, and its live df is 0. It must score as 'term absent': no dead
+    doc in the results, and rebuild-identical scores."""
     import pyarrow as pa
 
     from quickray.query import Or, Query, Term

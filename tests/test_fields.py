@@ -229,7 +229,8 @@ def test_partitioned_field_terms_match_global(
     """Doc-sharded serving with field-scoped terms: 3 key-range
     partition builds (each with field_cols) served by PartitionedEngine
     are rank- and score-identical to the single global field build —
-    _SummedDf resolves the corpus-wide field-term df across shards."""
+    the lazy global df resolves the corpus-wide field-term df across
+    shards."""
     import pyarrow.compute as pc
 
     from quickray.build import build_index

@@ -3,8 +3,8 @@ parts and PartitionedEngine's doc-shards — against the brute-force
 Oracle over the same live corpus.
 
 Every query is issued twice on the same engine: the first call fills
-the scorer's contribution memo (and DeltaEngine's masked-posting memo),
-the second is served from them; both must be rank-identical to the
+the scorer's contribution memo and the posting LRU, the second is
+served from them; both must be rank-identical to the
 Oracle with scores within 1e-9 relative. Block-max pruning must never
 run under a scorer that is not the index's own: its block bounds were
 written under the index's own statistics. A dropped engine must be
@@ -19,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
+from quickray import engine as engine_mod
 from quickray import wand
 from quickray.build import build_index
 from quickray.corpus import generate_corpus
@@ -182,19 +183,46 @@ def test_delta_engine_twice_vs_oracle(delta_case):
         _check_twice(name, eng.search, oracle, key_of, queries)
 
 
-def test_masked_postings_memoized_without_block_bounds(delta_case):
-    _, eng, _ = delta_case["stages"][-1]
+def test_tombstoned_part_serves_index_postings(delta_case):
+    """A part with tombstones serves the Index's own postings: the LRU's
+    objects, dead docs and block metadata included; the live mask
+    alone removes the dead docs."""
+    _, eng, live = delta_case["stages"][-1]
     tomb = delta_case["tomb"]
-    mix = eng.engines[0].index  # main under its tombstones
-    p = mix.posting(tomb)
-    assert p is not None and len(p.doc_ids) == 0  # fully tombstoned
-    assert mix.posting(tomb) is p
-    masked = [t for t in mix._memo if mix._memo[t] is not mix._ix.posting(t)]
-    assert masked  # some served term had tombstoned docs
-    for t in masked:
-        assert len(mix._memo[t].block_last) == 0
-        assert len(mix._memo[t].block_max) == 0
-    assert len(mix._memo) <= mix._cache_cap
+    main = eng.engines[0]  # main under its tombstones
+    assert type(main.index) is Index
+    assert main.live is not None and not main.live.all()
+    oracle = Oracle(live)
+    hot = sorted(oracle.df(), key=lambda t: (-oracle.df()[t], t))[:2]
+    eng.search(Query(tree=Or((Term(tomb), *map(Term, hot))), k=10))
+    p = main.index.posting(tomb)
+    assert len(p.doc_ids) and not main.live[p.doc_ids].any()
+    served = [t for t, v in main.index._cache.items() if v is not None]
+    assert tomb in served
+    for t in served:
+        p = main.index._cache[t]
+        assert main.index.posting(t) is p
+        assert len(p.block_last) == len(p.block_max) > 0
+        assert p.block_last[-1] == p.doc_ids[-1]
+
+
+def test_dense_flat_or_leaves_live_unchanged(delta_case):
+    """A flag-free flat OR above the dense gate on a tombstoned part
+    selects among the live docs with a score: the doc filter it starts
+    from is the part's stored live mask, which must not be written.
+    Both answers are Oracle-identical."""
+    _, eng, live = delta_case["stages"][-1]
+    main = eng.engines[0]
+    before = main.live.copy()
+    oracle = Oracle(live)
+    hot = sorted(oracle.df(), key=lambda t: (-oracle.df()[t], t))[:3]
+    ps = [main.index.posting(t) for t in hot]
+    assert engine_mod._dense_worth(sum(len(p.doc_ids) for p in ps),
+                                   main.index.n_docs)
+    q = Query(tree=Or(tuple(map(Term, hot))), k=10**6)
+    _check_twice("dense-or", eng.search, oracle,
+                 sorted(_keys(live).to_pylist()), [q])
+    np.testing.assert_array_equal(main.live, before)
 
 
 # ------------------------------------------------------------ partitioned
@@ -269,8 +297,8 @@ def test_block_max_never_prunes_under_foreign_scorer(
 
 
 def test_dropped_engines_free_without_gc(delta_case, partitioned_case):
-    """An engine and everything it memoizes (scorer memos, masked
-    postings, the indexes) is freed by reference counting alone once
+    """An engine and everything it memoizes (scorer memos, live df,
+    the indexes) is freed by reference counting alone once
     dropped: no reference cycle may park it until a full collection,
     or every replaced DeltaEngine would linger with its memos."""
     make = [
@@ -284,7 +312,7 @@ def test_dropped_engines_free_without_gc(delta_case, partitioned_case):
         for new in make:
             eng = new()
             ix = eng.engines[0].index
-            terms = _content_terms(getattr(ix, "_ix", ix))
+            terms = _content_terms(ix)
             for q in _queries_of(terms[:40]):
                 eng.search(q)
                 eng.candidates(q)
