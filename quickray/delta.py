@@ -34,18 +34,6 @@ import numpy as np
 from quickray.engine import Index, MultiPartEngine
 
 
-def _live_mask(keys: np.ndarray, dead_keys: np.ndarray) -> np.ndarray | None:
-    """The doc-indexed live mask of a part whose docs have the
-    fixed-width 'repo\\x01path' ``keys`` (``Index.keys_by_id``): False
-    where the key is in ``dead_keys``; None when no doc is dead. One
-    byte-compare set test, no per-doc Python objects (numpy widens the
-    narrower side, so keys of any width compare exactly). With
-    ``id_col`` doc ids need not be key-ranked, so this is not a search
-    of sorted keys."""
-    dead = np.isin(keys, dead_keys)
-    return ~dead if dead.any() else None
-
-
 class DeltaEngine(MultiPartEngine):
     """Serve (main ∪ deltas) − tombstones with rebuild-identical scores:
     a MultiPartEngine over the main parts then the delta batches, each
@@ -79,24 +67,33 @@ class DeltaEngine(MultiPartEngine):
             if not delta_dir
             else [delta_dir] if isinstance(delta_dir, str) else list(delta_dir)
         )
-        mains = [Index(d) for d in main_dirs]
-        deltas = [Index(d) for d in delta_dirs]
-        # dead keys as fixed-width BYTES, the keys_by_id format. One
-        # newest-first pass: a batch is shadowed by the deletions and
-        # every later batch, main by all of them
-        seen = np.array(
+        parts = [Index(d) for d in [*main_dirs, *delta_dirs]]
+        keys = [ix.keys_by_id() for ix in parts]
+        # deleted keys as fixed-width BYTES, the keys_by_id format
+        dead = np.array(
             [k.encode() if isinstance(k, str) else bytes(k) for k in deleted_keys],
             dtype=bytes,
         )
-        delta_lives = []
-        for ix in reversed(deltas):
-            keys = ix.keys_by_id()
-            delta_lives.append(_live_mask(keys, seen))
-            seen = np.concatenate([seen, keys])
-        lives = [_live_mask(ix.keys_by_id(), seen) for ix in mains]
-        lives += delta_lives[::-1]
-        parts = mains + deltas
-        super().__init__(parts, [ix.keys_by_id().take for ix in parts], lives)
+        # one stable sort of every part's keys and the deletions, in
+        # application order (main parts, delta batches, deletions): in
+        # each run of equal keys the last source is the newest, and a
+        # doc is live iff its part is that source (never when a
+        # deletion is). numpy widens every key to the widest, and \x00
+        # padding compares equal, so keys of any width meet exactly; no
+        # per-doc Python objects
+        sizes = [len(k) for k in keys]
+        every = np.concatenate([*keys, dead])
+        src = np.repeat(np.arange(len(parts) + 1), [*sizes, len(dead)])
+        order = np.argsort(every, kind="stable")
+        srt, src_s = every[order], src[order]
+        last = np.flatnonzero(np.append(srt[1:] != srt[:-1], len(srt) > 0))
+        newest = np.repeat(src_s[last], np.diff(last, prepend=-1))
+        live_all = np.empty(len(every), dtype=bool)
+        live_all[order] = src_s == newest
+        bounds = np.cumsum([0, *sizes])
+        lives = [live_all[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        lives = [None if live.all() else live for live in lives]
+        super().__init__(parts, [k.take for k in keys], lives)
 
     # bound in this class too, so wrapping DeltaEngine.search (as
     # perfbench's tracer does) times delta serving alone

@@ -14,10 +14,6 @@ docs *per build partition*; a 10^12-file corpus is built as many
 independent key-range partitions, each with a doc_id offset from a
 driver-side prefix sum over partition counts).
 
-Fallback (``assign_doc_ids``): the fully-distributed version — global
-``ds.sort`` + per-block offsets via a metadata-only pass — for a build
-partition whose key set exceeds node memory.
-
 Deterministic at any parallelism ⇒ identical indexes (and therefore
 rank-identical query results) at N and 4N workers.
 """
@@ -27,8 +23,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-import ray
 
 
 def rank_keys(keys: pa.Table) -> pa.Array:
@@ -57,58 +51,6 @@ def rank_keys(keys: pa.Table) -> pa.Array:
         if neighbors_equal:
             raise ValueError("duplicate (repo, path) keys; doc_ids must be unique")
     return srt
-
-
-def assign_doc_ids(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    srt = ds.sort(["repo", "path"]).materialize()
-
-    def block_meta(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"repo": pa.array([], pa.string()),
-                             "path": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        # (repo, path) is the document identity; duplicates would get
-        # distinct doc_ids silently. Equal sort keys co-locate in one
-        # block, so a per-block run count is a COMPLETE duplicate check
-        from quickray.util import run_starts
-
-        n_unique = len(run_starts(t["repo"], t["path"]))
-        if n_unique != t.num_rows:
-            raise ValueError(
-                f"duplicate (repo, path) keys: block of {t.num_rows}"
-                f" rows has only {n_unique} distinct keys"
-            )
-        return pa.table(
-            {
-                "repo": [t["repo"][0].as_py()],
-                "path": [t["path"][0].as_py()],
-                "n": [t.num_rows],
-            }
-        )
-
-    meta = srt.map_batches(block_meta, batch_size=None, batch_format="pyarrow").take_all()
-    meta.sort(key=lambda r: (r["repo"], r["path"]))
-    offsets: dict[tuple[str, str], int] = {}
-    acc = 0
-    for r in meta:
-        k = (r["repo"], r["path"])
-        if k in offsets:
-            # (repo, path) is the document identity — two blocks can
-            # only share a first key if the input has duplicates, and
-            # a silent dict overwrite would hand out duplicate doc_ids
-            # (rank_keys raises on the same input)
-            raise ValueError(f"duplicate (repo, path) key: {k}")
-        offsets[k] = acc
-        acc += r["n"]
-
-    def stamp(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("doc_id", pa.array([], pa.int64()))
-        off = offsets[(t["repo"][0].as_py(), t["path"][0].as_py())]
-        ids = pa.array(off + np.arange(t.num_rows, dtype=np.int64))
-        return t.append_column("doc_id", ids)
-
-    return srt.map_batches(stamp, batch_size=None, batch_format="pyarrow")
 
 
 def doc_ids_py(repos: list[str], paths: list[str]) -> np.ndarray:

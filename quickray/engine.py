@@ -9,25 +9,30 @@
   corpus-global ones, get their own and memoize just the same.
 - ``LocalEngine``: boolean set algebra bit-identical to quicker's
   skiplist semantics (IntersectionOfSkipList/UnionOfSkipList + flag
-  filter, skiplist_reverse_index.go:77-206) + exact BM25 top-k. An
+  filter, skiplist_reverse_index.go:77-206) + exact BM25 top-k, scored
+  by the ``Scorer`` it is handed (the index's own by default). An
   optional doc-indexed ``live`` mask (tombstones) filters docs wherever
   the flag bits do: both are doc-level facts, so the postings served
-  are the Index's own, block metadata included. Flat
-  OR and single-term shapes take one entry (wand.py) on every engine;
-  block-max pruning runs there only under the index's own scorer.
-  Every other tree is routed once by its result-size estimate from
-  segment dfs (Term -> df, And -> min, Or -> sum). Above
-  ``n_docs // DENSE_DIVISOR`` it is evaluated term at a time over
-  doc-indexed arrays (Turtle & Flood, IP&M 1995): each term, in
-  ascending order, adds its contributions into one score vector and
-  sets one boolean doc mask; the tree is ``logical_and``/``logical_or``
-  over the masks (an absent term is all-false), the flag filter is one
-  mask over the docmeta bits (bits are doc-level, so this equals
-  filtering at the leaves), and the top-k is selected among the docs
-  of the final mask. Below it, sorted-array set algebra finds the
-  candidates (a root AND from its smallest child) and binary search
-  scores them. Both sides add the same terms in the same order and each
-  doc at most once per term, so their scores are bit-identical.
+  are the Index's own, block metadata included. It is the one place a
+  query is routed. A flat OR or single term goes to
+  ``wand.block_max_topk``, which only decides whether to prune (only
+  ever under the index's own scorer) and scores the pruned blocks; its
+  exhaustive side is the engine's ``_flat_eval``. Every other tree is
+  routed once by its result-size estimate from segment dfs (Term ->
+  df, And -> min, Or -> sum). Above ``n_docs // DENSE_DIVISOR`` it is
+  evaluated term at a time over doc-indexed arrays (Turtle & Flood,
+  IP&M 1995): each term, in ascending order, adds its contributions
+  into one score vector and sets one boolean doc mask; the tree is
+  ``logical_and``/``logical_or`` over the masks (an absent term is
+  all-false), the flag filter is one mask over the docmeta bits (bits
+  are doc-level, so this equals filtering at the leaves), and the top-k
+  is selected among the docs of the final mask. Below it, sorted-array
+  set algebra finds the candidates (every And, at any depth, seeds from
+  its rarest child and keeps the seed docs every other child matches)
+  and binary search scores them: the answer is exactly
+  ``score(q, candidates(q))``. Both sides add the same terms in the
+  same order and each doc at most once per term, so their scores are
+  bit-identical.
 - ``MultiPartEngine``: quicker's one distributed design (every worker
   holds its own index; the Sentinel broadcasts a query and merges the
   per-worker results, sentinel.go:137-187) over built parts, each with
@@ -196,6 +201,15 @@ def _dense_topk(
     return uniq[order], scores[order]
 
 
+def _find(doc_ids: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Binary search of ``docs`` in the sorted, nonempty ``doc_ids``:
+    (mask over ``docs`` of those found, each one's position there,
+    meaningful where found)."""
+    li = np.searchsorted(doc_ids, docs)
+    li_c = np.minimum(li, len(doc_ids) - 1)
+    return (li < len(doc_ids)) & (doc_ids[li_c] == docs), li_c
+
+
 # postings per preload decode chunk. A chunk's transients (gathered
 # bytes and their int64 gather indexes, the decoded streams, per-posting
 # df and the BM25 temporaries) cost ~100 B per posting: ~50 MB at this
@@ -284,6 +298,8 @@ class Index:
         # stop caching new hot terms on large-vocab serving)
         self._cache: OrderedDict[str, Posting | None] = OrderedDict()
         self._cache_cap = 4096
+        # docmeta columns as dense doc_id-indexed arrays (_read_docmeta)
+        self._docmeta_cache: dict[str, np.ndarray] = {}
         self.scorer = Scorer(self, self.n_docs, self.avgdl)
         if preload_top_df or preload_bytes:
             self._preload(preload_top_df, preload_bytes)
@@ -453,68 +469,72 @@ class Index:
         (internal/kvdb/badger_db.go:113-142): top-k -> metadata
         hydration after the first call reads no parquet. The first read
         also loads the doc-level ``_DOC_COLS``, whichever are asked for."""
-        cache = getattr(self, "_docmeta_cache", None)
-        if cache is None:
-            cache = {}
-            self._docmeta_cache = cache
-        want = dict.fromkeys((*cols, *_DOC_COLS))
-        missing = [c for c in want if c not in cache]
-        if missing:
-            path = os.path.join(self.out_dir, "docmeta")
-            try:
-                dm = pq.read_table(path, columns=["doc_id"] + missing)
-            except (OSError, pa.ArrowException) as exc:
-                # every build writes these columns: absence is damage
-                raise ValueError(
-                    f"docmeta column(s) {missing} unreadable in {path}: {exc}"
-                ) from exc
-            order = np.asarray(dm["doc_id"])
-            for c in missing:
-                vals = dm[c]
-                if pa.types.is_integer(vals.type):
-                    arr = np.zeros(self.n_docs, dtype=np.int64)
-                    arr[order] = np.asarray(vals)
-                else:
-                    # string columns live as fixed-width bytes ('S{w}',
-                    # \x00-padded, order-preserving) — one flat numpy
-                    # buffer, never n_docs Python string objects per
-                    # worker (the r02 scale finding); hydrate() decodes
-                    # only the bounded top-k gather. Nulls hydrate as ''
-                    # (numpy 'S' cannot hold None); a legitimate
-                    # trailing \x00 byte would be stripped on decode,
-                    # but docmeta strings never contain \x00 (it is the
-                    # key separator) — that contract is what makes the
-                    # fixed-width encoding lossless here
-                    from quickray.tokenize import _fixed_bytes
+        self._read_docmeta(cols)
+        return {c: self._docmeta_cache[c] for c in cols}
 
-                    v = (
-                        vals.combine_chunks()
-                        if isinstance(vals, pa.ChunkedArray)
-                        else vals
-                    )
-                    if v.null_count:
-                        v = pc.fill_null(v, "")
-                    width = max(
-                        1, int(pc.max(pc.binary_length(v)).as_py() or 1)
-                    )
-                    arr = np.zeros(self.n_docs, dtype=f"S{width}")
-                    arr[order] = _fixed_bytes(v, width)
-                cache[c] = arr
-        return {c: cache[c] for c in cols}
+    def _read_docmeta(self, cols: tuple[str, ...], raw: tuple[str, ...] = ()):
+        """One docmeta read of ``doc_id``, the ``cols`` and
+        ``_DOC_COLS`` not yet cached (stored as dense arrays) and the
+        ``raw`` columns; returns the table, or None when nothing was
+        left to read."""
+        cache = self._docmeta_cache
+        missing = [c for c in dict.fromkeys((*cols, *_DOC_COLS)) if c not in cache]
+        if not missing and not raw:
+            return None
+        path = os.path.join(self.out_dir, "docmeta")
+        try:
+            dm = pq.read_table(path, columns=["doc_id", *missing, *raw])
+        except (OSError, pa.ArrowException) as exc:
+            # every build writes these columns: absence is damage
+            raise ValueError(
+                f"docmeta column(s) {missing + list(raw)} unreadable in {path}: {exc}"
+            ) from exc
+        order = np.asarray(dm["doc_id"])
+        for c in missing:
+            vals = dm[c]
+            if pa.types.is_integer(vals.type):
+                arr = np.zeros(self.n_docs, dtype=np.int64)
+                arr[order] = np.asarray(vals)
+            else:
+                # string columns live as fixed-width bytes ('S{w}',
+                # \x00-padded, order-preserving) — one flat numpy
+                # buffer, never n_docs Python string objects per
+                # worker (the r02 scale finding); hydrate() decodes
+                # only the bounded top-k gather. Nulls hydrate as ''
+                # (numpy 'S' cannot hold None); a legitimate
+                # trailing \x00 byte would be stripped on decode,
+                # but docmeta strings never contain \x00 (it is the
+                # key separator) — that contract is what makes the
+                # fixed-width encoding lossless here
+                from quickray.tokenize import _fixed_bytes
+
+                v = (
+                    vals.combine_chunks()
+                    if isinstance(vals, pa.ChunkedArray)
+                    else vals
+                )
+                if v.null_count:
+                    v = pc.fill_null(v, "")
+                width = max(
+                    1, int(pc.max(pc.binary_length(v)).as_py() or 1)
+                )
+                arr = np.zeros(self.n_docs, dtype=f"S{width}")
+                arr[order] = _fixed_bytes(v, width)
+            cache[c] = arr
+        return dm
 
     def keys_by_id(self) -> np.ndarray:
         """Dense doc_id -> 'repo\\x01path' key array as fixed-width
         bytes ('S{w}', \\x00-padded so padded order == string order) —
         probe/tombstone-match with numpy byte compares; decode only
-        bounded final results."""
+        bounded final results. Its docmeta read also loads the
+        doc-level ``_DOC_COLS`` if not yet cached: a delta part reads
+        docmeta once."""
         cache = getattr(self, "_keys_by_id", None)
         if cache is None:
             from quickray.tokenize import _fixed_bytes
 
-            dm = pq.read_table(
-                os.path.join(self.out_dir, "docmeta"),
-                columns=["doc_id", "repo", "path"],
-            )
+            dm = self._read_docmeta((), ("repo", "path"))
             keys = pc.binary_join_element_wise(
                 dm["repo"].combine_chunks(), dm["path"].combine_chunks(),
                 "\x01",
@@ -548,15 +568,16 @@ def _accumulate_topk(
     doc_arrays: list[np.ndarray],
     contrib_arrays: list[np.ndarray],
     k: int,
-    n_docs: int | None = None,
+    n_docs: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum per-term contributions per doc (term-sorted input order ->
     deterministic float summation) and return top-k by (-score, doc_id).
 
-    With dense ids (n_docs known) accumulation is one C-speed bincount
-    over a doc-indexed array and top-k is partition-select + a lexsort
-    of only the k-and-ties candidates — exact same result as the full
-    sort (both paths sum in order of appearance = ascending term)."""
+    Once the postings are a sizable share of the ``n_docs`` doc-id
+    space, accumulation is a scatter-add into a doc-indexed array and
+    top-k is partition-select + a lexsort of only the k-and-ties
+    candidates — exact same result as the full sort (both paths sum in
+    order of appearance = ascending term)."""
     if not doc_arrays:
         return np.empty(0, np.int64), np.empty(0, np.float64)
     total = sum(len(d) for d in doc_arrays)
@@ -564,7 +585,7 @@ def _accumulate_topk(
         # single posting list: docs are already unique and sorted — no
         # accumulation needed at all
         uniq, scores = doc_arrays[0], contrib_arrays[0]
-    elif n_docs is not None and _dense_worth(total, n_docs):
+    elif _dense_worth(total, n_docs):
         # dense only when postings are a sizable fraction of the corpus;
         # small queries would pay O(n_docs) allocation for nothing.
         # Per-term scatter-add (docs are unique WITHIN a term, so plain
@@ -602,19 +623,17 @@ class LocalEngine:
     def __init__(
         self,
         index: Index,
-        global_stats: dict | None = None,
+        scorer: Scorer | None = None,
         live: np.ndarray | None = None,
     ):
-        """Scores with ``index.scorer`` — the index's own statistics,
-        shared by every engine over that index. ``global_stats``
-        overrides the statistics when this index is one part of a
-        larger corpus (a MultiPartEngine part): keys n_docs, avgdl, df
-        (term -> corpus-wide df). BM25 then scores part-local postings
+        """Scores with ``scorer``, by default ``index.scorer``: the
+        index's own statistics, shared by every engine over that index.
+        A MultiPartEngine part is handed a Scorer over ``index`` with
+        corpus-global statistics instead, so part-local postings score
         with corpus-global idf/avgdl, which is what makes scatter
-        results equal a single global build. The engine gets its own
-        Scorer for those statistics, with the same memoized
-        contributions and the same flat-OR entry (wand.block_max_topk);
-        only block-max pruning is reserved to the index's own scorer.
+        results equal a single global build. Every scorer takes the
+        same routes; only block-max pruning is reserved to the index's
+        own (wand.py).
 
         ``live`` is a doc-indexed boolean mask, False for tombstoned
         docs (None: every doc is live). It is never written to."""
@@ -622,19 +641,11 @@ class LocalEngine:
         self.live = live
         # the last query's path: for a flat OR as wand.block_max_topk
         # left it, for any other tree (route, estimated result size)
-        # with route "dense", "and seed" or "sparse"
+        # with route "dense" or "sparse"
         self.last_path = None
-        if global_stats is None:
-            # boolean evaluation needs only posting()/df_of(): an index
-            # without a scorer of its own can still serve candidates()
-            self.scorer = getattr(index, "scorer", None)
-        else:
-            self.scorer = Scorer(
-                index,
-                int(global_stats.get("n_docs", index.n_docs)),
-                float(global_stats.get("avgdl", index.avgdl)),
-                global_stats.get("df") or None,
-            )
+        # boolean evaluation needs only posting()/df_of(): an index
+        # without a scorer of its own can still serve candidates()
+        self.scorer = scorer if scorer is not None else getattr(index, "scorer", None)
 
     # ------------------------------------------------------- set algebra
     def _filters(self, q: Query) -> bool:
@@ -682,20 +693,22 @@ class LocalEngine:
             return self._leaf(node.key, q)
         if not node.children:
             return np.empty(0, np.int64)
-        parts = [self._eval(c, q) for c in node.children]
         if isinstance(node, And):
-            # smallest-first searchsorted intersection: O(m log n)
-            # per step instead of intersect1d's sort-of-concat
-            parts.sort(key=len)
-            out = parts[0]
-            for p in parts[1:]:
+            # seed from the rarest child by estimate (segment dfs, no
+            # decode), filtered at its leaves; each other child, rarest
+            # first, keeps the seed docs it matches by binary search.
+            # Flags and the live mask are doc-level, so a seed doc that
+            # passed them needs no second test, and no other child's
+            # set is ever materialized
+            ests = [self._est_size(c) for c in node.children]
+            first, *rest = sorted(range(len(ests)), key=ests.__getitem__)
+            out = self._eval(node.children[first], q)
+            for i in rest:
                 if len(out) == 0:
-                    return out
-                li = np.searchsorted(p, out)
-                li_c = np.minimum(li, len(p) - 1)
-                out = out[(li < len(p)) & (p[li_c] == out)]
+                    break
+                out = out[self._member_mask(node.children[i], out)]
             return out
-        return functools.reduce(np.union1d, parts)
+        return functools.reduce(np.union1d, [self._eval(c, q) for c in node.children])
 
     # ------------------------------------------ dense tree evaluation
     def _tree_mask(self, node, masks: dict[str, np.ndarray]) -> np.ndarray:
@@ -772,7 +785,27 @@ class LocalEngine:
         cand = np.flatnonzero(keep)
         return _topk_select(cand, scores_d[cand], q.k)
 
-    # ------------------------------------------- AND-shaped fast path
+    def _flat_eval(self, q: Query, ts, ps, cs):
+        """Exhaustive exact top-k of a flat OR over the nonempty
+        postings ``ps`` of the terms ``ts`` (ascending), with
+        contributions ``cs``. Several postings holding a sizable share
+        of the corpus go through ``_dense_eval``, which filters flags
+        and the live mask with one doc mask; a lone posting is already
+        unique and sorted, so it needs no accumulation at any size."""
+        n = self.index.n_docs
+        if len(ps) > 1 and _dense_worth(sum(len(p.doc_ids) for p in ps), n):
+            return self._dense_eval(q, ts, ps, cs)
+        if not self._filters(q):
+            return _accumulate_topk([p.doc_ids for p in ps], cs, q.k, n)
+        docs_l, con_l = [], []
+        for p, c in zip(ps, cs):
+            sel = np.flatnonzero(self._passes(p.doc_ids, q))
+            if len(sel):  # a lone surviving term skips accumulation
+                docs_l.append(p.doc_ids[sel])
+                con_l.append(c[sel])
+        return _accumulate_topk(docs_l, con_l, q.k, n)
+
+    # ------------------------------------------ sparse tree evaluation
     def _est_size(self, node) -> int:
         """Upper-bound result-size estimate from segment dfs alone (no
         posting decode): Term -> df, Or -> sum, And -> min."""
@@ -783,96 +816,38 @@ class LocalEngine:
         ests = [self._est_size(c) for c in node.children]
         return min(ests) if isinstance(node, And) else sum(ests)
 
-    def _member_pos(
-        self, term: str, docs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(membership mask over ``docs``, posting positions of the
-        hits). Flags are NOT re-applied — bits are doc-level, so any
-        seed result that passed the flag filter stays valid."""
-        p = self.index.posting(term)
-        if p is None or len(p.doc_ids) == 0:
-            z = np.zeros(len(docs), dtype=bool)
-            return z, np.empty(0, np.int64)
-        li = np.searchsorted(p.doc_ids, docs)
-        li_c = np.minimum(li, len(p.doc_ids) - 1)
-        hit = (li < len(p.doc_ids)) & (p.doc_ids[li_c] == docs)
-        return hit, li_c[hit]
-
     def _member_mask(self, node, docs: np.ndarray) -> np.ndarray:
+        """Mask over the sorted ``docs`` of those that match ``node``
+        unfiltered (callers pass docs that passed the doc filters)."""
         if isinstance(node, Term):
-            return self._member_pos(node.key, docs)[0]
+            p = self.index.posting(node.key)
+            if p is None or len(p.doc_ids) == 0:
+                return np.zeros(len(docs), dtype=bool)
+            return _find(p.doc_ids, docs)[0]
         if not node.children:
             return np.zeros(len(docs), dtype=bool)
         masks = (self._member_mask(c, docs) for c in node.children)
         red = np.logical_and if isinstance(node, And) else np.logical_or
         return functools.reduce(red, masks)
 
-    def _root_and_eval(
-        self, q: Query, ests: list[int]
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Evaluate a root-AND query smallest-child-first, given each
-        child's result-size estimate ``ests`` (segment dfs, no decode):
-        the smallest child is evaluated exactly (with flags), every
-        other child becomes a binary-search membership filter over that
-        seed — no large intersections or unions are ever materialized.
-        Term children additionally record their posting positions so
-        scoring is a pure contrib gather. Returns (candidates,
-        {term: positions aligned with candidates})."""
-        node = q.tree
-        order = sorted(range(len(node.children)), key=ests.__getitem__)
-        seed = node.children[order[0]]
-        out = self._eval(seed, q)
-        pos_memo: dict[str, np.ndarray] = {}
-        if isinstance(seed, Term) and len(out):
-            pos_memo[seed.key] = self._member_pos(seed.key, out)[1]
-        for i in order[1:]:
-            if len(out) == 0:
-                return out, {}
-            c = node.children[i]
-            if isinstance(c, Term):
-                mask, pos = self._member_pos(c.key, out)
-                pos_memo[c.key] = pos
-            else:
-                mask = self._member_mask(c, out)
-            out = out[mask]
-            for t in list(pos_memo):
-                if t != (c.key if isinstance(c, Term) else None):
-                    pos_memo[t] = pos_memo[t][mask]
-        return out, pos_memo
-
     # ----------------------------------------------------------- scoring
     def _term_contrib(
         self, term: str, cand: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray] | None:
         p = self.index.posting(term)
-        # len == 0: on an empty posting doc_ids[minimum(li, -1)] below
-        # would raise IndexError (builds write none; tombstones mask
-        # docs, never postings)
+        # len == 0: _find needs a nonempty posting (builds write none;
+        # tombstones mask docs, never postings)
         if p is None or len(p.doc_ids) == 0 or len(cand) == 0:
             return None
-        li = np.searchsorted(p.doc_ids, cand)
-        li_c = np.minimum(li, len(p.doc_ids) - 1)
-        hit = (li < len(p.doc_ids)) & (p.doc_ids[li_c] == cand)
+        hit, pos = _find(p.doc_ids, cand)
         if not hit.any():
             return None
-        return cand[hit], self.scorer.contrib(term, p)[li_c[hit]]
+        return cand[hit], self.scorer.contrib(term, p)[pos[hit]]
 
-    def score(
-        self,
-        q: Query,
-        cand: np.ndarray,
-        pos_memo: dict[str, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def score(self, q: Query, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         docs, contribs = [], []
         for term in collect_terms(q.tree):
-            if pos_memo is not None and term in pos_memo:
-                # positions already found during AND evaluation —
-                # contrib is a pure gather, docs align with cand
-                p = self.index.posting(term)
-                c = self.scorer.contrib(term, p)[pos_memo[term]]
-                got = (cand, c)
-            else:
-                got = self._term_contrib(term, cand)
+            got = self._term_contrib(term, cand)
             if got is not None:
                 docs.append(got[0])
                 contribs.append(got[1])
@@ -902,31 +877,13 @@ class LocalEngine:
 
             return block_max_topk(self, terms, q)
         node = q.tree
-        # a root AND's estimate is its children's minimum; they are kept
-        # to order its seed, so no df is looked up twice
-        ests = None
-        if isinstance(node, And):
-            ests = [self._est_size(c) for c in node.children]
-        est = min(ests) if ests else self._est_size(node)
+        est = self._est_size(node)
         if _dense_worth(est, self.index.n_docs):
             self.last_path = ("dense", est)
             ts, ps, cs = self._scored_postings(collect_terms(node))
             return self._dense_eval(q, ts, ps, cs, node)
-        if ests:
-            self.last_path = ("and seed", est)
-            return self.score(q, *self._root_and_eval(q, ests))
         self.last_path = ("sparse", est)
         return self.score(q, self._eval(node, q))
-
-    def search_df(self, q: Query):
-        ids, scores = self.search(q)
-        return pa.table(
-            {
-                "rank": np.arange(1, len(ids) + 1, dtype=np.int64),
-                "doc_id": ids,
-                "score": scores,
-            }
-        )
 
 
 class _GlobalDf:
@@ -936,10 +893,10 @@ class _GlobalDf:
     terms, never the vocabulary; no merged whole-vocabulary dict is
     built). A part without tombstones answers with its stored segment
     df (``df_of``, no decode); a part with them counts the live docs of
-    its posting. Quacks like the dict LocalEngine's global-stats
-    override expects. A zero df means every doc holding the term is
-    dead: it then scores with the posting's own length, and those
-    contributions never reach a result."""
+    its posting. It is the df resolver of every part's Scorer
+    (``get(term, default)``). A zero df means every doc holding the
+    term is dead: it then scores with the posting's own length, and
+    those contributions never reach a result."""
 
     def __init__(self, indexes: list[Index], lives: list[np.ndarray | None]):
         self._parts = list(zip(indexes, lives))
@@ -1001,9 +958,9 @@ class MultiPartEngine:
             tokens += ix.stats["total_tokens"] - int(ix.doc_lens(dead).sum())
         self.n_docs = n_live
         self.avgdl = tokens / max(1, n_live)
-        g = {"n_docs": n_live, "avgdl": self.avgdl, "df": _GlobalDf(indexes, lives)}
+        df = _GlobalDf(indexes, lives)
         self.engines = [
-            LocalEngine(ix, global_stats=g, live=live)
+            LocalEngine(ix, Scorer(ix, n_live, self.avgdl, df), live)
             for ix, live in zip(indexes, lives)
         ]
         self._labels = labels

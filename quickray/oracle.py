@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pyarrow as pa
 
 from quickray.docids import doc_ids_py
@@ -153,13 +152,3 @@ class Oracle:
         scored = [(d, self.score_doc(d, terms)) for d in cands]
         scored.sort(key=lambda x: (-x[1], x[0]))
         return scored[: q.k]
-
-    def search_table(self, q: Query) -> pa.Table:
-        rows = self.search(q)
-        return pa.table(
-            {
-                "rank": np.arange(1, len(rows) + 1, dtype=np.int64),
-                "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-                "score": pa.array([r[1] for r in rows], pa.float64()),
-            }
-        )

@@ -25,25 +25,14 @@ import pyarrow.compute as pc
 from quickray.schema import BATCH_RUN_SCHEMA, RUN_SCHEMA, TOKEN_SPLIT_RE
 
 
-# byte class table: 1 for [a-z0-9_] — the token alphabet. All token
-# chars are single-byte ASCII, and every byte of a multi-byte UTF-8
-# codepoint is >= 0x80, so byte-level run-finding over the LOWERED
-# buffer splits exactly where the codepoint regex [^a-z0-9_]+ does.
-_TOKEN_BYTE = np.zeros(256, dtype=bool)
-for _c in b"abcdefghijklmnopqrstuvwxyz0123456789_":
-    _TOKEN_BYTE[_c] = True
-
-
 def flatten_tokens(
     content: pa.ChunkedArray | pa.Array,
 ) -> tuple[pa.Array, pa.Array]:
     """content column -> (flat token array, parent row index per token).
     Arrow RE2 split + list flatten + parent indices — all C++ kernels.
-    A numpy byte-level variant exists below (flatten_tokens_byte,
-    byte-for-byte equivalent, pytest-enforced); in-situ A/B at 40k docs
-    x 32 cpus measured the RE2 path 3x faster inside the build (the
-    byte path's many small numpy temporaries lose to the fused C++
-    kernels at map_batches granularity), so RE2 stays the default."""
+    (A numpy byte-run variant over the lowered buffer measured 3x
+    slower inside the build at 40k docs x 32 cpus: its many small
+    temporaries lose to the fused kernels at map_batches granularity.)"""
     if isinstance(content, pa.ChunkedArray):
         content = content.combine_chunks()
     low = pc.utf8_lower(content)
@@ -52,73 +41,6 @@ def flatten_tokens(
     parents = pc.list_parent_indices(lists)
     mask = pc.and_(pc.not_equal(flat, ""), pc.is_valid(flat))
     return flat.filter(mask), parents.filter(mask)
-
-
-def flatten_tokens_byte(content: pa.ChunkedArray | pa.Array) -> tuple[pa.Array, pa.Array]:
-    """content column -> (flat token array, parent row index per token).
-
-    Byte-level alternative: lower once (Arrow), then find maximal
-    [a-z0-9_] byte runs with numpy over the string buffer. Equivalent
-    to flatten_tokens by construction (class-table note above;
-    pytest-enforced) but measured slower in situ — kept as the
-    reference for environments without the RE2 kernel."""
-    if isinstance(content, pa.ChunkedArray):
-        content = content.combine_chunks()
-    if len(content) == 0:
-        return pa.array([], pa.string()), pa.array([], pa.int32())
-    low = pc.utf8_lower(content)
-    if low.null_count:
-        low = pc.fill_null(low, "")
-    bufs = low.buffers()  # [validity, offsets, data]
-    # offsets are absolute into the data buffer (slices share buffers)
-    offsets = np.frombuffer(
-        bufs[1], dtype=np.int32, count=low.offset + len(low) + 1
-    )[low.offset :].astype(np.int64)
-    base = int(offsets[0])
-    offsets = offsets - base
-    data = (
-        np.frombuffer(bufs[2], dtype=np.uint8, count=base + int(offsets[-1]))[base:]
-        if bufs[2] is not None and offsets[-1] > 0
-        else np.empty(0, np.uint8)
-    )
-    if len(data) == 0:
-        return pa.array([], pa.string()), pa.array([], pa.int32())
-    is_tok = _TOKEN_BYTE[data]
-    prev = np.empty_like(is_tok)
-    prev[0] = False
-    prev[1:] = is_tok[:-1]
-    # a token never crosses a row boundary: break runs at row starts
-    row_starts = offsets[:-1][(offsets[:-1] > 0) & (offsets[:-1] < len(data))]
-    prev[row_starts] = False
-    nxt = np.empty_like(is_tok)
-    nxt[-1] = False
-    nxt[:-1] = is_tok[1:]
-    row_last = offsets[1:] - 1
-    nxt[row_last[(row_last >= 0) & (row_last < len(data) - 1)]] = False
-    starts = np.flatnonzero(is_tok & ~prev)
-    ends = np.flatnonzero(is_tok & ~nxt) + 1
-    if len(starts) == 0:
-        return pa.array([], pa.string()), pa.array([], pa.int32())
-    lens = ends - starts
-    # gather token bytes into a dense buffer (one fancy index)
-    out_off = np.zeros(len(starts) + 1, dtype=np.int64)
-    np.cumsum(lens, out=out_off[1:])
-    pos = np.repeat(starts - out_off[:-1], lens) + np.arange(out_off[-1])
-    flat = pa.StringArray.from_buffers(
-        len(starts),
-        pa.py_buffer(out_off.astype(np.int32).tobytes()),
-        pa.py_buffer(data[pos].tobytes()),
-    )
-    parents = np.searchsorted(offsets, starts, side="right") - 1
-    return flat, pa.array(parents.astype(np.int32), pa.int32())
-
-
-def doc_lengths(content: pa.ChunkedArray | pa.Array, num_rows: int) -> np.ndarray:
-    """Token count per row (BM25 |d|), vectorized."""
-    _, parents = flatten_tokens(content)
-    counts = np.zeros(num_rows, dtype=np.int64)
-    np.add.at(counts, np.asarray(parents), 1)
-    return counts
 
 
 def row_keys(batch: pa.Table) -> pa.Array:

@@ -65,7 +65,7 @@ from __future__ import annotations
 import numpy as np
 
 from quickray.codec import expand_ranges as _expand_blocks
-from quickray.engine import _accumulate_topk, _dense_worth
+from quickray.engine import _accumulate_topk
 from quickray.query import Query
 
 # exhaustive work (postings, capped at n_docs) up to which scoring
@@ -141,8 +141,10 @@ def plan(own: bool, ps: list, k: int, filtered: bool, n_docs: int):
 
 
 def block_max_topk(engine, terms: list[str], q: Query):
-    """Top-k for a flat OR / single-term query on any LocalEngine;
-    prunes only under the index's own scorer (module docstring)."""
+    """Top-k for a flat OR / single-term query on any LocalEngine:
+    prunes only under the index's own scorer (module docstring) and
+    scores the kept blocks; the exhaustive side is the engine's own
+    ``_flat_eval``."""
     index = engine.index
     # nonempty query terms, their postings and exact contributions, in
     # a fixed summation order (oracle-identical)
@@ -151,7 +153,7 @@ def block_max_topk(engine, terms: list[str], q: Query):
     path, why, kept = plan(own, ps, q.k, engine._filters(q), index.n_docs)
     if path == "exhaustive":
         engine.last_path = ("exhaustive", why)
-        return full_eval(engine, ts, ps, cs, q)
+        return engine._flat_eval(q, ts, ps, cs)
 
     # ---- score only blocks that intersect a kept doc-range (plan
     # prunes only when no doc filter applies)
@@ -174,23 +176,3 @@ def block_max_topk(engine, terms: list[str], q: Query):
     engine.last_path = ("pruned", scored, total)
     return _accumulate_topk(docs_f, contribs_f, q.k, index.n_docs)
 
-
-def full_eval(engine, ts, ps, cs, q: Query):
-    """Exhaustive exact top-k over the nonempty postings ``ps`` of the
-    terms ``ts`` (ascending), with contributions ``cs``. Several
-    postings holding a sizable share of the corpus go through the
-    engine's dense evaluation, which filters flags and the live mask
-    with one doc mask; a lone posting is already unique and sorted, so
-    it needs no accumulation at any size."""
-    index = engine.index
-    if len(ps) > 1 and _dense_worth(sum(len(p.doc_ids) for p in ps), index.n_docs):
-        return engine._dense_eval(q, ts, ps, cs)
-    if not engine._filters(q):
-        return _accumulate_topk([p.doc_ids for p in ps], cs, q.k, index.n_docs)
-    docs_l, con_l = [], []
-    for p, c in zip(ps, cs):
-        sel = np.flatnonzero(engine._passes(p.doc_ids, q))
-        if len(sel):  # a lone surviving term skips accumulation
-            docs_l.append(p.doc_ids[sel])
-            con_l.append(c[sel])
-    return _accumulate_topk(docs_l, con_l, q.k, index.n_docs)

@@ -106,37 +106,6 @@ def test_salting_invariance(small_corpus, built_index, tmp_path):
         assert a[col].to_pylist() == b[col].to_pylist(), col
 
 
-def test_assign_doc_ids_fallback_matches_rank(ray_session):
-    """The fully-distributed doc_id fallback (for key sets exceeding
-    node memory) must assign exactly the ranks the broadcast path
-    assigns, at any block count — and raise on duplicate keys instead
-    of silently handing out duplicate ids (r05 review: the block-offset
-    dict overwrote on shared first keys)."""
-    import pyarrow as pa
-    import pytest as _pytest
-    import ray.data as rd
-
-    from quickray.docids import assign_doc_ids, doc_ids_py
-
-    n = 500
-    repos = [f"r{i % 7}" for i in range(n)]
-    paths = [f"p{(i * 31) % n:04d}" for i in range(n)]
-    ds = rd.from_arrow(pa.table({
-        "repo": pa.array(repos), "path": pa.array(paths),
-        "payload": pa.array(list(range(n))),
-    })).repartition(11)
-    out = assign_doc_ids(ds).to_pandas().sort_values("payload")
-    want = doc_ids_py(repos, paths)
-    assert out["doc_id"].to_numpy().tolist() == want.tolist()
-
-    dup = rd.from_arrow(pa.table({
-        "repo": pa.array(["r"] * 400), "path": pa.array(["same"] * 400),
-    })).repartition(4)
-    # Ray wraps worker exceptions (RayTaskError); match the message
-    with _pytest.raises(Exception, match="duplicate"):
-        assign_doc_ids(dup).materialize()
-
-
 HOT_CASES = {
     "local": {},
     "ray": {"tokenizer_batch_size": 128},

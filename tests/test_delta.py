@@ -338,3 +338,36 @@ def test_fully_tombstoned_term_in_or_query(tmp_path, ray_session):
     live = base.slice(3)
     exp = _rebuild_search(live, str(tmp_path / "rb2"), [q])
     _assert_same("tombstoned-or", keys, scores, *exp[q.id])
+
+
+def test_one_docmeta_read_per_part(tmp_path, monkeypatch):
+    """Each DeltaEngine part reads parquet twice: its segments, and one
+    docmeta read that serves the keys (tombstones, labels), doc_len
+    (live avgdl, scoring) and bits (flag filters). Serving, flagged
+    queries included, reads nothing more."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    base = generate_corpus(80, seed=41)
+    added = _retag(generate_corpus(8, seed=42), "delta")
+    main_dir, add_dir = str(tmp_path / "main"), str(tmp_path / "add")
+    build_index(base, main_dir)
+    build_index(added, add_dir)
+    reads = []
+    read_table = pq.read_table
+
+    def counted(path, *args, **kwargs):
+        reads.append(os.path.basename(path))
+        return read_table(path, *args, **kwargs)
+
+    monkeypatch.setattr(pq, "read_table", counted)
+    gone = f"{base['repo'][0].as_py()}\x01{base['path'][0].as_py()}"
+    eng = DeltaEngine([main_dir], add_dir, [gone])
+    assert sorted(reads) == ["docmeta", "docmeta", "segments", "segments"]
+    queries = make_query_set(Oracle(base).df())
+    assert any(q.has_flags for q in queries)
+    for q in queries:
+        eng.search(q)
+        eng.candidates(q)
+    assert len(reads) == 4

@@ -5,7 +5,7 @@ import pyarrow as pa
 import pytest
 
 from quickray.build import build_index
-from quickray.engine import Index, LocalEngine
+from quickray.engine import Index, LocalEngine, Scorer
 from quickray.query import Or, Query, Term
 from quickray.util import stable_hash_str
 
@@ -200,9 +200,7 @@ def test_scorer_memo_per_stats_and_lru_bounded(tmp_path):
     )
     ix = Index(out)
     own = LocalEngine(ix)
-    other = LocalEngine(
-        ix, global_stats={"n_docs": 40, "avgdl": 7.0, "df": {"beta": 9}}
-    )
+    other = LocalEngine(ix, scorer=Scorer(ix, 40, 7.0, {"beta": 9}))
     assert own.scorer is ix.scorer and other.scorer is not ix.scorer
 
     p = ix.posting("beta")

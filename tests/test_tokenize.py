@@ -1,18 +1,23 @@
-import numpy as np
 import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quickray.tokenize import Tokenizer, doc_lengths, flatten_tokens, tokenize_py
+from quickray.tokenize import Tokenizer, flatten_tokens, tokenize_py
 
 
-def _arrow_tokens_per_doc(texts):
-    flat, par = flatten_tokens(pa.array(texts, pa.string()))
-    out = [[] for _ in texts]
+def _arrow_tokens_per_doc(arr):
+    """flatten_tokens of an Arrow string column, grouped by parent row."""
+    flat, par = flatten_tokens(arr)
+    out = [[] for _ in range(len(arr))]
     for t, p in zip(flat.to_pylist(), par.to_pylist()):
         out[p].append(t)
     return out
+
+
+def _python_tokens_per_doc(arr):
+    """tokenize_py per row; a null row holds no tokens."""
+    return [tokenize_py(s or "") for s in arr.to_pylist()]
 
 
 def test_arrow_matches_python_fixed():
@@ -25,20 +30,44 @@ def test_arrow_matches_python_fixed():
         "中文 tokens split ascii only",
         "tab\tsep\nnewline",
     ]
-    arrow = _arrow_tokens_per_doc(texts)
-    for s, toks in zip(texts, arrow):
-        assert toks == tokenize_py(s)
+    arr = pa.array(texts, pa.string())
+    assert _arrow_tokens_per_doc(arr) == _python_tokens_per_doc(arr)
+
+
+def test_arrow_matches_python_edge_shapes():
+    """The Arrow kernel tokenizes every edge shape exactly like the
+    Python reference: nulls, empties, separators only, non-ASCII text
+    (multi-byte separators; the Kelvin sign lowers to ascii 'k'), an
+    empty column, chunked columns and slices (offset buffers)."""
+    big = pa.array([f"line{i} alpha_beta {i%7}x" for i in range(500)])
+    cases = [
+        pa.array(
+            ["hello world", "", None, "a_b-c__d", "  x  ",
+             "ÜBER \u212a gross", "中文 test 漢字", "1337_leet", "òàé", "ΣΙΓΜΑ"]
+        ),
+        pa.array([], pa.string()),
+        pa.array(["", "", ""]),
+        pa.array([None, ";;", None]),
+        pa.chunked_array([pa.array(["aa bb"]), pa.array(["cc", "dd ee"])]),
+        big.slice(37, 200),
+    ]
+    for arr in cases:
+        assert _arrow_tokens_per_doc(arr) == _python_tokens_per_doc(arr), arr
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.text(max_size=120))
 def test_arrow_matches_python_property(s):
-    assert _arrow_tokens_per_doc([s])[0] == tokenize_py(s)
+    arr = pa.array([s], pa.string())
+    assert _arrow_tokens_per_doc(arr) == _python_tokens_per_doc(arr)
 
 
-def test_doc_lengths():
-    texts = ["a b c", "", "x;y"]
-    assert doc_lengths(pa.array(texts), 3).tolist() == [3, 0, 2]
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.text(max_size=60)), max_size=8))
+def test_arrow_matches_python_rows_property(texts):
+    """Several rows: every token lands on its own row (parent indices)."""
+    arr = pa.array(texts, pa.string())
+    assert _arrow_tokens_per_doc(arr) == _python_tokens_per_doc(arr)
 
 
 def test_tokenizer_stage_tf_salt():
@@ -61,32 +90,6 @@ def test_tokenizer_stage_tf_salt():
     assert rows[("def", 90)]["salt"] == 90 * 4 // 100
     assert rows[("x", 10)]["salt"] == 0
     assert rows[("y", 90)]["tf"] == 1
-
-
-def test_flatten_tokens_byte_path_equals_re():
-    """The byte-level tokenizer variant must be byte-for-byte identical
-    to the RE2 default on every edge shape: nulls, empties, unicode
-    (multi-byte separators; K -> ascii 'k' lowering), slices, chunks."""
-    import numpy as np
-
-    from quickray.tokenize import flatten_tokens, flatten_tokens_byte
-
-    cases = [
-        pa.array(
-            ["hello world", "", None, "a_b-c__d", "  x  ",
-             "ÜBER K gross", "中文 test 漢字", "1337_leet", "òàé", "ΣΙΓΜΑ"]
-        ),
-        pa.array([], pa.string()),
-        pa.array(["", "", ""]),
-        pa.chunked_array([pa.array(["aa bb"]), pa.array(["cc", "dd ee"])]),
-    ]
-    big = pa.array([f"line{i} alpha_beta {i%7}x" for i in range(500)])
-    cases.append(big.slice(37, 200))
-    for arr in cases:
-        f1, p1 = flatten_tokens(arr)
-        f2, p2 = flatten_tokens_byte(arr)
-        assert f1.to_pylist() == f2.to_pylist()
-        assert np.array_equal(np.asarray(p1), np.asarray(p2))
 
 
 def test_rank_lookup_fixed_width_probe():
@@ -121,18 +124,6 @@ def test_rank_lookup_fixed_width_probe():
     arr = pa.array(["zü-key", "a-key", "m"])
     fb = _fixed_bytes(arr, 12)
     assert [f.rstrip(b"\x00").decode() for f in fb] == ["zü-key", "a-key", "m"]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.text(max_size=60), max_size=8))
-def test_flatten_byte_equals_re_property(texts):
-    from quickray.tokenize import flatten_tokens, flatten_tokens_byte
-
-    arr = pa.array(texts, pa.string())
-    f1, p1 = flatten_tokens(arr)
-    f2, p2 = flatten_tokens_byte(arr)
-    assert f1.to_pylist() == f2.to_pylist()
-    assert np.asarray(p1).tolist() == np.asarray(p2).tolist()
 
 
 @settings(max_examples=100, deadline=None)

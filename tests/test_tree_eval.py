@@ -156,18 +156,19 @@ def test_dense_and_sparse_trees_agree_with_oracle(eng, oracle, monkeypatch):
     dense = [p for *_, p in got["dense"]]
     sparse = [p for *_, p in got["sparse"]]
     assert all(p[0] == "dense" for p in dense if p[1]), dense
-    assert {p[0] for p in sparse} == {"and seed", "sparse"}, sparse
+    assert {p[0] for p in sparse} == {"sparse"}, sparse
     assert sum(p[1] > 0 for p in dense) > len(queries) // 2
 
 
 def test_gate_routes_by_estimate(eng, oracle):
     """Unpatched gate (n_docs // 16): a rare term ANDed with a stopword
-    seeds from the rare posting; two hot terms go dense."""
+    stays sparse (it seeds from the rare posting); two hot terms go
+    dense."""
     df = oracle.df()
     pools = _pools(df, oracle.n_docs)
     rare, (h0, h1) = pools["rare"][0], pools["hot"][:2]
     eng.search(Query(tree=And((Term(rare), Term(h0)))))
-    assert eng.last_path == ("and seed", df[rare])
+    assert eng.last_path == ("sparse", df[rare])
     eng.search(Query(tree=And((Term(h0), Term(h1)))))
     assert eng.last_path == ("dense", min(df[h0], df[h1]))
     eng.search(Query(tree=Or((And((Term(rare), Term(h0))), And((Term(MISSING), Term(h1)))))))

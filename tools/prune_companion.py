@@ -7,10 +7,11 @@ expensive, which the 6k-doc benchmark corpus never reaches. This script
 builds (or reuses) an N-doc corpus and index, loads it as ``query_hot``
 does (perfbench's ``HOT_LOAD``), replays perfbench's own query stream
 for that corpus and prints, per query shape, the p50 and p95 search
-latency, plus how many queries took each ``engine.last_path``: for
-flat ORs the ``block_max_topk`` path (pruned, or exhaustive and why),
-for the ``and`` and ``compound`` trees the route (dense, and seed or
-sparse). It is never a gate.
+latency. ``routes`` splits each shape by the ``engine.last_path`` its
+queries took, with their count, p50 and p95: for flat ORs the
+``block_max_topk`` path (pruned, or exhaustive and why), for the
+``and`` and ``compound`` trees the route (dense or sparse); ``paths``
+sums the flat-OR counts over their shapes. It is never a gate.
 
 Run from the root of a quickray checkout:
 
@@ -44,7 +45,6 @@ from inputs import SHAPES, query_stream  # noqa: E402
 from run import HOT_LOAD  # noqa: E402
 
 FLAT_OR = ("term", "or", "flagged")
-TREES = ("and", "compound")
 
 
 def _built(out: str) -> bool:
@@ -87,6 +87,15 @@ def ensure_index(work: str, n_docs: int, seed: int) -> str:
     return out
 
 
+def _latency(sec: np.ndarray) -> dict:
+    ms = 1e3 * sec
+    return {
+        "n": int(len(ms)),
+        "p50_ms": round(float(np.percentile(ms, 50)), 3),
+        "p95_ms": round(float(np.percentile(ms, 95)), 3),
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--docs", type=int, default=100_000)
@@ -111,8 +120,8 @@ def main(argv=None) -> int:
     queries = query_stream(df, args.seed, args.queries)
 
     best = np.full(len(queries), np.inf)
+    labels = [""] * len(queries)  # each query's path, from the warm pass
     paths = collections.Counter()
-    tree_paths = {s: collections.Counter() for s in TREES}
     blocks = np.zeros(2, np.int64)  # scored, total over pruned queries
     for rep in range(args.passes + 1):
         for i, q in enumerate(queries):
@@ -133,24 +142,25 @@ def main(argv=None) -> int:
                 label = f"exhaustive: {rec[1]}"
             else:
                 label = rec[0]
+            labels[i] = label
             if shape in FLAT_OR:
                 paths[label] += 1
-            elif shape in TREES:
-                tree_paths[shape][label] += 1
 
     shape = np.array([q.id.split(":", 1)[0] for q in queries])
+    labels = np.array(labels)
     report = {"docs": ix.n_docs, "queries": len(queries), "load_s": round(load_s, 3)}
     for s in SHAPES:
-        ms = 1e3 * best[shape == s]
-        report[s] = {
-            "n": int(len(ms)),
-            "p50_ms": round(float(np.percentile(ms, 50)), 3),
-            "p95_ms": round(float(np.percentile(ms, 95)), 3),
-        }
+        report[s] = _latency(best[shape == s])
     flat = np.isin(shape, FLAT_OR)
     report["flat_or_total_s"] = round(float(best[flat].sum()), 3)
     report["paths"] = dict(sorted(paths.items()))
-    report["tree_paths"] = {s: dict(sorted(c.items())) for s, c in tree_paths.items()}
+    report["routes"] = {
+        s: {
+            label: _latency(best[(shape == s) & (labels == label)])
+            for label in sorted(set(labels[shape == s]))
+        }
+        for s in SHAPES
+    }
     if blocks[1]:
         report["pruned_blocks_scored"] = round(float(blocks[0] / blocks[1]), 3)
     print(json.dumps(report))
