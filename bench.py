@@ -90,7 +90,7 @@ def _build_corpus_index(corpus_path: str, out_dir: str) -> dict:
 
     _fresh(out_dir)
     t0 = time.time()
-    res = build_index(corpus_path, out_dir, num_salts=8)
+    res = build_index(corpus_path, out_dir)
     sec = time.time() - t0
     return {
         "sec": sec,
@@ -123,9 +123,7 @@ def _bench_pass(sf_dir: str, num_cpus: int) -> tuple[dict, dict]:
     n_docs = corpus.num_rows
     out = _fresh(os.path.join(SCRATCH, "docsidx"))
     t0 = time.time()
-    build_index(
-        corpus, out, id_col="doc_id", langs=P.DOC_LANGS, num_salts=4
-    )
+    build_index(corpus, out, id_col="doc_id", langs=P.DOC_LANGS)
     stages["build_docs"] = time.time() - t0
     extra["n_docs_documents"] = n_docs
     extra["build_docs_per_sec"] = n_docs / stages["build_docs"]

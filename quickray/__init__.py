@@ -3,10 +3,10 @@
 A from-scratch reimplementation of the *capabilities* of hjrbill/quicker
 (see /root/reference, SURVEY.md) as a batch Ray Data pipeline over Arrow:
 
-- build: Parquet code corpus -> deterministic doc_ids -> actor-pool
-  tokenization -> (term, doc_id, tf) -> salted groupby-on-term shuffle ->
-  sorted delta+varint posting lists with per-block max-score metadata ->
-  checkpointed posting segments + manifest.
+- build: Parquet code corpus -> deterministic doc_ids -> one tokenizing
+  pass into per-batch compressed posting runs -> one groupby-on-term-hash
+  merge -> sorted delta+varint posting lists with per-block max-score
+  metadata -> checkpointed posting segments + manifest.
 - query: boolean And/Or set algebra bit-identical to quicker's
   skiplist_reverse_index.go semantics, plus BM25 top-k with block-max
   pruning and a bounded min-heap equivalent (deterministic tie-break).

@@ -9,38 +9,31 @@ Phases (each a checkpointed Dataset pipeline, see checkpoint.Manifest):
   docbase   THE one content pass: each tokenizer batch is tokenized
             once into doc_id + sha256(content) + doc_len (kind=0 rows)
             AND its compressed posting runs, content and field keys
-            alike (kind=1 rows: term, min_doc, df, delta+varint doc
-            ids, varint tfs) -> one combined table. The corpus itself
-            is NOT rewritten, and no later phase reads content.
+            alike (kind=1 rows: term, mpart = hash(term) % num_shards,
+            min_doc, df, delta+varint doc ids, varint tfs) -> one
+            combined table. The corpus itself is NOT rewritten, and no
+            later phase reads content.
   stats     one driver scan of the docbase ids and lengths: n_docs /
-            total_tokens / avgdl and the exact dense-id check; plus
-            the EXACT hot set: terms whose summed run df exceeds the
-            threshold (it only steers level-1 partitioning, never
-            output), from a driver scan of the runs' term and df
-            columns that sums only candidate terms (_hot_terms) —
-            zero content or payload reads.
+            total_tokens / avgdl and the exact dense-id check — zero
+            content or run reads.
   docmeta   docbase + bits(lang, path, doc_len > avgdl) — the forward
             index (J1 analog); no content involved.
-  postings  shuffle the checkpointed runs: one map assigns each run
-            its salt and part = hash(term, salt) % num_parts from the
-            hot set and n_docs -> groupby(part) -> vectorized partition
-            merge -> one partial posting per (term, salt).
-  segments  groupby(mpart = hash(term) % num_shards) over partials ->
+  segments  THE one merge: groupby(mpart) over the docbase runs ->
             vectorized partition merge -> final posting segments (doc
             ids + tfs; doc_len and bits stay in docmeta) with BM25
             block-max metadata, dl looked up from a broadcast
             doc_id-indexed array (never shuffled).
 
-Skew: hot terms (df > hot_df) are salted with contiguous doc_id-range
-salts (salt = run_min_doc * S // N), spreading a hot term's runs over S
-level-1 partitions so the largest shuffle partition stays bounded; the
-merge phases re-sort decoded values by (group, doc_id), so correctness
-never depends on run arrival order (SURVEY §7.4; merge.py).
+Skew: a merge group holds every run of its terms, so the largest group
+is the mpart that holds the hottest terms. Salting a hot term's runs
+over partitions would not bound it: every posting of a term meets in
+its one segment row. The merge re-sorts decoded values by (term,
+doc_id), so correctness never depends on run arrival order (SURVEY
+§7.4; merge.py).
 
-Scale notes: the only all-to-all exchanges are the two run shuffles,
-both over varint-compressed payloads pre-aggregated per batch; reads
-prune columns; small sides (hot set, rank table, doc_len) are ray.put
-broadcasts. The rank table bounds one build partition to ~10^8 docs
+Scale notes: the only all-to-all exchange is the merge's run shuffle,
+over varint-compressed payloads pre-aggregated per batch; reads prune
+columns; small sides (rank table, doc_len) are ray.put broadcasts. The rank table bounds one build partition to ~10^8 docs
 (docids.py); a 10^12-file corpus runs as many independent key-range
 build partitions with doc_id offsets from a driver-side prefix sum.
 
@@ -70,6 +63,7 @@ import hashlib
 import json
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -83,16 +77,15 @@ import ray
 import ray.data as rd
 
 from quickray.checkpoint import MANIFEST, Manifest
-from quickray.merge import make_final_merge, make_level1_merge
+from quickray.merge import make_final_merge
 from quickray.schema import BATCH_RUN_SCHEMA, BLOCK_SIZE, LANGS
 from quickray.tokenize import (
     batch_postings,
     encode_runs,
     flatten_tokens,
     rank_lookup,
-    salt_runs,
 )
-from quickray.util import fetch, run_starts, sum_by_key
+from quickray.util import fetch, run_starts
 
 
 
@@ -133,9 +126,7 @@ def _chunk_bounds(n: int, chunks: int) -> list[tuple[int, int]]:
 # docbase phase output: kind=0 rows are the per-doc forward-index rows,
 # kind=1 rows are the batch's posting runs (BATCH_RUN_SCHEMA), from the
 # SAME tokenization the doc_len computation pays for: the build's one
-# content pass, plus batch_docs, the doc count of the run's batch. The
-# stats phase sums the run dfs for the hot set, and the postings phase
-# salts and shuffles the runs
+# content pass. The segments phase merges the runs
 _DOC_COLS = ["doc_id", "repo", "path", "commit", "lang", "sha256", "doc_len"]
 _DOCBASE_SCHEMA = pa.schema(
     [
@@ -148,7 +139,6 @@ _DOCBASE_SCHEMA = pa.schema(
         ("doc_len", pa.int64()),
         ("kind", pa.int32()),
         *BATCH_RUN_SCHEMA,
-        ("batch_docs", pa.int64()),
     ]
 )
 
@@ -177,7 +167,9 @@ def _rank_probe(rank_ref) -> np.ndarray:
     return ranked_np
 
 
-def _make_docbase_fn(rank_ref, id_col_present: bool, field_cols: list[str]):
+def _make_docbase_fn(
+    rank_ref, id_col_present: bool, field_cols: list[str], num_shards: int
+):
     def to_docbase(t: pa.Table) -> pa.Table:
         if id_col_present:
             doc_id = t["doc_id"]
@@ -211,7 +203,8 @@ def _make_docbase_fn(rank_ref, id_col_present: bool, field_cols: list[str]):
             runs = BATCH_RUN_SCHEMA.empty_table()
         else:
             runs = encode_runs(
-                batch_postings(t, doc_id, flat, parents, field_cols)
+                batch_postings(t, doc_id, flat, parents, field_cols),
+                num_shards,
             )
         docs = pa.table(
             {
@@ -227,21 +220,12 @@ def _make_docbase_fn(rank_ref, id_col_present: bool, field_cols: list[str]):
         )
         runs = runs.append_column(
             "kind", pa.array(np.ones(runs.num_rows, np.int32))
-        ).append_column("batch_docs", pa.array(np.full(runs.num_rows, n)))
+        )
         return pa.concat_tables(
             [docs, runs], promote_options="default"
         ).cast(_DOCBASE_SCHEMA)
 
     return to_docbase
-
-
-def _make_salt_fn(hot_ref, n_docs: int, num_salts: int, num_parts: int):
-    """Checkpointed batch runs -> salted RUN_SCHEMA runs (salt_runs)."""
-
-    def salt(t: pa.Table) -> pa.Table:
-        return salt_runs(t, fetch(hot_ref), n_docs, num_salts, num_parts)
-
-    return salt
 
 
 @dataclass
@@ -276,19 +260,14 @@ class _LocalDataset:
         return cls(table)
 
     @classmethod
-    def read_parquet(
-        cls, path: str, columns=None, filter=None, partition_filter=None
-    ) -> "_LocalDataset":
+    def read_parquet(cls, path: str, columns=None, filter=None) -> "_LocalDataset":
         """Every ``*.parquet`` under ``path`` with hive partition
-        columns, as Ray reads it; ``partition_filter`` is Ray's
-        PathPartitionFilter, called on the file paths."""
+        columns, as Ray reads it."""
         files = (
             sorted(glob.glob(os.path.join(path, "**", "*.parquet"), recursive=True))
             if os.path.isdir(path)
             else [path]
         )
-        if partition_filter is not None:
-            files = partition_filter(files)
         if not files:
             return cls(pa.table({}))
         dset = pads.dataset(
@@ -326,45 +305,8 @@ class _LocalDataset:
     def take_all(self) -> list[dict]:
         return self.table.to_pylist()
 
-    def write_parquet(self, path: str, partition_cols=None) -> None:
-        if partition_cols:
-            pq.write_to_dataset(self.table, path, partition_cols=partition_cols)
-        else:
-            pq.write_table(self.table, os.path.join(path, "0.parquet"))
-
-
-def _hot_terms(docbase_dir: str, n_docs: int, threshold: int) -> list:
-    """The sorted terms whose df exceeds ``threshold``, exactly: each
-    term's df is the sum of its batch runs' dfs, content and field keys
-    alike (a field value held by more docs than the threshold, e.g.
-    lang\x01en, is salted like any hot term). A term can be hot only if
-    one of its runs holds more than the threshold's share of its batch
-    (df_b / n_b > T / N): were every run at or below it, the dfs would
-    sum to at most T. So a driver scan of the runs' term, df and
-    batch_docs columns (never their payloads) picks those candidates,
-    a few per batch, and only their runs are summed (util.sum_by_key,
-    over the local executor: a few thousand rows, where a Ray sort of
-    every (term, batch) row cost ~3 s at 100k docs on one core)."""
-    runs = pads.dataset(docbase_dir, format="parquet")
-    kind1 = pads.field("kind") == 1
-    candidates = set()
-    for b in runs.to_batches(columns=["term", "df", "batch_docs"],
-                             filter=kind1):
-        keep = np.asarray(b.column(1)) * n_docs > threshold * np.asarray(
-            b.column(2)
-        )
-        candidates.update(pc.unique(pc.filter(b.column(0), keep)).to_pylist())
-    sums = sum_by_key(
-        _LocalDataset(runs.to_table(
-            columns=["term", "df"],
-            filter=kind1 & pads.field("term").isin(
-                pa.array(sorted(candidates), pa.string())
-            ),
-        )),
-        "term", sums=[("df", "df")],
-    ).table
-    hot = sums.filter(pc.greater(sums["df"], threshold))["term"]
-    return sorted(hot.to_pylist())
+    def write_parquet(self, path: str) -> None:
+        pq.write_table(self.table, os.path.join(path, "0.parquet"))
 
 
 # the source columns a build reads besides ``id_col``: docbase reads
@@ -661,16 +603,15 @@ def build_partitioned(
 
 
 def _auto_layout(n_rows: int | None, ceiling: int = 256) -> int:
-    """Default shuffle-partition / merge-shard count, scaled with the
-    corpus row count: every level-1 part and merge shard pays a ~fixed
-    task-spawn + sort-boundary cost regardless of data size, so small
-    corpora must not pay a 256-way layout (measured 6.7s vs 4.7s on a
-    40k-doc / 32-cpu build), while at 1M+ rows the count reaches the
-    256 ceiling that balances hot-term merge stragglers. Unknown row
-    count (generic Dataset source) takes the scale-safe ceiling. The
-    resolved values join the manifest layout fingerprint, so resuming
-    the same corpus re-derives the same layout and a corpus-size change
-    invalidates cleanly."""
+    """Default merge-shard count, scaled with the corpus row count:
+    every merge shard pays a ~fixed task-spawn + sort-boundary cost
+    regardless of data size, so small corpora must not pay a 256-way
+    layout (measured 6.7s vs 4.7s on a 40k-doc / 32-cpu build), while
+    at 1M+ rows the count reaches the 256 ceiling that balances
+    hot-term merge stragglers. Unknown row count (generic Dataset
+    source) takes the scale-safe ceiling. The resolved value joins the
+    manifest layout fingerprint, so resuming the same corpus re-derives
+    the same layout and a corpus-size change invalidates cleanly."""
     if n_rows is None:
         return ceiling
     return max(16, min(ceiling, n_rows // 512))
@@ -682,8 +623,6 @@ def build_index(
     *,
     id_col: str | None = None,
     langs: list[str] | None = None,
-    hot_df: int | None = None,
-    num_salts: int = 8,
     # None = auto-scale with the corpus row count (see _auto_layout):
     # 256 merge groups balance the final merge far better than 64 at
     # 1M+ docs (hot-term mparts stop being 4x stragglers: measured
@@ -692,7 +631,6 @@ def build_index(
     # 6.7s @ 256 vs 4.7s @ 64 on 40k docs / 32 cpus); size these to
     # ~8-16x the worker count at cluster scale
     num_shards: int | None = None,
-    num_parts: int | None = None,
     durable_shuffle: bool = False,
     shuffle_chunks: int = 4,
     tokenizer_batch_size: int = 4096,
@@ -714,8 +652,8 @@ def build_index(
     lower(value), gen/document.go:5) — one tf=1 posting per doc per
     field, queryable as Term(word, field=f). Must be a subset of the
     metadata columns the docbase pass reads anyway (repo, path, commit,
-    lang): it emits the field runs beside the content runs, so field
-    keys are salted by the same exact run-df sum."""
+    lang): it emits the field runs beside the content runs, and the
+    one merge treats field keys like any term."""
     langs = langs or LANGS
     field_cols = list(field_cols or [])
     allowed_fields = {"repo", "path", "commit", "lang"}
@@ -749,24 +687,24 @@ def build_index(
     data, put = (
         (_LocalDataset, lambda v: v) if executor == "local" else (rd, ray.put)
     )
-    if num_parts is None or num_shards is None:
-        auto = _auto_layout(n_rows)
-        num_parts = auto if num_parts is None else num_parts
-        num_shards = auto if num_shards is None else num_shards
+    # the docbase runs carry their merge group, so the layout is fixed
+    # before the content pass
+    if num_shards is None:
+        num_shards = _auto_layout(n_rows)
     # layout-critical params join the fingerprint: resuming a build dir
-    # with a different shuffle/segment layout must invalidate, never
-    # silently mix chunk bounds (the partials/segments on disk encode
-    # num_parts/num_shards/num_salts/block_size; field_cols change the
+    # with a different segment layout must invalidate, never silently
+    # mix chunk bounds (the runs/segments on disk encode
+    # num_shards/block_size; field_cols change the
     # posting table's contents; langs change the docmeta BITS
     # encoding and id_col changes doc_id assignment semantics — a
     # resume under different values must rebuild, not silently serve
     # the stale index)
     layout = (
-        f"|layout:parts={num_parts},shards={num_shards},salts={num_salts},"
+        f"|layout:shards={num_shards},"
         f"chunks={shuffle_chunks if durable_shuffle else 0},bs={block_size}"
         f",fields={'+'.join(field_cols)}"
         f",langs={'+'.join(langs)},id={id_col or 'rank'}"
-        ",dbv=3"  # docbase schema v3 (kind=1 rows are posting runs)
+        ",dbv=4"  # docbase schema v4 (kind=1 runs carry their mpart)
         ",segv=2"  # segment format v2: doc ids + tfs per posting
     )
     man = Manifest(out_dir, src.fingerprint + layout, executor=executor)
@@ -816,10 +754,10 @@ def build_index(
         if not use_rank and id_col != "doc_id":
             ds = ds.rename_columns({id_col: "doc_id"})
         ds.map_batches(
-            _make_docbase_fn(rank_ref, not use_rank, field_cols),
+            _make_docbase_fn(rank_ref, not use_rank, field_cols, num_shards),
             batch_format="pyarrow",
             # larger batches -> fewer, longer runs per term -> fewer
-            # shuffle rows (measured 2x on the postings phase); bound by
+            # merge rows (measured 2x on the run merge); bound by
             # batch_size x doc size per task heap — lower it for corpora
             # of very large files
             batch_size=tokenizer_batch_size,
@@ -878,17 +816,10 @@ def build_index(
                 f"docbase rows ({n_docs}) != rank table size ({n_docs_expected})"
             )
         avgdl = total_tokens / max(1, n_docs)
-        threshold = hot_df if hot_df is not None else max(256, n_docs // 8)
-        # the exact hot set (_hot_terms): it only steers level-1
-        # partitioning, never output
-        hot_terms = _hot_terms(docbase_dir, n_docs, threshold)
         stats = {
             "n_docs": n_docs,
             "total_tokens": total_tokens,
             "avgdl": avgdl,
-            "hot_df_threshold": int(threshold),
-            "hot_terms": hot_terms,
-            "num_salts": num_salts,
             "num_shards": num_shards,
             "block_size": block_size,
             "langs": langs,
@@ -897,7 +828,7 @@ def build_index(
         with open(os.path.join(d, "stats.json"), "w") as f:
             json.dump(stats, f)
         man.mark_done("stats", with_files=False, elapsed=time.time() - t0,
-                      counters={k: v for k, v in stats.items() if k != "hot_terms"})
+                      counters=stats)
     with open(stats_path) as f:
         stats = json.load(f)
     result.stats = stats
@@ -927,165 +858,68 @@ def build_index(
         man.mark_done("docmeta", elapsed=time.time() - t0)
     result.phase_times["docmeta"] = time.time() - t0
 
-    # -------------------------------------------------------- the shuffle
-    # The docbase runs are salted and assigned a level-1 part from the
-    # hot set and n_docs, both known only now (one row per term per
-    # batch, delta+varint streams — ~10x smaller than the exploded
-    # (term, doc, tf) rows). Nothing is tokenized again.
+    # ------------------------------------------------------ phase segments
+    # THE one merge: the docbase runs (one row per term per batch,
+    # delta+varint streams — ~10x smaller than the exploded (term, doc,
+    # tf) rows) -> groupby(mpart) -> final segments. Nothing is
+    # tokenized again, and the docbase checkpoint is already the
+    # durable map side of the exchange.
     #
     # Two execution modes:
-    #  - streaming (default): runs -> groupby(part) -> level-1 merge as
-    #    ONE pipeline; Ray lineage re-executes failed tasks, resume
-    #    granularity is the phase. Fastest.
-    #  - durable_shuffle=True: the map side of the exchange is
-    #    checkpointed to runs/ hive-partitioned by part, and both merge
-    #    levels run as shuffle_chunks independently-manifested chunks
-    #    over part/mpart ranges — a DRIVER/cluster restart resumes
-    #    mid-shuffle, never redoing a finished chunk. Costs one extra
-    #    write+read of the compressed runs; the right default for
-    #    multi-hour 10^12-file builds.
-    salt_fn = _make_salt_fn(
-        put(pa.array(stats["hot_terms"], pa.string())),
-        stats["n_docs"], num_salts, num_parts,
-    )
-
-    def _runs_ds() -> "rd.Dataset":
-        return data.read_parquet(
-            docbase_dir, columns=BATCH_RUN_SCHEMA.names + ["kind"],
-            filter=pads.field("kind") == 1,
-        ).map_batches(salt_fn, batch_format="pyarrow")
-
-    def _dl_ref():
-        dm = pq.read_table(docmeta_dir, columns=["doc_id", "doc_len"])
-        dl_arr = np.zeros(stats["n_docs"], dtype=np.int64)
-        dl_arr[np.asarray(dm["doc_id"])] = np.asarray(dm["doc_len"])
-        return put(dl_arr)
-
-    partials_dir = os.path.join(out_dir, "postings")
-    if not durable_shuffle:
-        # ---------------------------------- streaming postings + segments
-        t0 = time.time()
-        if not man.phase_done("postings"):
-            d = man.phase_dir("postings")
-            _runs_ds().groupby("part").map_groups(
-                make_level1_merge(num_shards), batch_format="pyarrow"
-            ).write_parquet(d)
-            man.mark_done("postings", elapsed=time.time() - t0)
-        result.phase_times["postings"] = time.time() - t0
-
-        t0 = time.time()
-        if not man.phase_done("segments"):
-            d = man.phase_dir("segments")
-            (
-                data.read_parquet(partials_dir)
-                .groupby("mpart")
-                .map_groups(
-                    make_final_merge(
-                        stats["n_docs"], stats["avgdl"], block_size,
-                        _dl_ref(),
-                    ),
-                    batch_format="pyarrow",
-                )
-                .write_parquet(d)
-            )
-            man.mark_done("segments", elapsed=time.time() - t0)
-        result.phase_times["segments"] = time.time() - t0
+    #  - streaming (default): ONE pipeline; Ray lineage re-executes
+    #    failed tasks, resume granularity is the phase. Fastest.
+    #  - durable_shuffle=True: shuffle_chunks independently-manifested
+    #    chunks over mpart ranges — a DRIVER/cluster restart resumes
+    #    mid-merge, never redoing a finished chunk; the right default
+    #    for multi-hour 10^12-file builds. The chunks run CONCURRENTLY
+    #    from driver threads (each is its own Dataset pipeline; Ray
+    #    interleaves their tasks), so the barriers between chunks do
+    #    not serialize the wall clock (sequential chunks measured ~2.5x
+    #    streaming). Manifest writes are lock-serialized (checkpoint.py).
+    t0 = time.time()
+    if durable_shuffle:
+        chunks = {
+            f"segments:{ci}": (os.path.join("segments", f"chunk_{ci}"), lo, hi)
+            for ci, (lo, hi) in enumerate(_chunk_bounds(num_shards, shuffle_chunks))
+        }
     else:
-        # ------------------------- durable runs + chunked merge levels
-        t0 = time.time()
-        runs_dir = os.path.join(out_dir, "runs")
-        if not man.phase_done("runs"):
-            d = man.phase_dir("runs")
-            _runs_ds().write_parquet(d, partition_cols=["part"])
-            man.mark_done("runs", elapsed=time.time() - t0)
-        result.phase_times["runs"] = time.time() - t0
+        chunks = {"segments": ("segments", 0, num_shards)}
+    todo = [name for name in chunks if not man.phase_done(name)]
+    if todo:
+        dm = pq.read_table(docmeta_dir, columns=["doc_id", "doc_len"])
+        dl = np.zeros(stats["n_docs"], dtype=np.int64)
+        dl[np.asarray(dm["doc_id"])] = np.asarray(dm["doc_len"])
+        merge = make_final_merge(
+            stats["n_docs"], stats["avgdl"], block_size, put(dl)
+        )
 
-        # chunked merges run CONCURRENTLY from driver threads (each
-        # chunk is its own Dataset pipeline; Ray interleaves their
-        # tasks) — resume granularity stays per chunk, but the phase
-        # barriers between chunks no longer serialize the wall clock
-        # (sequential chunks measured ~2.5x streaming; concurrent close
-        # the gap). Manifest writes are lock-serialized (checkpoint.py).
-        from concurrent.futures import ThreadPoolExecutor
-
-        t0 = time.time()
-
-        def _make_postings_chunk(ci: int, lo: int, hi: int):
+        def _plan_merge(name: str):
             """Plan one chunk SEQUENTIALLY (read_parquet path resolution
             imports optional fs modules — racy from threads); only the
             execution (write) runs in the pool."""
-            pname = f"postings:{ci}"
-            d = man.phase_dir(pname, subdir=os.path.join("postings", f"chunk_{ci}"))
-            from ray.data.datasource.partitioning import PathPartitionFilter
-
-            pf = PathPartitionFilter.of(
-                lambda kv, lo=lo, hi=hi: lo <= int(kv["part"]) < hi,
-                style="hive",
-            )
+            subdir, lo, hi = chunks[name]
+            d = man.phase_dir(name, subdir=subdir)
+            mpart = pads.field("mpart")
             ds = (
-                # partition_filter = true directory pruning: only this
-                # chunk's part= dirs are even listed
-                data.read_parquet(runs_dir, partition_filter=pf)
-                .groupby("part")
-                .map_groups(make_level1_merge(num_shards), batch_format="pyarrow")
+                data.read_parquet(
+                    docbase_dir, columns=BATCH_RUN_SCHEMA.names + ["kind"],
+                    filter=(pads.field("kind") == 1) & (mpart >= lo) & (mpart < hi),
+                )
+                .groupby("mpart")
+                .map_groups(merge, batch_format="pyarrow")
             )
 
             def run() -> None:
                 _write_parquet_retry(ds, d)
-                man.mark_done(pname, elapsed=time.time() - t0,
-                              counters={"part_lo": lo, "part_hi": hi})
+                man.mark_done(name, elapsed=time.time() - t0,
+                              counters={"mpart_lo": lo, "mpart_hi": hi})
 
             return run
 
-        p_runs = [
-            _make_postings_chunk(ci, lo, hi)
-            for ci, (lo, hi) in enumerate(_chunk_bounds(num_parts, shuffle_chunks))
-            if not man.phase_done(f"postings:{ci}")
-        ]
-        if p_runs:
-            with ThreadPoolExecutor(max_workers=len(p_runs)) as ex:
-                list(ex.map(lambda r: r(), p_runs))
-        result.phase_times["postings"] = time.time() - t0
-
-        t0 = time.time()
-        seg_chunks = _chunk_bounds(num_shards, shuffle_chunks)
-        todo = [ci for ci in range(len(seg_chunks))
-                if not man.phase_done(f"segments:{ci}")]
-        if todo:
-            dl = _dl_ref()
-
-            def _make_segments_chunk(ci: int):
-                lo, hi = seg_chunks[ci]
-                pname = f"segments:{ci}"
-                d = man.phase_dir(
-                    pname, subdir=os.path.join("segments", f"chunk_{ci}")
-                )
-                ds = (
-                    data.read_parquet(
-                        partials_dir,
-                        filter=(pads.field("mpart") >= lo)
-                        & (pads.field("mpart") < hi),
-                    )
-                    .groupby("mpart")
-                    .map_groups(
-                        make_final_merge(
-                            stats["n_docs"], stats["avgdl"], block_size, dl
-                        ),
-                        batch_format="pyarrow",
-                    )
-                )
-
-                def run() -> None:
-                    _write_parquet_retry(ds, d)
-                    man.mark_done(pname, elapsed=time.time() - t0,
-                                  counters={"mpart_lo": lo, "mpart_hi": hi})
-
-                return run
-
-            s_runs = [_make_segments_chunk(ci) for ci in todo]
-            with ThreadPoolExecutor(max_workers=len(s_runs)) as ex:
-                list(ex.map(lambda r: r(), s_runs))
-        result.phase_times["segments"] = time.time() - t0
+        runs = [_plan_merge(name) for name in todo]
+        with ThreadPoolExecutor(max_workers=len(runs)) as ex:
+            list(ex.map(lambda r: r(), runs))
+    result.phase_times["segments"] = time.time() - t0
     stats["vocab_size"] = _segment_row_count(os.path.join(out_dir, "segments"))
     stats["executor"] = executor
     with open(stats_path, "w") as f:

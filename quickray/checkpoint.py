@@ -63,7 +63,7 @@ class Manifest:
             if prev.get("fingerprint") == fingerprint:
                 self.data = prev
             # fingerprint changed -> stale build; start over. Chunked
-            # phases ("postings:3") live under the base name's dir.
+            # phases ("segments:3") live under the base name's dir.
             else:
                 for name, rec in prev.get("phases", {}).items():
                     base = rec.get("dir", name).split("/")[0].split(":")[0]
@@ -83,8 +83,8 @@ class Manifest:
 
     def phase_dir(self, name: str, clean: bool = True, subdir: str | None = None) -> str:
         """Directory for a phase's output (``subdir`` for chunked phases
-        whose name isn't a valid path, e.g. "postings:3" ->
-        postings/chunk_3); wipes partial output of an unfinished phase
+        whose name isn't a valid path, e.g. "segments:3" ->
+        segments/chunk_3); wipes partial output of an unfinished phase
         so reruns are idempotent."""
         rel = subdir or name
         with self._lock:

@@ -34,10 +34,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     res = build_index(
         args.corpus,
         args.out,
-        num_salts=args.num_salts,
         num_shards=args.num_shards,
-        num_parts=args.num_parts,
-        hot_df=args.hot_df,
         durable_shuffle=args.durable_shuffle,
         field_cols=(
             args.field_cols.split(",") if args.field_cols else None
@@ -48,7 +45,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         "sec": round(time.time() - t0, 3),
         "docs_per_sec": round(res.stats["n_docs"] / max(1e-9, time.time() - t0), 1),
         "phase_times": {k: round(v, 3) for k, v in res.phase_times.items()},
-        "stats": {k: v for k, v in res.stats.items() if k != "hot_terms"},
+        "stats": res.stats,
     }
     print(json.dumps(out))
     return 0
@@ -167,13 +164,12 @@ def main(argv: list[str] | None = None) -> int:
     b = sub.add_parser("build", help="build the inverted index")
     b.add_argument("--corpus", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--num-salts", type=int, default=8)
-    b.add_argument("--num-shards", type=int, default=256)
-    b.add_argument("--num-parts", type=int, default=256)
-    b.add_argument("--hot-df", type=int, default=None)
+    b.add_argument("--num-shards", type=int, default=None,
+                   help="merge shards (default: scaled with the corpus "
+                        "row count, as build_index does)")
     b.add_argument("--durable-shuffle", action="store_true",
-                   help="checkpoint the map side of the exchange and run "
-                        "chunked merges (mid-shuffle resume for long builds)")
+                   help="run the merge as independently checkpointed "
+                        "chunks (mid-merge resume for long builds)")
     b.add_argument("--field-cols", default=None,
                    help="comma-separated metadata columns to index as "
                         "field-scoped keywords (subset of repo,path,"

@@ -5,7 +5,7 @@ From-scratch columnar replacement for the reference's in-memory skip list
 kept sorted by doc_id and compressed as LEB128 varints of first-order
 deltas. Both encode and decode are fully vectorized — no Python loop per
 posting — so a mega-term (df ~ 10^8 per partition) encodes at memory
-bandwidth, which is what makes the salted-merge phase cheap.
+bandwidth, which is what makes the run merge cheap.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ The corpus matches BASELINE.json's input_hint schema exactly:
 cluster sizes) see byte-identical input.
 
 Skew is built in on purpose: language keywords (func/import/return/def/…)
-appear in nearly every doc (hot terms -> exercises salting, SURVEY §7.4),
+appear in nearly every doc (hot terms -> exercises merge skew, SURVEY §7.4),
 identifiers follow a Zipf-ish distribution (realistic df spectrum), and
 every doc carries two globally-unique tokens (singleton postings).
 ~0.1% of docs are exact duplicates of their predecessor (dedup tests).

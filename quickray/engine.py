@@ -675,18 +675,19 @@ class LocalEngine:
         mask. An And/Or above the
         dense gate takes the same set from the doc mask of
         ``_dense_keep`` instead; a lone term's set is its posting."""
-        node = q.tree
+        node, ests = q.tree, {}
         if not isinstance(node, Term) and _dense_worth(
-            self._est_size(node), self.index.n_docs
+            self._est_size(node, ests), self.index.n_docs
         ):
             ps = {t: self.index.posting(t) for t in collect_terms(node)}
             return np.flatnonzero(self._dense_keep(q, node, ps))
-        return self._eval(node, q)
+        return self._eval(node, q, ests)
 
-    def _eval(self, node, q: Query) -> np.ndarray:
+    def _eval(self, node, q: Query, ests: dict) -> np.ndarray:
         # a method, not a recursive closure: a closure that calls itself
         # is a reference cycle holding the engine (and its memos) until
-        # the next full garbage collection
+        # the next full garbage collection. ``ests`` is the query's
+        # estimate memo (_est_size)
         if node is None:
             return np.empty(0, np.int64)
         if isinstance(node, Term):
@@ -700,15 +701,17 @@ class LocalEngine:
             # Flags and the live mask are doc-level, so a seed doc that
             # passed them needs no second test, and no other child's
             # set is ever materialized
-            ests = [self._est_size(c) for c in node.children]
-            first, *rest = sorted(range(len(ests)), key=ests.__getitem__)
-            out = self._eval(node.children[first], q)
+            sizes = [self._est_size(c, ests) for c in node.children]
+            first, *rest = sorted(range(len(sizes)), key=sizes.__getitem__)
+            out = self._eval(node.children[first], q, ests)
             for i in rest:
                 if len(out) == 0:
                     break
                 out = out[self._member_mask(node.children[i], out)]
             return out
-        return functools.reduce(np.union1d, [self._eval(c, q) for c in node.children])
+        return functools.reduce(
+            np.union1d, [self._eval(c, q, ests) for c in node.children]
+        )
 
     # ------------------------------------------ dense tree evaluation
     def _tree_mask(self, node, masks: dict[str, np.ndarray]) -> np.ndarray:
@@ -806,15 +809,23 @@ class LocalEngine:
         return _accumulate_topk(docs_l, con_l, q.k, n)
 
     # ------------------------------------------ sparse tree evaluation
-    def _est_size(self, node) -> int:
+    def _est_size(self, node, ests: dict) -> int:
         """Upper-bound result-size estimate from segment dfs alone (no
-        posting decode): Term -> df, Or -> sum, And -> min."""
-        if isinstance(node, Term):
-            return self.index.df_of(node.key)
-        if node is None or not node.children:
-            return 0
-        ests = [self._est_size(c) for c in node.children]
-        return min(ests) if isinstance(node, And) else sum(ests)
+        posting decode): Term -> df, Or -> sum, And -> min. ``ests`` is
+        one query's memo (terms by key, other nodes by id), so routing
+        and every And below it estimate each node once."""
+        key = node.key if isinstance(node, Term) else id(node)
+        est = ests.get(key)
+        if est is None:
+            if isinstance(node, Term):
+                est = self.index.df_of(node.key)
+            elif node is None or not node.children:
+                est = 0
+            else:
+                sizes = [self._est_size(c, ests) for c in node.children]
+                est = min(sizes) if isinstance(node, And) else sum(sizes)
+            ests[key] = est
+        return est
 
     def _member_mask(self, node, docs: np.ndarray) -> np.ndarray:
         """Mask over the sorted ``docs`` of those that match ``node``
@@ -876,14 +887,14 @@ class LocalEngine:
             from quickray.wand import block_max_topk
 
             return block_max_topk(self, terms, q)
-        node = q.tree
-        est = self._est_size(node)
+        node, ests = q.tree, {}
+        est = self._est_size(node, ests)
         if _dense_worth(est, self.index.n_docs):
             self.last_path = ("dense", est)
             ts, ps, cs = self._scored_postings(collect_terms(node))
             return self._dense_eval(q, ts, ps, cs, node)
         self.last_path = ("sparse", est)
-        return self.score(q, self._eval(node, q))
+        return self.score(q, self._eval(node, q, ests))
 
 
 class _GlobalDf:

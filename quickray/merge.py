@@ -1,28 +1,24 @@
-"""Partition-level posting-run merge (vectorized, both shuffle levels).
+"""The build's one merge: posting runs -> final segments (vectorized).
 
-The build shuffles *compressed posting runs* (RUN_SCHEMA — one row per
-term per tokenizer batch, doc_ids delta+varint, tfs varint), not
-exploded (term, doc) rows, and both merge levels group by a hash
-partition id rather than by term:
-
-  level 1  groupby("part")  — part = hash(term, salt) % num_parts —
-           merges each (term, salt) run-set into one partial posting;
-  level 2  groupby("mpart") — mpart = hash(term) % num_shards — concats
-           each term's ≤ num_salts partials into the final segment row
-           (doc ids + tfs only) and computes BM25 block-max metadata,
-           looking doc_len up in a broadcast doc_id-indexed array
-           (doc_ids are dense 0..N-1, so lookup is a numpy take from a
-           plasma-shared array; doc_len is never shuffled or stored).
+The build merges *compressed posting runs* (BATCH_RUN_SCHEMA — one row
+per term per tokenizer batch, doc_ids delta+varint, tfs varint), not
+exploded (term, doc) rows, straight from the docbase checkpoint, and
+groups them by a hash partition id rather than by term:
+groupby("mpart") — mpart = hash(term) % num_shards, written by the
+docbase pass — concats each term's runs into the final segment row
+(doc ids + tfs only) and computes BM25 block-max metadata, looking
+doc_len up in a broadcast doc_id-indexed array (doc_ids are dense
+0..N-1, so lookup is a numpy take from a plasma-shared array; doc_len
+is never shuffled or stored).
 
 One ``map_groups`` call processes a whole partition (hundreds to
 thousands of terms) with fully-vectorized decode → lexsort → re-encode
 over the partition's concatenated streams; per-term Python overhead is
-gone. Salting (tokenize.py) spreads hot-term runs across level-1
-partitions, bounding the largest partition — the explicit skew defense
-the reference lacks (SURVEY §4, §7.4).
+gone. The largest partition is the ``mpart`` holding the hottest terms
+(SURVEY §7.4).
 
 Correctness does not assume runs arrive in doc order: values are always
-re-sorted by (group, doc_id) after decode, and segmented_delta_encode
+re-sorted by (term, doc_id) after decode, and segmented_delta_encode
 raises if any (term, doc) pair appears twice.
 """
 
@@ -40,36 +36,33 @@ from quickray.codec import (
     varint_decode,
     varint_encode_sizes,
 )
-from quickray.schema import PARTIAL_SCHEMA, SEGMENT_SCHEMA
-from quickray.util import fetch, stable_hash_str
+from quickray.schema import SEGMENT_SCHEMA
+from quickray.util import fetch
 
 
 @dataclass
 class _Merged:
     docs: np.ndarray
     tfs: np.ndarray
-    g_val_starts: np.ndarray  # per-group start index into the value arrays
+    g_val_starts: np.ndarray  # per-term start index into the value arrays
     g_val_lens: np.ndarray
-    terms: list[str]  # one per group
-    salts: np.ndarray  # one per group (level-1 grouping key)
-    min_docs: np.ndarray  # one per group
+    terms: list[str]  # one per term
 
 
-def _concat_decode_sort(t: pa.Table, group_by_salt: bool) -> _Merged:
+def _concat_decode_sort(t: pa.Table) -> _Merged:
     """Decode a whole partition of runs and regroup: order rows by
-    (term[, salt], min_doc), concat + decode both streams once, then
-    stable-sort values by (group, doc_id)."""
+    (term, min_doc), concat + decode both streams once, then
+    stable-sort values by (term, doc_id)."""
     tcol = t["term"]
     if isinstance(tcol, pa.ChunkedArray):
         tcol = tcol.combine_chunks()
     dic = tcol.dictionary_encode()
     tcodes = np.asarray(dic.indices, dtype=np.int64)
     vocab = dic.dictionary.to_pylist()
-    salt = np.asarray(t["salt"], dtype=np.int64)
     min_doc = np.asarray(t["min_doc"], dtype=np.int64)
     df = np.asarray(t["df"], dtype=np.int64)
 
-    row_order = np.lexsort((min_doc, salt, tcodes))
+    row_order = np.lexsort((min_doc, tcodes))
     plist = t["postings"].to_pylist()
     tlist = t["tfs"].to_pylist()
     pbuf = b"".join(plist[i] for i in row_order)
@@ -83,11 +76,7 @@ def _concat_decode_sort(t: pa.Table, group_by_salt: bool) -> _Merged:
     tfs = varint_decode(tbuf)
 
     tc_o = tcodes[row_order]
-    salt_o = salt[row_order]
-    change = np.diff(tc_o) != 0
-    if group_by_salt:
-        change = change | (np.diff(salt_o) != 0)
-    g_row_starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    g_row_starts = np.concatenate(([0], np.flatnonzero(np.diff(tc_o)) + 1))
     g_val_starts = val_starts[g_row_starts]
     g_val_lens = np.diff(np.append(g_val_starts, len(docs)))
 
@@ -101,44 +90,11 @@ def _concat_decode_sort(t: pa.Table, group_by_salt: bool) -> _Merged:
         g_val_starts=g_val_starts,
         g_val_lens=g_val_lens,
         terms=[vocab[c] for c in tc_o[g_row_starts]],
-        salts=salt_o[g_row_starts],
-        min_docs=docs[g_val_starts] if len(docs) else np.empty(0, np.int64),
     )
 
 
-def make_level1_merge(num_shards: int):
-    """groupby("part") finalizer: runs -> one partial per (term, salt)."""
-
-    def merge_partition(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return PARTIAL_SCHEMA.empty_table()
-        m = _concat_decode_sort(t, group_by_salt=True)
-        starts = m.g_val_starts
-        pbuf, pnb = varint_encode_sizes(segmented_delta_encode(m.docs, starts))
-        tbuf, tnb = varint_encode_sizes(m.tfs)
-        mpart = np.fromiter(
-            (stable_hash_str(term) % num_shards for term in m.terms),
-            dtype=np.int64,
-            count=len(m.terms),
-        )
-        return pa.table(
-            {
-                "term": pa.array(m.terms, pa.string()),
-                "salt": pa.array(m.salts),
-                "mpart": pa.array(mpart),
-                "min_doc": pa.array(m.min_docs),
-                "df": pa.array(m.g_val_lens),
-                "postings": pa.array(split_stream(pbuf, pnb, starts), pa.binary()),
-                "tfs": pa.array(split_stream(tbuf, tnb, starts), pa.binary()),
-            },
-            schema=PARTIAL_SCHEMA,
-        )
-
-    return merge_partition
-
-
 def make_final_merge(n_docs: int, avgdl: float, block_size: int, dl_ref):
-    """groupby("mpart") finalizer: partials -> final segment rows.
+    """groupby("mpart") finalizer: runs -> final segment rows.
 
     ``dl_ref`` is the doc_len int64 array indexed by doc_id, or a
     ray.put ObjectRef of it — the broadcast-small-side pattern: fetched
@@ -152,7 +108,7 @@ def make_final_merge(n_docs: int, avgdl: float, block_size: int, dl_ref):
         if t.num_rows == 0:
             return SEGMENT_SCHEMA.empty_table()
         dl_arr = fetch(dl_ref)
-        m = _concat_decode_sort(t, group_by_salt=False)
+        m = _concat_decode_sort(t)
         starts = m.g_val_starts
         pbuf, pnb = varint_encode_sizes(segmented_delta_encode(m.docs, starts))
         tbuf, tnb = varint_encode_sizes(m.tfs)

@@ -99,7 +99,7 @@ def _docs_engine_cached(sf_dir: str, tag: str) -> LocalEngine:
     # (Term(word, field="lang") — the reference's author-field parity,
     # keyword_author.go:16-54); content-term postings are unaffected
     build_index(
-        corpus, out, id_col="doc_id", langs=DOC_LANGS, num_salts=4,
+        corpus, out, id_col="doc_id", langs=DOC_LANGS,
         field_cols=["lang"],
     )
     return LocalEngine(Index(out))
@@ -313,8 +313,8 @@ def _delta_engine_cached(sf_dir: str, tag: str):
     ).drop_columns(["doc_id"])
     main_out = os.path.join(CACHE_ROOT, f"deltamain_{tag}")
     delta_out = os.path.join(CACHE_ROOT, f"deltaadd_{tag}")
-    build_index(main_tbl, main_out, id_col="doc_id", langs=DOC_LANGS, num_salts=2)
-    build_index(delta_tbl, delta_out, langs=DOC_LANGS, num_salts=2)
+    build_index(main_tbl, main_out, id_col="doc_id", langs=DOC_LANGS)
+    build_index(delta_tbl, delta_out, langs=DOC_LANGS)
     deleted = [f"docs\x01{i:010d}.txt" for i in range(cut) if i % 7 == 3]
     return DeltaEngine([main_out], delta_dir=delta_out, deleted_keys=deleted)
 

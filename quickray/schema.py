@@ -75,44 +75,22 @@ SEGMENT_SCHEMA = pa.schema(
     ]
 )
 
-# Per-batch posting run: one row per term present in a tokenizer batch,
-# streams already delta+varint encoded. The shuffle moves these
-# compressed runs — not one row per (term, doc) — which is what keeps
-# the all-to-all exchange ~10x smaller than the exploded token stream
-# at 100 TB scale.
-#   part    = level-1 shuffle partition: hash(term, salt) % num_parts
+# Posting run: one row per term present in a tokenizer batch, streams
+# already delta+varint encoded, as the build's docbase pass checkpoints
+# it (its kind=1 rows). The final merge reads these compressed runs —
+# not one row per (term, doc) — which keeps its all-to-all exchange
+# ~10x smaller than the exploded token stream.
+#   mpart   = hash(term) % num_shards: the merge group, and the final
+#             segment `shard` (tokenize.term_shards)
 #   min_doc = first doc_id of the run (merge-order key; batch doc
 #             ranges are disjoint, so ordering runs by min_doc makes the
-#             per-group concatenation already globally sorted)
-# Runs carry only doc_ids + tfs, like the final segments: the final
-# merge looks doc_len up in a broadcast doc_id-indexed array (doc_ids
-# are dense 0..N-1) for its block-max bounds only.
-RUN_SCHEMA = pa.schema(
-    [
-        ("term", pa.string()),
-        ("salt", pa.int64()),
-        ("part", pa.int64()),
-        ("min_doc", pa.int64()),
-        ("df", pa.int64()),
-        ("postings", pa.binary()),
-        ("tfs", pa.binary()),
-    ]
-)
-
-# A batch run before salting, as the build's docbase pass checkpoints
-# it: salt and part need the corpus hot set and n_docs, known only
-# after the stats phase.
+#             per-term concatenation already globally sorted)
+# Runs carry only doc_ids + tfs, like the final segments: the merge
+# looks doc_len up in a broadcast doc_id-indexed array (doc_ids are
+# dense 0..N-1) for its block-max bounds only.
 BATCH_RUN_SCHEMA = pa.schema(
-    [f for f in RUN_SCHEMA if f.name not in ("salt", "part")]
-)
-
-# Level-1 merge output: one row per (term, salt) partial posting.
-# mpart = hash(term) % num_shards is the level-2 shuffle partition (and
-# becomes the final segment `shard`).
-PARTIAL_SCHEMA = pa.schema(
     [
         ("term", pa.string()),
-        ("salt", pa.int64()),
         ("mpart", pa.int64()),
         ("min_doc", pa.int64()),
         ("df", pa.int64()),

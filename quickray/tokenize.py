@@ -6,8 +6,8 @@ Our corpus is raw source text, so tokenization is a real stage, run
 once per build, inside its docbase pass (build.py): a per-batch body of
 pure pyarrow.compute (RE2 split + list flatten + hash groupby), i.e.
 C++ kernels over zero-copy Arrow batches, then one compressed posting
-run per term per batch (encode_runs), salted after the build's stats
-phase (salt_runs).
+run per term per batch (encode_runs), already carrying the merge group
+(term_shards) that the build's one merge level groups by.
 
 The token definition (lowercase; maximal runs of [a-z0-9_]) is shared
 verbatim by: this Arrow kernel, the Python oracle (oracle.py) and the
@@ -22,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from quickray.schema import BATCH_RUN_SCHEMA, RUN_SCHEMA, TOKEN_SPLIT_RE
+from quickray.schema import BATCH_RUN_SCHEMA, TOKEN_SPLIT_RE
 
 
 def flatten_tokens(
@@ -190,10 +190,21 @@ def batch_postings(
     return pa.concat_tables([grouped] + fields) if fields else grouped
 
 
-def encode_runs(grouped: pa.Table) -> pa.Table:
+def term_shards(terms: pa.Array, num_shards: int) -> np.ndarray:
+    """Each term's merge group, ``stable_hash_str(term) % num_shards``:
+    the runs' ``mpart`` and the final segments' ``shard``."""
+    from quickray.util import stable_hash_str
+
+    return np.fromiter(
+        (stable_hash_str(t) % num_shards for t in terms.to_pylist()),
+        dtype=np.int64, count=len(terms),
+    )
+
+
+def encode_runs(grouped: pa.Table, num_shards: int) -> pa.Table:
     """One compressed posting run per term present in the batch
-    (BATCH_RUN_SCHEMA; doc ids delta+varint, tfs varint) — the
-    shuffle-volume combiner (SURVEY §7.4)."""
+    (BATCH_RUN_SCHEMA; doc ids delta+varint, tfs varint, ``mpart`` from
+    term_shards) — the merge-volume combiner (SURVEY §7.4)."""
     from quickray.codec import (
         segmented_delta_encode,
         split_stream,
@@ -217,9 +228,11 @@ def encode_runs(grouped: pa.Table) -> pa.Table:
     ).astype(np.int64)
     pbuf, pnb = varint_encode_sizes(segmented_delta_encode(doc_s, starts))
     tbuf, tnb = varint_encode_sizes(tf_s)
+    run_codes = codes_s[starts]
     return pa.table(
         {
-            "term": dic.dictionary.take(pa.array(codes_s[starts])),
+            "term": dic.dictionary.take(pa.array(run_codes)),
+            "mpart": term_shards(dic.dictionary, num_shards)[run_codes],
             "min_doc": pa.array(doc_s[starts]),
             "df": pa.array(np.diff(np.append(starts, len(doc_s)))),
             "postings": pa.array(split_stream(pbuf, pnb, starts), pa.binary()),
@@ -229,56 +242,17 @@ def encode_runs(grouped: pa.Table) -> pa.Table:
     )
 
 
-def hot_salts(
-    terms, docs: np.ndarray, hot: pa.Array, n_docs: int, num_salts: int
-) -> np.ndarray:
-    """Salt per row: terms in ``hot`` (a string Array) get the
-    contiguous doc-range salt ``doc * S // n_docs``, so the merges
-    concatenate a hot term's salted runs in salt order; every other
-    term gets 0."""
-    is_hot = np.asarray(pc.is_in(terms, value_set=hot), dtype=bool)
-    return np.where(
-        is_hot, docs * max(1, num_salts) // max(1, n_docs), 0
-    ).astype(np.int64)
-
-
-def salt_runs(
-    runs: pa.Table, hot: pa.Array, n_docs: int, num_salts: int, num_parts: int
-) -> pa.Table:
-    """Batch runs (BATCH_RUN_SCHEMA) -> RUN_SCHEMA: a run's salt comes
-    from its min_doc (hot_salts), its level-1 shuffle partition is
-    ``part = hash(term, salt) % num_parts``."""
-    from quickray.util import stable_hash_str
-
-    if runs.num_rows == 0:
-        return RUN_SCHEMA.empty_table()
-    terms = runs["term"]
-    salt = hot_salts(
-        terms, np.asarray(runs["min_doc"], np.int64), hot, n_docs, num_salts
-    )
-    th = np.fromiter(
-        map(stable_hash_str, terms.to_pylist()), dtype=np.int64,
-        count=runs.num_rows,
-    )
-    part = (th + salt * np.int64(0x9E3779B1)) % max(1, num_parts)
-    new = {"salt": pa.array(salt), "part": pa.array(part)}
-    return pa.table(
-        {c: new[c] if c in new else runs[c] for c in RUN_SCHEMA.names},
-        schema=RUN_SCHEMA,
-    )
-
-
 class Tokenizer:
-    """One tokenizer batch -> compressed, salted posting runs
-    (``emit_runs``, RUN_SCHEMA), or (term, doc_id, tf, salt) rows.
+    """One tokenizer batch -> its compressed posting runs
+    (BATCH_RUN_SCHEMA) with ``mpart`` taken modulo ``num_parts``: the
+    kind=1 rows the build's docbase pass writes, from the same
+    functions (flatten_tokens, batch_postings, encode_runs).
 
-    The build does not call this class: its docbase phase tokenizes
-    each batch once and checkpoints the batch runs (batch_postings +
-    encode_runs), and its postings phase salts them (salt_runs) once
-    the hot set is known. The class chains the same functions on one
-    batch, for callers that already know the hot set (tests, the
-    tokenize throughput probe); the broadcast arguments take a value
-    or a ray.put ObjectRef (util.fetch).
+    The build does not call this class; direct callers do (tests, the
+    tokenize throughput probe). ``hot_ref``, ``n_docs``, ``num_salts``
+    and ``emit_runs`` are accepted and ignored: they configured hot-term
+    salting and a per-(term, doc) rows mode, both gone. ``rank_ref``
+    takes a value or a ray.put ObjectRef (util.fetch).
     """
 
     def __init__(
@@ -293,7 +267,6 @@ class Tokenizer:
     ) -> None:
         from quickray.util import fetch
 
-        self.hot = pa.array(sorted(fetch(hot_ref) or ()), pa.string())
         self.ranked_keys = fetch(rank_ref)  # plasma-local, zero-copy
         # probe view, built once (rank_lookup docstring)
         self.ranked_np = (
@@ -301,9 +274,6 @@ class Tokenizer:
             if self.ranked_keys is not None
             else None
         )
-        self.n_docs = max(1, n_docs)
-        self.num_salts = max(1, num_salts)
-        self.emit_runs = emit_runs
         self.num_parts = max(1, num_parts)
         self.field_cols = list(field_cols or [])
 
@@ -318,24 +288,7 @@ class Tokenizer:
         grouped = batch_postings(
             batch, self._doc_id_col(batch), flat, parents, self.field_cols
         )
-        if self.emit_runs:
-            return salt_runs(
-                encode_runs(grouped), self.hot, self.n_docs,
-                self.num_salts, self.num_parts,
-            )
-        # rows mode (tests/diagnostics): one row per (term, doc)
-        salt = hot_salts(
-            grouped["term"], np.asarray(grouped["doc_id"], dtype=np.int64),
-            self.hot, self.n_docs, self.num_salts,
-        )
-        return pa.table(
-            {
-                "term": grouped["term"],
-                "doc_id": grouped["doc_id"],
-                "tf": grouped["count_all"],
-                "salt": pa.array(salt),
-            }
-        )
+        return encode_runs(grouped, self.num_parts)
 
 
 def tokenize_py(text: str) -> list[str]:

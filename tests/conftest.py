@@ -39,8 +39,7 @@ def built_index(small_corpus, tmp_path_factory):
     from quickray.build import build_index
 
     out = str(tmp_path_factory.mktemp("idx") / "build")
-    build_index(small_corpus, out, hot_df=300, num_salts=4,
-                tokenizer_batch_size=256)
+    build_index(small_corpus, out, tokenizer_batch_size=256)
     yield out
     shutil.rmtree(out, ignore_errors=True)
 

@@ -4,7 +4,6 @@ import hashlib
 import os
 
 import numpy as np
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -87,88 +86,34 @@ def test_candidate_sets_match_oracle(engine, oracle):
         assert engine.candidates(q).tolist() == oracle.candidates(q), q.to_json()
 
 
-def test_salting_invariance(small_corpus, built_index, tmp_path):
-    """Same corpus built with no salting and different shuffle layout
-    must produce byte-identical segment contents (determinism across
-    physical plans — the N vs 4N cluster argument in miniature). The
-    segments hold exactly SEGMENT_SCHEMA: no per-posting doc-level
-    streams."""
+def test_shard_layout_invariance(small_corpus, built_index, tmp_path):
+    """Same corpus built on the other executor with a different merge
+    layout must produce byte-identical segment contents (determinism
+    across physical plans — the N vs 4N cluster argument in
+    miniature). The segments hold exactly SEGMENT_SCHEMA: no
+    per-posting doc-level streams."""
     from quickray.build import build_index
     from quickray.schema import SEGMENT_SCHEMA
 
-    out2 = str(tmp_path / "nosalt")
-    build_index(small_corpus, out2, hot_df=300, num_salts=1, num_shards=7)
+    out2 = str(tmp_path / "shards7")
+    build_index(small_corpus, out2, num_shards=7)
     a = pq.read_table(os.path.join(built_index, "segments")).sort_by("term")
     b = pq.read_table(os.path.join(out2, "segments")).sort_by("term")
     for t in (a, b):
         assert t.schema.remove_metadata() == SEGMENT_SCHEMA
+    assert sorted(set(b["shard"].to_pylist())) == list(range(7))
     for col in ["term", "df", "postings", "tfs", "block_last", "block_max"]:
         assert a[col].to_pylist() == b[col].to_pylist(), col
-
-
-HOT_CASES = {
-    "local": {},
-    "ray": {"tokenizer_batch_size": 128},
-    "durable": {"tokenizer_batch_size": 128, "durable_shuffle": True,
-                "shuffle_chunks": 3},
-}
-
-
-@pytest.mark.parametrize("kw", list(HOT_CASES.values()), ids=list(HOT_CASES))
-def test_hot_set_is_exact(tmp_path, kw):
-    """The hot set is every term, content word or field key, whose
-    corpus df exceeds the threshold: the sum of its batch runs' dfs,
-    on either executor and on the durable shuffle."""
-    from quickray.build import build_index
-    from quickray.corpus import generate_corpus
-
-    res = build_index(generate_corpus(300, seed=11), str(tmp_path / "b"),
-                      hot_df=40, num_salts=4, field_cols=["lang"], **kw)
-    st = res.stats
-    assert st["executor"] == ("ray" if kw else "local")
-    seg = pq.read_table(os.path.join(res.out_dir, "segments"),
-                        columns=["term", "df"])
-    want = sorted(
-        t for t, df in zip(seg["term"].to_pylist(), seg["df"].to_pylist())
-        if df > st["hot_df_threshold"]
-    )
-    assert st["hot_terms"] == want
-    assert any(t.startswith("lang\x01") for t in want)
-    assert any("\x01" not in t for t in want)
 
 
 def test_build_tokenizes_each_batch_once(tmp_path, flatten_calls):
     """The docbase pass is the build's only tokenization: one
     flatten_tokens call per tokenizer batch (a local build is one
-    batch), and the postings phase shuffles its checkpointed runs."""
+    batch), and the segments phase merges its checkpointed runs."""
     from quickray.build import build_index
     from quickray.corpus import generate_corpus
 
     res = build_index(generate_corpus(300, seed=11), str(tmp_path / "b"),
-                      hot_df=40, num_salts=4, field_cols=["lang"])
+                      field_cols=["lang"])
     assert res.stats["executor"] == "local"
     assert flatten_calls == [300]
-
-
-def test_hot_candidates_keep_every_hot_term(tmp_path):
-    """The stats phase sums only the runs of candidate terms (a run
-    above the threshold's share of its batch); over uneven batches and
-    every threshold at a df boundary, that is still the exact set of
-    terms whose summed run df exceeds it."""
-    from quickray.build import _hot_terms, build_index
-    from quickray.corpus import generate_corpus
-
-    res = build_index(generate_corpus(300, seed=11), str(tmp_path / "b"),
-                      tokenizer_batch_size=64, field_cols=["lang"])
-    assert res.stats["executor"] == "ray"
-    docbase = os.path.join(res.out_dir, "docbase")
-    runs = pq.read_table(docbase, columns=["term", "df", "batch_docs",
-                                           "kind"])
-    runs = runs.filter(pc.equal(runs["kind"], 1))
-    assert len(set(runs["batch_docs"].to_pylist())) > 1  # uneven batches
-    sums = runs.group_by("term").aggregate([("df", "sum")])
-    df = dict(zip(sums["term"].to_pylist(), sums["df_sum"].to_pylist()))
-    thresholds = {0, 300} | {d - 1 for d in df.values()} | set(df.values())
-    for th in sorted(thresholds):
-        want = sorted(t for t, d in df.items() if d > th)
-        assert _hot_terms(docbase, 300, th) == want, th

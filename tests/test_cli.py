@@ -73,3 +73,26 @@ def test_cli_query_matches_library_and_folds_case(built_index, capsys):
     got_scores = [h["score"] for h in out["hits"]]
     assert got_ids == list(np.asarray(ids, dtype=np.int64))
     assert np.allclose(got_scores, np.asarray(scores, dtype=np.float64))
+
+
+def test_cli_build_uses_the_library_layout(tmp_path, capsys):
+    """`build` with no layout flags writes the merge layout that a
+    default build_index call does (both scale it with the corpus row
+    count), not a fixed 256-shard one."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from quickray.build import build_index
+    from quickray.corpus import generate_corpus
+
+    src = str(tmp_path / "corpus")
+    os.makedirs(src)
+    pq.write_table(generate_corpus(120, seed=5), os.path.join(src, "c.parquet"))
+    cli_out, lib_out = str(tmp_path / "cli"), str(tmp_path / "lib")
+    assert main(["build", "--corpus", src, "--out", cli_out]) == 0
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    want = build_index(src, lib_out).stats["num_shards"]
+    assert out["stats"]["num_shards"] == want
+    with open(os.path.join(cli_out, "stats", "stats.json")) as f:
+        assert json.load(f)["num_shards"] == want

@@ -50,7 +50,7 @@ def _update_content(tbl: pa.Table, rows: list[int]) -> pa.Table:
 
 
 def _rebuild_search(tbl: pa.Table, out: str, queries) -> dict:
-    build_index(tbl, out, num_salts=1, num_shards=8, num_parts=8)
+    build_index(tbl, out, num_shards=8)
     ix = Index(out)
     eng = LocalEngine(ix)
     keys = ix.keys_by_id()  # fixed-width bytes; decode the bounded top-k
@@ -87,11 +87,11 @@ def test_add_delete_update_lifecycle(tmp_path, ray_session):
     assert len(queries) >= 10
 
     main_dir = str(tmp_path / "main")
-    build_index(base, main_dir, num_salts=1, num_shards=8, num_parts=8)
+    build_index(base, main_dir, num_shards=8)
 
     # ---- add: serve main ∪ additions --------------------------------
     add_dir = str(tmp_path / "delta_add")
-    build_index(additions, add_dir, num_salts=1, num_shards=8, num_parts=8)
+    build_index(additions, add_dir, num_shards=8)
     eng = DeltaEngine([main_dir], delta_dir=add_dir)
     exp = _rebuild_search(
         pa.concat_tables([base, additions]), str(tmp_path / "rb_add"), queries
@@ -123,7 +123,7 @@ def test_add_delete_update_lifecycle(tmp_path, ray_session):
     # the same keys are tombstoned automatically -----------------------
     upd_delta = pa.concat_tables([additions, updates])
     upd_dir = str(tmp_path / "delta_upd")
-    build_index(upd_delta, upd_dir, num_salts=1, num_shards=8, num_parts=8)
+    build_index(upd_delta, upd_dir, num_shards=8)
     eng = DeltaEngine([main_dir], delta_dir=upd_dir, deleted_keys=del_keys)
     live_main = base.filter(
         pc.invert(pc.is_in(
@@ -150,7 +150,7 @@ def test_add_delete_update_lifecycle(tmp_path, ray_session):
 def test_pure_delete_no_delta(tmp_path, ray_session):
     base = generate_corpus(150, seed=9)
     main_dir = str(tmp_path / "main")
-    build_index(base, main_dir, num_salts=1, num_shards=8, num_parts=8)
+    build_index(base, main_dir, num_shards=8)
     del_rows = [0, 5, 50, 149]
     del_keys = [
         f"{base['repo'][i].as_py()}\x01{base['path'][i].as_py()}"
@@ -204,11 +204,11 @@ def test_conflicting_same_key_batches_last_wins(tmp_path, ray_session):
     batch2 = pa.concat_tables([v2_updates, readd])
 
     main_dir = str(tmp_path / "main")
-    build_index(base, main_dir, num_salts=1, num_shards=8, num_parts=8)
+    build_index(base, main_dir, num_shards=8)
     d1 = str(tmp_path / "d1")
     d2 = str(tmp_path / "d2")
-    build_index(batch1, d1, num_salts=1, num_shards=8, num_parts=8)
-    build_index(batch2, d2, num_salts=1, num_shards=8, num_parts=8)
+    build_index(batch1, d1, num_shards=8)
+    build_index(batch2, d2, num_shards=8)
 
     eng = DeltaEngine([main_dir], delta_dir=[d1, d2])
 
@@ -270,7 +270,7 @@ def test_delta_over_partitioned_main(tmp_path, ray_session):
 
     base = generate_corpus(200, seed=11)
     parts = build_partitioned(base, str(tmp_path / "parts"), n_partitions=3,
-                              num_salts=1, num_shards=8, num_parts=8)
+                              num_shards=8)
     assert len(parts) == 3
     additions = _retag(generate_corpus(20, seed=12), "delta")
     del_rows = [1, 70, 150, 199]  # spread across key ranges
@@ -279,7 +279,7 @@ def test_delta_over_partitioned_main(tmp_path, ray_session):
         for i in del_rows
     ]
     add_dir = str(tmp_path / "delta_add")
-    build_index(additions, add_dir, num_salts=1, num_shards=8, num_parts=8)
+    build_index(additions, add_dir, num_shards=8)
     eng = DeltaEngine(parts, delta_dir=add_dir, deleted_keys=del_keys)
 
     live = base.filter(
@@ -327,7 +327,7 @@ def test_fully_tombstoned_term_in_or_query(tmp_path, ray_session):
         }
     )
     main_dir = str(tmp_path / "main")
-    build_index(base, main_dir, num_salts=1, num_shards=4, num_parts=4)
+    build_index(base, main_dir, num_shards=4)
     del_keys = [f"r\x01f{i:03d}.go" for i in range(3)]  # all zzmarker docs
     eng = DeltaEngine([main_dir], deleted_keys=del_keys)
     q = Query(tree=Or((Term("zzmarker"), Term("shared"))), k=50)

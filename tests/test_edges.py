@@ -21,7 +21,7 @@ def _tiny(tmp_path, contents):
         }
     )
     out = str(tmp_path / "idx")
-    build_index(tbl, out, num_salts=2, num_shards=5)
+    build_index(tbl, out, num_shards=5)
     return out
 
 
@@ -827,7 +827,7 @@ def test_query_actor_hydrate_empty_batch_schema(tmp_path, ray_session):
 
     tbl = generate_corpus(120, seed=21)
     out = str(tmp_path / "idx")
-    build_index(tbl, out, num_salts=1, num_shards=4, num_parts=4)
+    build_index(tbl, out, num_shards=4)
     actor = QueryEngineActor(
         out, hydrate_cols=("sha256", "doc_len"), preload_top_df=0,
         preload_bytes=None,

@@ -1,12 +1,15 @@
 """The two build executors (build.py): a source of at most one
 tokenizer batch builds in the calling process with no Ray job (local);
 larger or uncounted sources build on Ray. Both must write the same
-index; the local one must also resume, fail on bad input and run
-without ray.init."""
+index, streaming or durable, and it must equal the digests pinned on
+the two-level (salted) merge that the one merge replaced; the local one
+must also resume, fail on bad input and run without ray.init."""
 
+import hashlib
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -18,17 +21,42 @@ import pytest
 
 from quickray.build import build_index
 from quickray.corpus import generate_corpus
-from quickray.schema import SEGMENT_SCHEMA
+from quickray.schema import DOCMETA_SCHEMA, SEGMENT_SCHEMA
 
 N = 300
 RAY_BATCH = 128  # below N: the same input builds on the Ray executor
-COMMON = {"hot_df": 40, "num_salts": 4}  # salting active
+DURABLE = {"durable_shuffle": True, "shuffle_chunks": 3}
 VARIANTS = {
     "streaming": {},
-    "durable": {"durable_shuffle": True, "shuffle_chunks": 3},
+    "durable": DURABLE,
     "field_cols": {"field_cols": ["lang"]},
     "id_col": {"id_col": "my_id"},
+    "durable_field_cols": {**DURABLE, "field_cols": ["lang"]},
+    "durable_id_col": {**DURABLE, "id_col": "my_id"},
 }
+# sha256 (_digest) of the segments sorted by term and of docmeta sorted
+# by doc_id, every column, as the two-level salted merge (hot_df=40,
+# num_salts=4 or the defaults: the same bytes) wrote them for the
+# fixture corpus on both executors, streaming and durable
+PINNED = {
+    "plain": (
+        "a4e952bd03dd80e6ee121f6ec7a30a3a02252f2bc9b8a345137e383592e7d89f",
+        "3903bff0e228ab0837ac14245560f7f26835cf65855a822db7beb5e4d20979f1",
+    ),
+    "field_cols": (
+        "84409a8ee5d30d6967abcb8cd8df83bf0201e99288c48c54e354d05bd091ac15",
+        "3903bff0e228ab0837ac14245560f7f26835cf65855a822db7beb5e4d20979f1",
+    ),
+    "id_col": (
+        "1cb630791fbccc90c7983a51f35b426b7d2db4642c9f12d683b2bfa8a3f263c1",
+        "a9b7519e5b2bace4abd400628fa44ddd96af5ff485dfa90a524ada4aa196f4b9",
+    ),
+}
+
+
+def _pinned(kw):
+    return PINNED["field_cols" if "field_cols" in kw
+                  else "id_col" if "id_col" in kw else "plain"]
 
 
 def _segments(out):
@@ -37,7 +65,20 @@ def _segments(out):
 
 
 def _docmeta(out):
-    return pq.read_table(os.path.join(out, "docmeta")).sort_by("doc_id")
+    t = pq.read_table(os.path.join(out, "docmeta"))
+    return t.select(DOCMETA_SCHEMA.names).sort_by("doc_id")
+
+
+def _digest(t):
+    h = hashlib.sha256()
+    for name in t.column_names:
+        h.update(name.encode())
+        h.update(repr(t[name].to_pylist()).encode())
+    return h.hexdigest()
+
+
+def _digests(out):
+    return _digest(_segments(out)), _digest(_docmeta(out))
 
 
 def _stats(out):
@@ -63,21 +104,51 @@ def corpus():
 @pytest.mark.parametrize("kw", list(VARIANTS.values()), ids=list(VARIANTS))
 def test_local_equals_ray(corpus, tmp_path, kw):
     loc_out, ray_out = str(tmp_path / "local"), str(tmp_path / "ray")
-    loc = build_index(corpus, loc_out, **COMMON, **kw)
-    on_ray = build_index(
-        corpus, ray_out, tokenizer_batch_size=RAY_BATCH, **COMMON, **kw
-    )
+    loc = build_index(corpus, loc_out, **kw)
+    on_ray = build_index(corpus, ray_out, tokenizer_batch_size=RAY_BATCH, **kw)
     for res, out, ex in ((loc, loc_out, "local"), (on_ray, ray_out, "ray")):
         assert res.stats["executor"] == ex
         assert {p["executor"] for p in _manifest(out)["phases"].values()} == {ex}
     assert loc.phase_times.keys() == on_ray.phase_times.keys()
     st = _stats(loc_out)
-    assert st["hot_terms"] and st["n_docs"] == N
+    assert st["n_docs"] == N
     assert st == _stats(ray_out)
     seg = _segments(loc_out)
     assert seg.num_rows == st["vocab_size"]
     assert seg.equals(_segments(ray_out))
     assert _docmeta(loc_out).equals(_docmeta(ray_out))
+    assert _digests(loc_out) == _digests(ray_out) == _pinned(kw)
+
+
+def test_durable_resume_after_lost_segments_chunk(corpus, tmp_path, flatten_calls):
+    """Kill mid-merge on the durable Ray build: one finished
+    ``segments:{ci}`` chunk is lost. The resume reruns only that chunk
+    (no content is tokenized, the other chunks are not rewritten) and
+    the index equals the pinned digests."""
+    out = str(tmp_path / "b")
+    build_index(corpus, out, tokenizer_batch_size=RAY_BATCH, **DURABLE)
+    assert _digests(out) == PINNED["plain"]
+    man = _manifest(out)
+    chunk_keys = sorted(k for k in man["phases"] if k.startswith("segments:"))
+    assert len(chunk_keys) == DURABLE["shuffle_chunks"]
+    victim, survivor = chunk_keys[1], chunk_keys[0]
+
+    def mtimes(key):
+        d = os.path.join(out, man["phases"][key]["dir"])
+        return {f: os.path.getmtime(os.path.join(d, f)) for f in os.listdir(d)}
+
+    kept = mtimes(survivor)
+    shutil.rmtree(os.path.join(out, man["phases"][victim]["dir"]))
+    del man["phases"][victim]
+    with open(os.path.join(out, "manifest.json"), "w") as f:
+        json.dump(man, f)
+    del flatten_calls[:]
+    res = build_index(corpus, out, tokenizer_batch_size=RAY_BATCH, **DURABLE)
+    assert flatten_calls == []
+    assert _manifest(out)["phases"][victim]["status"] == "done"
+    assert mtimes(survivor) == kept
+    assert res.stats["vocab_size"] == _segments(out).num_rows
+    assert _digests(out) == PINNED["plain"]
 
 
 def test_generic_dataset_builds_on_ray(tmp_path):
@@ -106,7 +177,7 @@ def test_local_build_runs_without_ray(tmp_path):
         from quickray.queryset import make_query_set
 
         tbl = generate_corpus(200, seed=9)
-        res = build_index(tbl, {str(tmp_path / "b")!r}, hot_df=30, num_salts=2)
+        res = build_index(tbl, {str(tmp_path / "b")!r})
         assert res.stats["executor"] == "local", res.stats
         eng = LocalEngine(Index(res.out_dir))
         oracle = Oracle(tbl)
@@ -135,13 +206,13 @@ def test_local_build_runs_without_ray(tmp_path):
 
 def test_local_resume(tmp_path):
     """A parquet source of one batch (row count from its footer) builds
-    locally; after a crash that lost postings and segments, only those
-    phases rerun and the segments come back identical."""
+    locally; after a crash that lost the segments, only that phase
+    reruns and the segments come back identical."""
     src = str(tmp_path / "corpus")
     os.makedirs(src)
     pq.write_table(generate_corpus(200, seed=4), os.path.join(src, "c.parquet"))
     out = str(tmp_path / "b")
-    r1 = build_index(src, out, **COMMON)
+    r1 = build_index(src, out)
     assert r1.stats["executor"] == "local"
     fresh = _segments(out)
 
@@ -154,12 +225,11 @@ def test_local_resume(tmp_path):
         )
         for ph in ("docids", "docbase", "docmeta")
     }
-    for ph in ("postings", "segments"):
-        del man["phases"][ph]
+    del man["phases"]["segments"]
     with open(man_path, "w") as f:
         json.dump(man, f)
 
-    r2 = build_index(src, out, **COMMON)
+    r2 = build_index(src, out)
     assert _segments(out).equals(fresh)
     assert r2.stats == r1.stats
     for ph, mtime in kept.items():  # finished phases were not rewritten

@@ -23,14 +23,14 @@ def field_corpus():
 
 @pytest.fixture(scope="module")
 def field_index(field_corpus, tmp_path_factory, ray_session):
-    """Build with lang+repo indexed as fields; hot_df low enough that
-    the lang field keywords (df ~ n/len(langs)) are HOT — the salted
-    path is exercised for field postings too."""
+    """Build with lang+repo indexed as fields; the lang field keywords
+    (df ~ n/len(langs)) are among the corpus's hottest keys, merged
+    like any term."""
     from quickray.build import build_index
 
     out = str(tmp_path_factory.mktemp("fieldidx") / "build")
     build_index(
-        field_corpus, out, hot_df=50, num_salts=4, field_cols=FIELDS
+        field_corpus, out, field_cols=FIELDS
     )
     return out
 
@@ -65,10 +65,16 @@ def test_field_keys_indexed_and_hot(field_index, field_corpus):
     )
     for lang in _vals(field_corpus, "lang"):
         assert f"lang\x01{lang}" in terms
-    # lang field keywords exceed hot_df=50 -> must be in the hot set
-    # (salted shuffle path); content terms are untouched by fields
-    hot_field = [t for t in stats["hot_terms"] if t.startswith("lang\x01")]
-    assert hot_field, stats["hot_terms"][:10]
+    # the lang field keywords are hot: each holds a sizable share of
+    # the corpus, one posting per doc of that lang
+    seg = pq.read_table(os.path.join(field_index, "segments"),
+                        columns=["term", "df"])
+    df = dict(zip(seg["term"].to_pylist(), seg["df"].to_pylist()))
+    langs = field_corpus["lang"].to_pylist()
+    for lang in _vals(field_corpus, "lang"):
+        want = sum((v or "").lower() == lang for v in langs)
+        assert df[f"lang\x01{lang}"] == want, lang
+    assert max(df[f"lang\x01{v}"] for v in _vals(field_corpus, "lang")) > 50
 
 
 def test_field_recall_matches_metadata(field_engine, field_corpus, field_oracle):
@@ -130,13 +136,13 @@ def test_author_recaller_port(field_engine, field_corpus):
 
 
 def test_field_hot_detection_case_folds(tmp_path, ray_session):
-    """Field hot-term dfs must be counted on the lowercased posting key
-    ('EN' and 'en' both post to lang\\x01en), or a case-mixed hot value
-    slips under the threshold and is never salted."""
-    import json
+    """Field dfs must be counted on the lowercased posting key ('EN'
+    and 'en' both post to lang\\x01en), or a case-mixed hot value would
+    split into two half-size postings."""
     import os
 
     import pyarrow as pa
+    import pyarrow.parquet as pq
 
     from quickray.build import build_index
 
@@ -151,11 +157,12 @@ def test_field_hot_detection_case_folds(tmp_path, ray_session):
         }
     )
     out = str(tmp_path / "idx")
-    build_index(tbl, out, hot_df=100, field_cols=["lang"], langs=["en"])
-    with open(os.path.join(out, "stats", "stats.json")) as f:
-        stats = json.load(f)
-    # each raw-cased group is 60 (< 100); the folded key's df is 120
-    assert "lang\x01en" in stats["hot_terms"]
+    build_index(tbl, out, field_cols=["lang"], langs=["en"])
+    seg = pq.read_table(os.path.join(out, "segments"), columns=["term", "df"])
+    df = dict(zip(seg["term"].to_pylist(), seg["df"].to_pylist()))
+    # each raw-cased group is 60; the folded key's df is 120
+    assert df["lang\x01en"] == n
+    assert not any(t.startswith("lang\x01") and t != "lang\x01en" for t in df)
     eng = LocalEngine(Index(out))
     assert len(eng.candidates(
         Query(tree=Term("en", field="lang"), k=10**9)
@@ -250,7 +257,7 @@ def test_partitioned_field_terms_match_global(
         out = str(root / f"p{i}")
         build_index(
             srt.slice(cuts[i], cuts[i + 1] - cuts[i]), out,
-            hot_df=50, num_salts=2, field_cols=FIELDS,
+            field_cols=FIELDS,
         )
         dirs.append(out)
     peng = PartitionedEngine(dirs)

@@ -69,7 +69,7 @@ def test_bits_missing_or_unreadable_raises(tmp_path, monkeypatch):
 
     tbl = generate_corpus(1500, seed=13)
     out = str(tmp_path / "idx")
-    build_index(tbl, out, num_salts=2)
+    build_index(tbl, out)
     oracle = Oracle(tbl)
 
     ix0 = Index(out)

@@ -39,7 +39,7 @@ FLAGS = (
     {"or_flags": (0, 3)},
     {"on_flag": 2, "off_flag": 4},
 )
-BUILD = {"num_salts": 1, "num_shards": 8, "num_parts": 8}
+BUILD = {"num_shards": 8}
 
 
 def _keys(tbl: pa.Table) -> pa.Array:

@@ -53,7 +53,7 @@ def _build(ids, out) -> LocalEngine:
         tbl.schema.get_field_index("doc_id"), "doc_id",
         pa.array([dense[v] for v in sorted(ids)], pa.int64()),
     )
-    build_index(tbl, out, id_col="doc_id", num_salts=1)
+    build_index(tbl, out, id_col="doc_id")
     return LocalEngine(Index(out)), dense
 
 

@@ -1,7 +1,7 @@
 """Property tests for the segmented codec helpers and the
-partition-level run merges (quickray/merge.py) — the salted-merge
-correctness requirement of SURVEY §7.8(c): no lost, duplicated or
-misordered postings for any batch split / salt layout / arrival order.
+partition-level run merge (quickray/merge.py) — the merge correctness
+requirement of SURVEY §7.8(c): no lost, duplicated or misordered
+postings for any batch split / merge layout / arrival order.
 """
 
 import numpy as np
@@ -17,9 +17,10 @@ from quickray.codec import (
     varint_decode,
     varint_encode_sizes,
 )
-from quickray.merge import make_final_merge, make_level1_merge
-from quickray.schema import RUN_SCHEMA
+from quickray.merge import make_final_merge
+from quickray.schema import BATCH_RUN_SCHEMA
 from quickray.tokenize import Tokenizer
+from quickray.util import stable_hash_str
 
 
 # --------------------------------------------------------- codec helpers
@@ -86,15 +87,13 @@ def _naive_invert(doc_rows):
         max_size=40,
     ),
     st.integers(1, 4),  # batch size: how docs split into tokenizer batches
-    st.integers(1, 3),  # num salts
+    st.integers(1, 3),  # merge groups (num_shards)
     st.integers(0, 1),  # shuffle run arrival order?
 )
-def test_run_merge_matches_naive_inversion(docs, bs, salts, shuffle):
+def test_run_merge_matches_naive_inversion(docs, bs, shards, shuffle):
     n = len(docs)
     doc_rows = [(i, toks) for i, toks in enumerate(docs)]
-    tok = Tokenizer(
-        hot_ref={"hot"}, n_docs=n, num_salts=salts, emit_runs=True, num_parts=5
-    )
+    tok = Tokenizer(num_parts=shards)
     run_tables = []
     for s in range(0, n, bs):
         chunk = doc_rows[s : s + bs]
@@ -110,23 +109,17 @@ def test_run_merge_matches_naive_inversion(docs, bs, salts, shuffle):
         idx = np.random.default_rng(0).permutation(runs.num_rows)
         runs = runs.take(idx)
 
-    # level 1 per part, level 2 per mpart — exactly like the build
-    l1 = make_level1_merge(num_shards=3)
-    partials = []
-    for p in np.unique(np.asarray(runs["part"])):
-        grp = runs.filter(pa.compute.equal(runs["part"], int(p)))
-        partials.append(l1(grp))
-    partials_t = pa.concat_tables(partials)
+    # one merge per mpart — exactly like the build's segments phase
     dl = np.array([len(t) for _, t in doc_rows], dtype=np.int64)
     import ray
 
     ref = ray.put(dl)
-    l2 = make_final_merge(n_docs=n, avgdl=float(dl.mean()), block_size=4,
-                          dl_ref=ref)
+    merge = make_final_merge(n_docs=n, avgdl=float(dl.mean()), block_size=4,
+                             dl_ref=ref)
     segs = []
-    for mp in np.unique(np.asarray(partials_t["mpart"])):
-        grp = partials_t.filter(pa.compute.equal(partials_t["mpart"], int(mp)))
-        segs.append(l2(grp))
+    for mp in np.unique(np.asarray(runs["mpart"])):
+        grp = runs.filter(pa.compute.equal(runs["mpart"], int(mp)))
+        segs.append(merge(grp))
     seg = pa.concat_tables(segs)
 
     from quickray.codec import decode_postings
@@ -137,11 +130,14 @@ def test_run_merge_matches_naive_inversion(docs, bs, salts, shuffle):
         ids = decode_postings(seg["postings"][i].as_py())
         tfs = varint_decode(seg["tfs"][i].as_py())
         got[term] = list(zip(ids.tolist(), tfs.tolist()))
+        assert seg["shard"][i].as_py() == stable_hash_str(term) % shards
     assert got == _naive_invert(doc_rows)
 
 
 def test_run_schema_stable():
-    tok = Tokenizer(emit_runs=True, n_docs=4, num_parts=3)
+    """A batch's runs as the docbase pass writes them: one row per
+    term, ``mpart`` the term's merge group."""
+    tok = Tokenizer(num_parts=3)
     out = tok(
         pa.table(
             {
@@ -150,6 +146,9 @@ def test_run_schema_stable():
             }
         )
     )
-    assert out.schema == RUN_SCHEMA
+    assert out.schema == BATCH_RUN_SCHEMA
     rows = {r["term"]: r for r in out.to_pylist()}
     assert rows["x"]["df"] == 1 and rows["y"]["df"] == 2
+    assert rows["y"]["min_doc"] == 0 and rows["z"]["min_doc"] == 1
+    for t, r in rows.items():
+        assert r["mpart"] == stable_hash_str(t) % 3

@@ -29,7 +29,7 @@ def split_engines(small_corpus, built_index, tmp_path_factory):
     for i in range(3):
         part = srt.slice(cuts[i], cuts[i + 1] - cuts[i])
         out = str(root / f"p{i}")
-        build_index(part, out, hot_df=300, num_salts=2)
+        build_index(part, out)
         dirs.append(out)
     return PartitionedEngine(dirs), LocalEngine(Index(built_index))
 
@@ -58,11 +58,11 @@ def test_build_partitioned_orchestrator(tmp_path):
     tbl = generate_corpus(200, seed=9)
     src = str(tmp_path / "corpus.parquet")
     pq.write_table(tbl, src)
-    dirs = build_partitioned(src, str(tmp_path / "parts"), 3, hot_df=100)
+    dirs = build_partitioned(src, str(tmp_path / "parts"), 3)
     assert len(dirs) == 3
     peng = PartitionedEngine(dirs)
     gout = str(tmp_path / "global")
-    build_index(tbl, gout, hot_df=100)
+    build_index(tbl, gout)
     geng = LocalEngine(Index(gout))
     assert peng.n_docs == 200
     q = Query(tree=Or((Term("func"), Term("return"))), k=25)
@@ -90,7 +90,7 @@ def test_delta_rebuild_touches_only_changed_partition(tmp_path):
     src = str(tmp_path / "corpus.parquet")
     pq.write_table(tbl, src)
     root = str(tmp_path / "parts")
-    dirs = build_partitioned(src, root, 3, hot_df=100)
+    dirs = build_partitioned(src, root, 3)
     before = {
         d: json.load(open(os.path.join(d, "manifest.json")))["phases"][
             "segments"]["finished_at"]
@@ -104,7 +104,7 @@ def test_delta_rebuild_touches_only_changed_partition(tmp_path):
         pa.array(contents, pa.string()),
     )
     pq.write_table(tbl2, src)
-    dirs2 = build_partitioned(src, root, 3, hot_df=100)
+    dirs2 = build_partitioned(src, root, 3)
     assert dirs2 == dirs
     after = {
         d: json.load(open(os.path.join(d, "manifest.json")))["phases"][
@@ -128,7 +128,7 @@ def test_delta_rebuild_touches_only_changed_partition(tmp_path):
     keep = [i for i, k in enumerate(keys) if k >= first_cut]
     tbl3 = tbl2.take(keep)
     pq.write_table(tbl3, src)
-    dirs3 = build_partitioned(src, root, 3, hot_df=100)
+    dirs3 = build_partitioned(src, root, 3)
     assert len(dirs3) == 2
     peng3 = PartitionedEngine(dirs3)
     assert peng3.n_docs == len(keep)

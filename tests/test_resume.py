@@ -28,30 +28,30 @@ def _drop(man, out, prefixes):
 def test_resume_noop_and_kill_resume(tmp_path, flatten_calls):
     tbl = generate_corpus(250, seed=3)
     out = str(tmp_path / "b")
-    r1 = build_index(tbl, out, hot_df=100, num_salts=2)
+    r1 = build_index(tbl, out)
     fresh = _segments_fingerprint(out)
 
     # no-op resume: all phases skipped, fast
     t0 = time.time()
-    build_index(tbl, out, hot_df=100, num_salts=2)
+    build_index(tbl, out)
     assert time.time() - t0 < 5.0
 
-    # simulate a crash between postings and merge
+    # simulate a crash between docbase's dependents and the merge
     man_path = os.path.join(out, "manifest.json")
     man = json.load(open(man_path))
     _drop(man, out, {"segments", "docmeta"})
     json.dump(man, open(man_path, "w"))
-    r2 = build_index(tbl, out, hot_df=100, num_salts=2)
+    r2 = build_index(tbl, out)
     assert _segments_fingerprint(out) == fresh
     assert r2.stats == r1.stats
 
-    # a crash right after docbase: stats, docmeta and the postings
-    # resume from its checkpointed runs, with no content tokenized
+    # a crash right after docbase: stats, docmeta and the merge resume
+    # from its checkpointed runs, with no content tokenized
     man = json.load(open(man_path))
-    _drop(man, out, {"stats", "docmeta", "postings", "segments"})
+    _drop(man, out, {"stats", "docmeta", "segments"})
     json.dump(man, open(man_path, "w"))
     del flatten_calls[:]
-    r3 = build_index(tbl, out, hot_df=100, num_salts=2)
+    r3 = build_index(tbl, out)
     assert _segments_fingerprint(out) == fresh
     assert r3.stats == r1.stats
     assert flatten_calls == []
@@ -60,7 +60,7 @@ def test_resume_noop_and_kill_resume(tmp_path, flatten_calls):
     # record their chunk dir)
     man = json.load(open(man_path))
     base_names = {k.split(":")[0] for k in man["phases"]}
-    assert {"docbase", "docmeta", "postings", "segments"} <= base_names
+    assert {"docbase", "docmeta", "segments"} <= base_names
     for phase, rec in man["phases"].items():
         if phase in ("docids", "stats"):
             continue
@@ -72,18 +72,17 @@ def test_resume_noop_and_kill_resume(tmp_path, flatten_calls):
 
 
 def test_mid_shuffle_resume(tmp_path):
-    """Kill inside the exchange: one completed postings chunk is wiped,
+    """Kill inside the merge: one completed segments chunk is wiped,
     the others must be skipped on resume and the index comes back
     byte-identical."""
     tbl = generate_corpus(250, seed=3)
     out = str(tmp_path / "b")
-    build_index(tbl, out, hot_df=100, num_salts=2,
-                durable_shuffle=True, shuffle_chunks=4)
+    build_index(tbl, out, durable_shuffle=True, shuffle_chunks=4)
     fresh = _segments_fingerprint(out)
 
     man_path = os.path.join(out, "manifest.json")
     man = json.load(open(man_path))
-    chunk_keys = sorted(k for k in man["phases"] if k.startswith("postings:"))
+    chunk_keys = sorted(k for k in man["phases"] if k.startswith("segments:"))
     assert len(chunk_keys) == 4
     victim = chunk_keys[2]
     vdir = os.path.join(out, man["phases"][victim]["dir"])
@@ -94,11 +93,9 @@ def test_mid_shuffle_resume(tmp_path):
     )
     del man["phases"][victim]
     shutil.rmtree(vdir)
-    _drop(man, out, {"segments"})
     json.dump(man, open(man_path, "w"))
 
-    build_index(tbl, out, hot_df=100, num_salts=2,
-                durable_shuffle=True, shuffle_chunks=4)
+    build_index(tbl, out, durable_shuffle=True, shuffle_chunks=4)
     assert _segments_fingerprint(out) == fresh
     # surviving chunks were not rewritten
     assert max(
@@ -108,8 +105,8 @@ def test_mid_shuffle_resume(tmp_path):
 
 def test_fingerprint_change_invalidates(tmp_path):
     out = str(tmp_path / "b")
-    build_index(generate_corpus(120, seed=1), out, hot_df=60)
-    r = build_index(generate_corpus(150, seed=1), out, hot_df=60)
+    build_index(generate_corpus(120, seed=1), out)
+    r = build_index(generate_corpus(150, seed=1), out)
     assert r.stats["n_docs"] == 150
 
 
@@ -117,8 +114,8 @@ def test_fingerprint_same_shape_different_content(tmp_path):
     """Same row count + schema but different content must invalidate
     (content-sensitive table fingerprint)."""
     out = str(tmp_path / "b")
-    build_index(generate_corpus(120, seed=1), out, hot_df=60)
-    build_index(generate_corpus(120, seed=2), out, hot_df=60)
+    build_index(generate_corpus(120, seed=1), out)
+    build_index(generate_corpus(120, seed=2), out)
     from quickray.engine import Index
     from quickray.oracle import Oracle
 
@@ -128,21 +125,21 @@ def test_fingerprint_same_shape_different_content(tmp_path):
 
 
 def test_old_docbase_layout_rebuilds(tmp_path, flatten_calls):
-    """A directory built with the docbase layout v2 (kind=1 rows held
-    partial dfs, not posting runs) rebuilds instead of resuming."""
+    """A directory built with the docbase layout v3 (kind=1 runs
+    without their merge group, mpart) rebuilds instead of resuming."""
     out = str(tmp_path / "b")
     tbl = generate_corpus(120, seed=1)
-    build_index(tbl, out, hot_df=60)
+    build_index(tbl, out)
     fresh = _segments_fingerprint(out)
     man_path = os.path.join(out, "manifest.json")
     man = json.load(open(man_path))
-    assert ",dbv=3," in man["fingerprint"]
-    man["fingerprint"] = man["fingerprint"].replace(",dbv=3,", ",dbv=2,")
+    assert ",dbv=4," in man["fingerprint"]
+    man["fingerprint"] = man["fingerprint"].replace(",dbv=4,", ",dbv=3,")
     json.dump(man, open(man_path, "w"))
     del flatten_calls[:]
-    build_index(tbl, out, hot_df=60)
+    build_index(tbl, out)
     assert flatten_calls == [120]  # docbase ran again
-    assert ",dbv=3," in json.load(open(man_path))["fingerprint"]
+    assert ",dbv=4," in json.load(open(man_path))["fingerprint"]
     assert _segments_fingerprint(out) == fresh
 
 
@@ -153,12 +150,12 @@ def test_layout_param_change_invalidates(tmp_path):
 
     out = str(tmp_path / "b")
     tbl = generate_corpus(120, seed=1)
-    build_index(tbl, out, hot_df=60, durable_shuffle=True, shuffle_chunks=4)
-    build_index(tbl, out, hot_df=60, durable_shuffle=True, shuffle_chunks=2)
+    build_index(tbl, out, durable_shuffle=True, shuffle_chunks=4)
+    build_index(tbl, out, durable_shuffle=True, shuffle_chunks=2)
     import json
 
     man = json.load(open(os.path.join(out, "manifest.json")))
-    chunk_keys = [k for k in man["phases"] if k.startswith("postings:")]
+    chunk_keys = [k for k in man["phases"] if k.startswith("segments:")]
     assert len(chunk_keys) == 2  # stale 4-chunk layout fully replaced
 
 
@@ -171,7 +168,7 @@ def test_custom_id_col_name(tmp_path):
     n = tbl.num_rows
     tbl = tbl.append_column("my_id", pa.array(range(n), pa.int64()))
     out = str(tmp_path / "b")
-    r = build_index(tbl, out, id_col="my_id", hot_df=50)
+    r = build_index(tbl, out, id_col="my_id")
     assert r.stats["n_docs"] == n
     from quickray.engine import Index
 
@@ -185,8 +182,8 @@ def test_langs_change_invalidates(tmp_path):
     review: langs/id_col were missing from the layout fingerprint)."""
     out = str(tmp_path / "b")
     tbl = generate_corpus(120, seed=3)
-    build_index(tbl, out, hot_df=60, langs=["go", "py"])
-    r = build_index(tbl, out, hot_df=60, langs=["rs"])
+    build_index(tbl, out, langs=["go", "py"])
+    r = build_index(tbl, out, langs=["rs"])
     assert r.stats["langs"] == ["rs"]
     man = json.load(open(os.path.join(out, "manifest.json")))
     assert "langs=rs" in man["fingerprint"]
@@ -245,7 +242,7 @@ def test_stale_manifest_window_closed(tmp_path):
 
     out = str(tmp_path / "b")
     tbl = generate_corpus(80, seed=5)
-    build_index(tbl, out, hot_df=60)
+    build_index(tbl, out)
     man_a = json.load(open(os.path.join(out, "manifest.json")))
     fp_a = man_a["fingerprint"]
     assert any(
@@ -258,7 +255,7 @@ def test_stale_manifest_window_closed(tmp_path):
     assert on_disk["fingerprint"] == fp_a + "|changed"
     assert on_disk["phases"] == {}
     # a rerun under the ORIGINAL fingerprint now rebuilds cleanly
-    r = build_index(tbl, out, hot_df=60)
+    r = build_index(tbl, out)
     assert r.stats["n_docs"] == 80
 
 
@@ -274,10 +271,10 @@ def test_generic_dataset_resume_needs_fingerprint(tmp_path):
 
     tbl = generate_corpus(120, seed=5)
     out = str(tmp_path / "ds")
-    build_index(rd.from_arrow(tbl), out, num_salts=2)
+    build_index(rd.from_arrow(tbl), out)
     assert Index(out).n_docs == 120
     with pytest.raises(ValueError, match="fingerprint="):
-        build_index(rd.from_arrow(tbl), out, num_salts=2)
+        build_index(rd.from_arrow(tbl), out)
 
 
 def _changed_column_resume(tmp_path, tbl, edit, **kw):
@@ -293,10 +290,10 @@ def _changed_column_resume(tmp_path, tbl, edit, **kw):
                 _segments_fingerprint(out))
 
     out, fresh = str(tmp_path / "b"), str(tmp_path / "fresh")
-    build_index(tbl, out, hot_df=60, **kw)
+    build_index(tbl, out, **kw)
     before = dump(out)
-    build_index(edit(tbl), out, hot_df=60, **kw)
-    build_index(edit(tbl), fresh, hot_df=60, **kw)
+    build_index(edit(tbl), out, **kw)
+    build_index(edit(tbl), fresh, **kw)
     return before, dump(out), dump(fresh)
 
 

@@ -71,25 +71,27 @@ def test_arrow_matches_python_rows_property(texts):
 
 
 def test_tokenizer_stage_tf_salt():
-    """Rows mode emits (term, doc_id, tf, salt) only: doc-level data
-    (doc_len, bits) lives in docmeta, never per posting."""
+    """The Tokenizer emits one run per term with its tfs: doc-level data
+    (doc_len, bits) lives in docmeta, never per posting. The salting
+    arguments it still accepts (hot_ref, n_docs, num_salts) change
+    nothing, since the build no longer salts."""
+    from quickray.codec import decode_postings, varint_decode
+
     batch = pa.table(
         {
             "doc_id": pa.array([10, 90], pa.int64()),
             "content": ["func func x", "def def def y"],
         }
     )
-    tok = Tokenizer(hot_ref={"func", "def"}, n_docs=100, num_salts=4)
-    out = tok(batch)
-    assert out.column_names == ["term", "doc_id", "tf", "salt"]
-    rows = {(r["term"], r["doc_id"]): r for r in out.to_pylist()}
-    assert rows[("func", 10)]["tf"] == 2
-    assert rows[("def", 90)]["tf"] == 3
-    # salts: hot terms use doc_id * S // n_docs, cold terms 0
-    assert rows[("func", 10)]["salt"] == 10 * 4 // 100
-    assert rows[("def", 90)]["salt"] == 90 * 4 // 100
-    assert rows[("x", 10)]["salt"] == 0
-    assert rows[("y", 90)]["tf"] == 1
+    out = Tokenizer(hot_ref={"func", "def"}, n_docs=100, num_salts=4)(batch)
+    assert out.equals(Tokenizer()(batch))
+    rows = {
+        r["term"]: (decode_postings(r["postings"]).tolist(),
+                    varint_decode(r["tfs"]).tolist())
+        for r in out.to_pylist()
+    }
+    assert rows == {"func": ([10], [2]), "x": ([10], [1]),
+                    "def": ([90], [3]), "y": ([90], [1])}
 
 
 def test_rank_lookup_fixed_width_probe():

@@ -175,6 +175,39 @@ def test_gate_routes_by_estimate(eng, oracle):
     assert eng.last_path == ("sparse", df[rare])
 
 
+def test_each_estimate_once_per_query(eng, oracle, monkeypatch):
+    """A sparse tree with Ands below the root is estimated once per
+    node per query: search and candidates each ask Index.df_of once per
+    distinct leaf (the routing estimate serves every And below it), and
+    the answers stay the Oracle's."""
+    df = oracle.df()
+    pools = _pools(df, oracle.n_docs)
+    (r0, r1), (h0, h1), m0 = pools["rare"][:2], pools["hot"][:2], pools["mid"][0]
+    tree = And((
+        Or((And((Term(r0), Term(h0))),
+            And((Term(r1), Or((Term(m0), Term(h1))))))),
+        Term(h0),
+    ))
+    calls = []
+    real = eng.index.df_of
+
+    def counting(term):
+        calls.append(term)
+        return real(term)
+
+    monkeypatch.setattr(eng.index, "df_of", counting)
+    q = Query(tree=tree, k=10)
+    ids, sc = eng.search(q)
+    assert eng.last_path[0] == "sparse"
+    assert sorted(calls) == sorted({r0, r1, h0, h1, m0})
+    ref = oracle.search(q)
+    assert list(ids) == [d for d, _ in ref]
+    assert np.allclose(sc, [s for _, s in ref], rtol=1e-9, atol=1e-12)
+    del calls[:]
+    assert eng.candidates(q).tolist() == oracle.candidates(q)
+    assert sorted(calls) == sorted({r0, r1, h0, h1, m0})
+
+
 def test_df_of_answers_segment_df(corpus, tmp_path):
     """Index.df_of equals the segment df whether the posting is cached,
     uncached, evicted or missing, and never touches the posting LRU."""

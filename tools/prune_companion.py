@@ -11,7 +11,12 @@ latency. ``routes`` splits each shape by the ``engine.last_path`` its
 queries took, with their count, p50 and p95: for flat ORs the
 ``block_max_topk`` path (pruned, or exhaustive and why), for the
 ``and`` and ``compound`` trees the route (dense or sparse); ``paths``
-sums the flat-OR counts over their shapes. It is never a gate.
+sums the flat-OR counts over their shapes. It also prints the build's
+phase table from its ``manifest.json`` (``build_phases``: seconds, rows
+and bytes written per phase, chunked phases summed under their base
+name) and ``largest_shard``: the segment ``shard`` with the most
+postings, its term and posting counts and the docbase run rows its
+merge read, beside the mean postings per shard. It is never a gate.
 
 Run from the root of a quickray checkout:
 
@@ -39,6 +44,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
+import pyarrow.compute as pc  # noqa: E402
+import pyarrow.dataset as pads  # noqa: E402
 
 # perfbench is imported read-only: its stream, its load settings
 from inputs import SHAPES, query_stream  # noqa: E402
@@ -53,7 +60,9 @@ def _built(out: str) -> bool:
             phases = json.load(f)["phases"]
     except (OSError, ValueError, KeyError):
         return False
-    return phases.get("segments", {}).get("status") == "done"
+    # a durable build records its merge as segments:{chunk} phases
+    seg = [rec for name, rec in phases.items() if name.split(":")[0] == "segments"]
+    return bool(seg) and all(rec.get("status") == "done" for rec in seg)
 
 
 def ensure_index(work: str, n_docs: int, seed: int) -> str:
@@ -78,13 +87,48 @@ def ensure_index(work: str, n_docs: int, seed: int) -> str:
         ctx.enable_progress_bars = False
         ctx.print_on_execution_start = False
         t0 = time.perf_counter()
-        res = build_index(corpus, out)
-        phases = {k: round(v, 2) for k, v in res.phase_times.items()}
-        print(f"built {n_docs} docs in {time.perf_counter() - t0:.1f} s;"
-              f" phases {json.dumps(phases)}")
+        build_index(corpus, out)
+        print(f"built {n_docs} docs in {time.perf_counter() - t0:.1f} s")
     finally:
         ray.shutdown()
     return out
+
+
+def build_phases(out: str) -> dict:
+    """Per base phase, from ``manifest.json``: seconds (a chunked
+    phase's chunks share one start, so the latest finish), rows and
+    bytes written."""
+    with open(os.path.join(out, "manifest.json")) as f:
+        phases = json.load(f)["phases"]
+    table: dict[str, dict] = {}
+    for name, rec in phases.items():
+        row = table.setdefault(name.split(":")[0], {"s": 0.0, "rows": 0, "bytes": 0})
+        row["s"] = max(row["s"], rec.get("elapsed_sec", 0.0))
+        row["rows"] += rec.get("rows", 0)
+        row["bytes"] += sum(f["bytes"] for f in rec.get("files", []))
+    return table
+
+
+def largest_shard(out: str) -> dict:
+    """The segment shard holding the most postings (the merge's
+    largest group) and the docbase run rows that merge read."""
+    seg = pads.dataset(os.path.join(out, "segments"), format="parquet").to_table(
+        columns=["term", "df", "shard"]
+    )
+    per = seg.group_by("shard").aggregate([("df", "sum"), ("term", "count")])
+    top = int(np.argmax(np.asarray(per["df_sum"])))
+    shard = per["shard"][top].as_py()
+    terms = seg.filter(pc.equal(seg["shard"], shard))["term"].combine_chunks()
+    runs = pads.dataset(os.path.join(out, "docbase"), format="parquet").count_rows(
+        filter=(pads.field("kind") == 1) & pads.field("term").isin(terms)
+    )
+    return {
+        "shard": shard,
+        "terms": per["term_count"][top].as_py(),
+        "postings": per["df_sum"][top].as_py(),
+        "run_rows": runs,
+        "mean_postings": round(float(np.mean(np.asarray(per["df_sum"]))), 1),
+    }
 
 
 def _latency(sec: np.ndarray) -> dict:
@@ -148,7 +192,8 @@ def main(argv=None) -> int:
 
     shape = np.array([q.id.split(":", 1)[0] for q in queries])
     labels = np.array(labels)
-    report = {"docs": ix.n_docs, "queries": len(queries), "load_s": round(load_s, 3)}
+    report = {"docs": ix.n_docs, "queries": len(queries), "load_s": round(load_s, 3),
+              "build_phases": build_phases(out), "largest_shard": largest_shard(out)}
     for s in SHAPES:
         report[s] = _latency(best[shape == s])
     flat = np.isin(shape, FLAT_OR)
