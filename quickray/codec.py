@@ -3,53 +3,54 @@
 From-scratch columnar replacement for the reference's in-memory skip list
 (internal/reverse_index/skiplist_reverse_index.go:15-55): postings are
 kept sorted by doc_id and compressed as LEB128 varints of first-order
-deltas. Both encode and decode are fully vectorized — no Python loop per
-posting — so a mega-term (df ~ 10^8 per partition) encodes at memory
-bandwidth, which is what makes the run merge cheap.
+deltas. Encode and decode are vectorized, one pass per byte position
+over only the values that have that byte, so a stream of mostly 1-2
+byte values (doc deltas, tfs) costs about two passes. Streams meet
+Arrow through buffers, never one Python object per value:
+binary_runs cuts an encoded stream into a binary column (one value per
+run or term) over its byte offsets, and binary_values hands a binary
+column's value buffer back to the decoder.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
-_SHIFTS = (np.arange(10, dtype=np.uint64) * np.uint64(7))  # 10*7 >= 64 bits
-# thresholds[i] = 2**(7*(i+1)); a value v needs (1 + sum(v >= thresholds)) bytes
-_THRESHOLDS = (np.uint64(1) << (_SHIFTS[1:])).astype(np.uint64)
-
-
-# chunk bound for the encode matrices: the (chunk, 10) shift/mask
-# temporaries cost ~100 bytes per value, so an unchunked mega-term run
-# (df ~1e8 per partition) would allocate ~10 GB of transients for a
-# ~100 MB output. 4M values caps the transient at ~400 MB with no
-# measurable throughput loss (the kernels stay memory-bandwidth bound).
-_ENCODE_CHUNK = 4_000_000
+# a binary column's int32 offsets address at most this many bytes
+_BINARY_MAX_BYTES = 2**31 - 1
 
 
 def varint_encode_sizes(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     """LEB128-encode a non-negative int array (vectorized); also return
-    the encoded byte count per value so callers can split the stream
-    into per-segment buffers without re-encoding (multi-term batches)."""
+    the encoded byte count per value so callers can cut the stream into
+    per-segment values without re-encoding (binary_runs).
+
+    One pass per byte position, each over only the values that still
+    have bytes left: postings are mostly 1-2 byte deltas and tfs, so a
+    stream costs about two passes."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
-    n = len(v)
-    if n == 0:
-        return b"", np.empty(0, dtype=np.int64)
-    # bytes needed per value: 1 + count of thresholds <= v
-    nbytes = np.ones(n, dtype=np.int64)
-    for t in _THRESHOLDS:
-        nbytes += (v >= t).astype(np.int64)  # 9 vectorized compares, exact
-    pos = np.arange(10)[None, :]
-    parts = []
-    for lo in range(0, n, _ENCODE_CHUNK):
-        hi = min(lo + _ENCODE_CHUNK, n)
-        groups = (
-            (v[lo:hi, None] >> _SHIFTS[None, :]).astype(np.uint8)
-            & np.uint8(0x7F)
-        )
-        nb = nbytes[lo:hi, None]
-        keep = pos < nb
-        groups = np.where(pos < nb - 1, groups | np.uint8(0x80), groups)
-        parts.append(groups[keep])
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    nbytes = np.ones(len(v), dtype=np.int64)
+    idx = np.flatnonzero(v > 0x7F)
+    if len(idx) == 0:  # every value fits 7 bits: the stream is the values
+        return v.astype(np.uint8).tobytes(), nbytes
+    # levels[j]: the values with more than j+1 bytes, shifted by 7*(j+1)
+    levels = []
+    rest = v[idx] >> np.uint64(7)
+    while len(idx):
+        levels.append((idx, rest))
+        nbytes[idx] += 1
+        more = rest > 0x7F
+        idx, rest = idx[more], rest[more] >> np.uint64(7)
+    ends = np.cumsum(nbytes)
+    first = ends - nbytes
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    # every byte is written with its continuation bit set; the last
+    # byte of each value clears it
+    out[first] = v.astype(np.uint8) | np.uint8(0x80)
+    for j, (idx, rest) in enumerate(levels, 1):
+        out[first[idx] + j] = rest.astype(np.uint8) | np.uint8(0x80)
+    out[ends - 1] &= np.uint8(0x7F)
     return out.tobytes(), nbytes
 
 
@@ -58,21 +59,43 @@ def varint_encode(values: np.ndarray) -> bytes:
     return varint_encode_sizes(values)[0]
 
 
-def split_stream(
-    buf: bytes, nbytes: np.ndarray, starts: np.ndarray
-) -> list[bytes]:
-    """Slice one encoded stream into per-segment buffers.
-
-    ``starts`` are segment start indices into the *value* array (first
-    must be 0); segment i covers values [starts[i], starts[i+1]).
-    """
+def binary_runs(
+    name: str, buf: bytes, nbytes: np.ndarray, starts: np.ndarray
+) -> pa.BinaryArray:
+    """One encoded stream as a binary column, one value per segment,
+    zero-copy over ``buf``: segment i holds the encoded values
+    [starts[i], starts[i+1]) (``starts`` index the *values*, first 0;
+    ``nbytes`` is the byte count per value). Raises ValueError naming
+    the column ``name`` when the stream overflows int32 binary offsets,
+    before ``buf`` is read."""
     byte_off = np.zeros(len(nbytes) + 1, dtype=np.int64)
     np.cumsum(nbytes, out=byte_off[1:])
-    bounds = np.append(starts, len(nbytes))
-    return [
-        buf[byte_off[bounds[i]] : byte_off[bounds[i + 1]]]
-        for i in range(len(starts))
-    ]
+    offsets = byte_off[np.append(starts, len(nbytes))]
+    if offsets[-1] > _BINARY_MAX_BYTES:
+        raise ValueError(
+            f"'{name}': {int(offsets[-1])} encoded bytes overflow the int32"
+            " offsets of a binary column"
+        )
+    return pa.Array.from_buffers(
+        pa.binary(), len(starts),
+        [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(buf)],
+    )
+
+
+def binary_values(arr: pa.Array) -> np.ndarray:
+    """The concatenated values of a binary or string array: a zero-copy
+    uint8 view of its value buffer, bounded by its offsets (read at the
+    width of its type, int32 or the large types' int64, from its slice
+    offset)."""
+    large = pa.types.is_large_binary(arr.type) or pa.types.is_large_string(arr.type)
+    off = np.frombuffer(
+        arr.buffers()[1], dtype=np.int64 if large else np.int32,
+        count=arr.offset + len(arr) + 1,
+    )[arr.offset :]
+    lo, hi = int(off[0]), int(off[-1])
+    if hi == lo:
+        return np.empty(0, dtype=np.uint8)
+    return np.frombuffer(arr.buffers()[2], dtype=np.uint8, count=hi - lo, offset=lo)
 
 
 def segmented_delta_encode(values: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -12,14 +12,19 @@ doc_len up in a broadcast doc_id-indexed array (doc_ids are dense
 is never shuffled or stored).
 
 One ``map_groups`` call processes a whole partition (hundreds to
-thousands of terms) with fully-vectorized decode → lexsort → re-encode
-over the partition's concatenated streams; per-term Python overhead is
-gone. The largest partition is the ``mpart`` holding the hottest terms
-(SURVEY §7.4).
+thousands of terms) in whole-column passes: both binary columns are
+taken in (term, min_doc) order and decoded from their value buffers
+(codec.binary_values), the values re-encoded, and the output columns
+written from buffers (codec.binary_runs; the term column is a take of
+the partition's term dictionary). There is no Python object per run or
+per term. The largest partition is the ``mpart`` holding the hottest
+terms (SURVEY §7.4).
 
-Correctness does not assume runs arrive in doc order: values are always
-re-sorted by (term, doc_id) after decode, and segmented_delta_encode
-raises if any (term, doc) pair appears twice.
+Correctness does not assume runs arrive in doc order: an O(n) check
+finds values out of (term, doc_id) order, which happens where one
+term's runs from different batches overlap in doc range, and one
+stable sort then orders them; segmented_delta_encode raises if any
+(term, doc) pair appears twice.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ import numpy as np
 import pyarrow as pa
 
 from quickray.codec import (
+    binary_runs,
+    binary_values,
     segmented_cumsum,
     segmented_delta_encode,
-    split_stream,
     varint_decode,
     varint_encode_sizes,
 )
@@ -46,27 +52,23 @@ class _Merged:
     tfs: np.ndarray
     g_val_starts: np.ndarray  # per-term start index into the value arrays
     g_val_lens: np.ndarray
-    terms: list[str]  # one per term
+    terms: pa.Array  # one per term
 
 
 def _concat_decode_sort(t: pa.Table) -> _Merged:
     """Decode a whole partition of runs and regroup: order rows by
-    (term, min_doc), concat + decode both streams once, then
-    stable-sort values by (term, doc_id)."""
-    tcol = t["term"]
-    if isinstance(tcol, pa.ChunkedArray):
-        tcol = tcol.combine_chunks()
-    dic = tcol.dictionary_encode()
+    (term, min_doc), take both binary columns in that order and decode
+    each from its value buffer once, then put values in (term, doc_id)
+    order where runs overlap."""
+    dic = t["term"].combine_chunks().dictionary_encode()
     tcodes = np.asarray(dic.indices, dtype=np.int64)
-    vocab = dic.dictionary.to_pylist()
     min_doc = np.asarray(t["min_doc"], dtype=np.int64)
     df = np.asarray(t["df"], dtype=np.int64)
 
     row_order = np.lexsort((min_doc, tcodes))
-    plist = t["postings"].to_pylist()
-    tlist = t["tfs"].to_pylist()
-    pbuf = b"".join(plist[i] for i in row_order)
-    tbuf = b"".join(tlist[i] for i in row_order)
+    take = pa.array(row_order)
+    pbuf = binary_values(t["postings"].take(take).combine_chunks())
+    tbuf = binary_values(t["tfs"].take(take).combine_chunks())
 
     df_o = df[row_order]
     n_rows = len(df_o)
@@ -80,16 +82,28 @@ def _concat_decode_sort(t: pa.Table) -> _Merged:
     g_val_starts = val_starts[g_row_starts]
     g_val_lens = np.diff(np.append(g_val_starts, len(docs)))
 
-    gid = np.repeat(np.arange(len(g_row_starts)), g_val_lens)
-    perm = np.lexsort((docs, gid))
-    if not np.array_equal(perm, np.arange(len(docs))):  # runs usually pre-ordered
+    # a term's runs are in min_doc order, so its values are in doc order
+    # unless two of its runs overlap: one O(n) check, and the sort only then
+    step = np.diff(docs)
+    step[g_val_starts[1:] - 1] = 1  # each term may start below the last
+    if (step < 0).any():
+        # one int64 key per value, (term, doc) order; a stable sort
+        # (timsort) merges the sorted runs it finds in O(n log runs)
+        width = int(docs.max()) + 1
+        if len(g_row_starts) > (2**63 - 1) // width:
+            raise ValueError(
+                f"merge group of {len(g_row_starts)} terms over doc ids below"
+                f" {width} overflows its int64 sort key"
+            )
+        gid = np.repeat(np.arange(len(g_row_starts), dtype=np.int64), g_val_lens)
+        perm = np.argsort(gid * width + docs, kind="stable")
         docs, tfs = docs[perm], tfs[perm]
     return _Merged(
         docs=docs,
         tfs=tfs,
         g_val_starts=g_val_starts,
         g_val_lens=g_val_lens,
-        terms=[vocab[c] for c in tc_o[g_row_starts]],
+        terms=dic.dictionary.take(pa.array(tc_o[g_row_starts])),
     )
 
 
@@ -142,13 +156,13 @@ def make_final_merge(n_docs: int, avgdl: float, block_size: int, dl_ref):
         shard = int(t["mpart"][0].as_py())
         return pa.table(
             {
-                "term": pa.array(m.terms, pa.string()),
+                "term": m.terms,
                 "df": pa.array(m.g_val_lens),
-                "postings": pa.array(split_stream(pbuf, pnb, starts), pa.binary()),
-                "tfs": pa.array(split_stream(tbuf, tnb, starts), pa.binary()),
+                "postings": binary_runs("postings", pbuf, pnb, starts),
+                "tfs": binary_runs("tfs", tbuf, tnb, starts),
                 "block_last": block_last,
                 "block_max": block_max,
-                "shard": pa.array([shard] * len(m.terms), pa.int64()),
+                "shard": pa.array(np.full(len(m.terms), shard, np.int64)),
             },
             schema=SEGMENT_SCHEMA,
         )

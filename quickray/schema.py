@@ -30,10 +30,15 @@ LANGS = ["go", "py", "js", "java", "rs", "c"]
 BIT_TEST_PATH = 8  # path basename starts with "test"
 BIT_LONG_DOC = 9  # doc_len > avgdl (global mean token count)
 
-# Tokenizer: lowercase, then split on runs of anything that is not
-# [a-z0-9_]. Identical regex used by the Arrow kernel (RE2), the Python
-# oracle (re) and the DuckDB oracle SQL (regexp_split_to_array).
-TOKEN_SPLIT_RE = r"[^a-z0-9_]+"
+# Tokenizer: lowercase, then every maximal run of TOKEN_BYTES is a
+# token. TOKEN_BYTES is the one definition, all ASCII, so every byte of a
+# non-ASCII character separates tokens. The build maps each byte of the
+# lowered text through a table derived from it (tokenize.flatten_tokens);
+# the Python oracle (re) and perfbench's checks split on its complement,
+# TOKEN_SPLIT_RE, which the DuckDB oracle SQL spells as '[^a-z0-9_]+'
+# (tests/test_tokenize.py checks all 256 byte values against both).
+TOKEN_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789_"
+TOKEN_SPLIT_RE = f"[^{TOKEN_BYTES.decode()}]+"
 
 CORPUS_SCHEMA = pa.schema(
     [

@@ -1,17 +1,24 @@
-"""Tokenization — Arrow-native, zero Python loops in the hot path.
+"""Tokenization and each batch's posting runs: whole-column Arrow and
+numpy passes, no Python loop per token.
 
 The reference does NO tokenization (callers supply pre-split Keywords,
 demo/job/build_index.go:85-91 merely lowercases + splits a CSV column).
 Our corpus is raw source text, so tokenization is a real stage, run
-once per build, inside its docbase pass (build.py): a per-batch body of
-pure pyarrow.compute (RE2 split + list flatten + hash groupby), i.e.
-C++ kernels over zero-copy Arrow batches, then one compressed posting
-run per term per batch (encode_runs), already carrying the merge group
-(term_shards) that the build's one merge level groups by.
+once per build, inside its docbase pass (build.py), as three kernels
+per batch:
+- flatten_tokens: ``utf8_lower``, one 256-entry byte table over the
+  lowered value buffer (token bytes kept, every other byte a space),
+  then ``ascii_split_whitespace``;
+- batch_postings: one ``dictionary_encode`` of the tokens and one
+  ``np.unique`` over (term code, doc rank) keys, which sorts the
+  (term, doc) pairs into run order and counts their tf;
+- encode_runs: delta+varint streams cut into one compressed run per
+  term (codec.binary_runs), each carrying the merge group
+  (term_shards) that the build's one merge level groups by.
 
-The token definition (lowercase; maximal runs of [a-z0-9_]) is shared
-verbatim by: this Arrow kernel, the Python oracle (oracle.py) and the
-DuckDB oracle SQL — all three must agree for the correctness gate.
+The token definition (lowercase; maximal runs of schema.TOKEN_BYTES) is
+shared by this kernel, the Python oracle (tokenize_py, oracle.py) and
+the DuckDB oracle SQL: all three must agree for the correctness gate.
 """
 
 from __future__ import annotations
@@ -22,25 +29,48 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from quickray.schema import BATCH_RUN_SCHEMA, TOKEN_SPLIT_RE
+from quickray.schema import BATCH_RUN_SCHEMA, TOKEN_BYTES, TOKEN_SPLIT_RE
+
+
+# byte -> itself for a token byte, else a space, the separator of
+# ascii_split_whitespace
+_BYTE_CLASS = np.full(256, ord(" "), dtype=np.uint8)
+_BYTE_CLASS[np.frombuffer(TOKEN_BYTES, np.uint8)] = np.frombuffer(TOKEN_BYTES, np.uint8)
 
 
 def flatten_tokens(
     content: pa.ChunkedArray | pa.Array,
 ) -> tuple[pa.Array, pa.Array]:
     """content column -> (flat token array, parent row index per token).
-    Arrow RE2 split + list flatten + parent indices — all C++ kernels.
-    (A numpy byte-run variant over the lowered buffer measured 3x
-    slower inside the build at 40k docs x 32 cpus: its many small
-    temporaries lose to the fused kernels at map_batches granularity.)"""
+
+    ``utf8_lower``, then every byte of the lowered value buffer goes
+    through one 256-entry table (``_BYTE_CLASS``: token bytes map to
+    themselves, every other byte to a space), the array is rebuilt over
+    the same offsets and validity, and ``ascii_split_whitespace`` splits
+    it; empty pieces (leading, trailing or repeated spaces) are dropped.
+    Tokens and parents equal the RE2 split on TOKEN_SPLIT_RE, which
+    treats every non-ASCII character as a separator as the table does
+    with every byte of one. On the first 4096 docs of the seed-1
+    100k-doc corpus (tools/prune_companion.py ``kernels_ms``, one core,
+    fastest of 3) this took 59-68 ms against 106-145 ms for the RE2
+    ``split_pattern_regex`` it replaced. The whole value buffer is
+    mapped and the offsets are reused as they are, so string and
+    large_string columns, sliced or not, need no offset arithmetic; a
+    null cell holds no tokens."""
     if isinstance(content, pa.ChunkedArray):
         content = content.combine_chunks()
     low = pc.utf8_lower(content)
-    lists = pc.split_pattern_regex(low, TOKEN_SPLIT_RE)
+    validity, offsets, data = low.buffers()
+    mapped = _BYTE_CLASS[np.frombuffer(data, dtype=np.uint8)]
+    low = pa.Array.from_buffers(
+        low.type, len(low), [validity, offsets, pa.py_buffer(mapped)],
+        low.null_count, low.offset,
+    )
+    lists = pc.ascii_split_whitespace(low)
     flat = pc.list_flatten(lists)
     parents = pc.list_parent_indices(lists)
-    mask = pc.and_(pc.not_equal(flat, ""), pc.is_valid(flat))
-    return flat.filter(mask), parents.filter(mask)
+    keep = pc.not_equal(flat, "")
+    return flat.filter(keep), parents.filter(keep)
 
 
 def row_keys(batch: pa.Table) -> pa.Array:
@@ -165,29 +195,45 @@ def batch_postings(
     parents: pa.Array,
     field_cols: list[str] = (),
 ) -> pa.Table:
-    """(term, doc_id, count_all) rows of one batch from its flattened
-    tokens (``flatten_tokens(batch["content"])``): tf per (term, doc)
-    by an Arrow hash groupby — exact, as a doc never spans batches —
-    then one tf=1 row per doc per indexed field (field_posting_keys)."""
-    grouped = (
-        pa.table({"term": flat, "doc_id": pc.take(row_ids, parents)})
-        .group_by(["term", "doc_id"])
-        .aggregate([([], "count_all")])
-        .select(["term", "doc_id", "count_all"])
-    )
-    n = batch.num_rows
-    fields = []
+    """(term, doc_id, tf) rows of one batch, one per (term, doc), from
+    its flattened tokens (``flatten_tokens(batch["content"])``) and one
+    tf=1 row per doc per indexed field (field_posting_keys) — exact, as
+    a doc never spans batches. ``term`` is dictionary-encoded and the
+    rows come sorted by (term code, doc_id): the run order encode_runs
+    cuts. The tokens and each field's keys are dictionary-encoded once
+    (field keys hold '\\x01', so they never meet a token), and one
+    ``np.unique`` over ``code * n_rows + doc rank`` keys both sorts the
+    pairs and counts their tf."""
+    ids = np.asarray(row_ids, dtype=np.int64)
+    n = len(ids)
+    by_doc = np.argsort(ids, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_doc] = np.arange(n)
+    # the tokens, then each field's keys: (values, row of each value)
+    parts = [(flat, np.asarray(parents, dtype=np.int64))]
     for f in field_cols:
-        terms, keep = field_posting_keys(batch[f], f)
-        t = pa.table(
-            {
-                "term": terms,
-                "doc_id": row_ids,
-                "count_all": pa.array(np.ones(n, np.int64)),
-            }
-        )
-        fields.append(t if keep is None else t.filter(keep))
-    return pa.concat_tables([grouped] + fields) if fields else grouped
+        keys, keep = field_posting_keys(batch[f], f)
+        if keep is None:
+            parts.append((keys, np.arange(n)))
+        else:
+            parts.append((keys.filter(keep), np.flatnonzero(np.asarray(keep))))
+    dicts, pair_keys = [], []
+    for values, rows in parts:
+        enc = values.dictionary_encode()
+        codes = np.asarray(enc.indices, dtype=np.int64) + sum(map(len, dicts))
+        pair_keys.append(codes * n + rank[rows])
+        dicts.append(enc.dictionary.cast(pa.string()))
+    key, tf = np.unique(np.concatenate(pair_keys), return_counts=True)
+    code, doc_rank = np.divmod(key, max(n, 1))
+    return pa.table(
+        {
+            "term": pa.DictionaryArray.from_arrays(
+                pa.array(code), pa.concat_arrays(dicts)
+            ),
+            "doc_id": pa.array(ids[by_doc][doc_rank]),
+            "tf": pa.array(tf),
+        }
+    )
 
 
 def term_shards(terms: pa.Array, num_shards: int) -> np.ndarray:
@@ -204,39 +250,32 @@ def term_shards(terms: pa.Array, num_shards: int) -> np.ndarray:
 def encode_runs(grouped: pa.Table, num_shards: int) -> pa.Table:
     """One compressed posting run per term present in the batch
     (BATCH_RUN_SCHEMA; doc ids delta+varint, tfs varint, ``mpart`` from
-    term_shards) — the merge-volume combiner (SURVEY §7.4)."""
+    term_shards) — the merge-volume combiner (SURVEY §7.4). ``grouped``
+    is batch_postings' output, sorted by (term code, doc_id); each run
+    is a slice of one encoded stream (codec.binary_runs)."""
     from quickray.codec import (
+        binary_runs,
         segmented_delta_encode,
-        split_stream,
         varint_encode_sizes,
     )
 
     if grouped.num_rows == 0:
         return BATCH_RUN_SCHEMA.empty_table()
-    tcol = grouped["term"]
-    if isinstance(tcol, pa.ChunkedArray):
-        tcol = tcol.combine_chunks()
-    dic = tcol.dictionary_encode()
-    codes = np.asarray(dic.indices, dtype=np.int64)
-    gdoc = np.asarray(grouped["doc_id"], dtype=np.int64)
-    tf = np.asarray(grouped["count_all"], dtype=np.int64)
-
-    order = np.lexsort((gdoc, codes))
-    codes_s, doc_s, tf_s = codes[order], gdoc[order], tf[order]
-    starts = np.concatenate(
-        ([0], np.flatnonzero(np.diff(codes_s)) + 1)
-    ).astype(np.int64)
-    pbuf, pnb = varint_encode_sizes(segmented_delta_encode(doc_s, starts))
-    tbuf, tnb = varint_encode_sizes(tf_s)
-    run_codes = codes_s[starts]
+    term = grouped["term"].combine_chunks()
+    codes = np.asarray(term.indices, dtype=np.int64)
+    docs = np.asarray(grouped["doc_id"], dtype=np.int64)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(codes)) + 1))
+    pbuf, pnb = varint_encode_sizes(segmented_delta_encode(docs, starts))
+    tbuf, tnb = varint_encode_sizes(np.asarray(grouped["tf"]))
+    run_codes = codes[starts]
     return pa.table(
         {
-            "term": dic.dictionary.take(pa.array(run_codes)),
-            "mpart": term_shards(dic.dictionary, num_shards)[run_codes],
-            "min_doc": pa.array(doc_s[starts]),
-            "df": pa.array(np.diff(np.append(starts, len(doc_s)))),
-            "postings": pa.array(split_stream(pbuf, pnb, starts), pa.binary()),
-            "tfs": pa.array(split_stream(tbuf, tnb, starts), pa.binary()),
+            "term": term.dictionary.take(pa.array(run_codes)),
+            "mpart": term_shards(term.dictionary, num_shards)[run_codes],
+            "min_doc": pa.array(docs[starts]),
+            "df": pa.array(np.diff(np.append(starts, len(docs)))),
+            "postings": binary_runs("postings", pbuf, pnb, starts),
+            "tfs": binary_runs("tfs", tbuf, tnb, starts),
         },
         schema=BATCH_RUN_SCHEMA,
     )
@@ -293,6 +332,12 @@ class Tokenizer:
 
 def tokenize_py(text: str) -> list[str]:
     """Reference tokenizer for the brute-force oracle (must equal the
-    Arrow kernel's output exactly)."""
-    return [t for t in re.split(TOKEN_SPLIT_RE, text.lower()) if t]
+    Arrow kernel's output exactly). ``str.lower`` applies Unicode's full
+    case mapping, which lowers U+0130 (capital I with dot above) to
+    'i' + U+0307, a separator; Arrow's ``utf8_lower`` and DuckDB's
+    ``lower`` apply the simple mapping, 'i'. Of all code points it is
+    the only one whose two lowerings tokenize differently, so it is
+    mapped first."""
+    low = text.replace("\u0130", "i").lower()
+    return [t for t in re.split(TOKEN_SPLIT_RE, low) if t]
 

@@ -1,9 +1,11 @@
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quickray.codec import (
+    binary_values,
     block_max_metadata,
     decode_postings,
     encode_postings,
@@ -70,6 +72,17 @@ def test_block_max():
     # empty
     l0, b0 = block_max_metadata(np.empty(0, np.int64), np.empty(0), 128)
     assert len(l0) == 0 and len(b0) == 0
+
+
+def test_binary_values_reads_offsets_at_type_width():
+    """The value buffer of binary and large_binary arrays, whole and
+    sliced (a slice's offsets start past 0)."""
+    vals = [b"ab", b"", b"cde", b"\x80\x01", b"f"]
+    for typ in (pa.binary(), pa.large_binary()):
+        arr = pa.array(vals, typ)
+        assert binary_values(arr).tobytes() == b"".join(vals)
+        assert binary_values(arr.slice(2, 2)).tobytes() == b"cde\x80\x01"
+        assert binary_values(arr.slice(1, 1)).tobytes() == b""
 
 
 def test_compression_ratio_dense_ids():

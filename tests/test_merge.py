@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quickray.codec import (
+    binary_runs,
     segmented_cumsum,
     segmented_delta_encode,
-    split_stream,
     varint_decode,
     varint_encode_sizes,
 )
@@ -59,14 +59,26 @@ def test_segmented_delta_rejects_dup_within_segment():
         max_size=10,
     )
 )
-def test_split_stream_property(segments):
+def test_binary_runs_property(segments):
     values = np.array([v for s in segments for v in s], dtype=np.uint64)
     starts = np.cumsum([0] + [len(s) for s in segments[:-1]]).astype(np.int64)
     buf, nb = varint_encode_sizes(values)
-    parts = split_stream(buf, nb, starts)
-    assert len(parts) == len(segments)
-    for part, seg in zip(parts, segments):
+    parts = binary_runs("postings", buf, nb, starts)
+    assert parts.type == pa.binary() and len(parts) == len(segments)
+    for part, seg in zip(parts.to_pylist(), segments):
         assert varint_decode(part, np.uint64).tolist() == seg
+
+
+@pytest.mark.parametrize("name", ["postings", "tfs"])
+def test_binary_runs_overflow_names_the_column(name):
+    """A stream past int32 binary offsets fails loudly, with the column
+    named, from the sizes alone: the one-byte buffer is never read."""
+    nbytes = np.array([2**30, 2**30 - 1, 1], dtype=np.int64)
+    with pytest.raises(ValueError, match=f"'{name}'.*int32"):
+        binary_runs(name, b"x", nbytes, np.array([0, 2], dtype=np.int64))
+    # a stream within the bound is cut as usual
+    ok = binary_runs(name, b"x" * 4, np.array([1, 3]), np.array([0, 1]))
+    assert ok.to_pylist() == [b"x", b"xxx"]
 
 
 # ----------------------------------------------------- end-to-end merges

@@ -37,8 +37,9 @@ def test_arrow_matches_python_fixed():
 def test_arrow_matches_python_edge_shapes():
     """The Arrow kernel tokenizes every edge shape exactly like the
     Python reference: nulls, empties, separators only, non-ASCII text
-    (multi-byte separators; the Kelvin sign lowers to ascii 'k'), an
-    empty column, chunked columns and slices (offset buffers)."""
+    (multi-byte separators; the Kelvin sign lowers to ascii 'k';
+    combining marks), NUL and tab, an empty column, chunked columns,
+    slices (offset buffers) and large_string columns (int64 offsets)."""
     big = pa.array([f"line{i} alpha_beta {i%7}x" for i in range(500)])
     cases = [
         pa.array(
@@ -50,6 +51,9 @@ def test_arrow_matches_python_edge_shapes():
         pa.array([None, ";;", None]),
         pa.chunked_array([pa.array(["aa bb"]), pa.array(["cc", "dd ee"])]),
         big.slice(37, 200),
+        pa.array(["a\x00b", "\u212aelvin", "\u0130d \u0130\u0130", "e\u0301t\u0301e",
+                  "tab\tsep", "", None], pa.large_string()),
+        big.cast(pa.large_string()).slice(101, 50),
     ]
     for arr in cases:
         assert _arrow_tokens_per_doc(arr) == _python_tokens_per_doc(arr), arr
@@ -62,12 +66,47 @@ def test_arrow_matches_python_property(s):
     assert _arrow_tokens_per_doc(arr) == _python_tokens_per_doc(arr)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(st.none(), st.text(max_size=60)), max_size=8))
-def test_arrow_matches_python_rows_property(texts):
-    """Several rows: every token lands on its own row (parent indices)."""
-    arr = pa.array(texts, pa.string())
-    assert _arrow_tokens_per_doc(arr) == _python_tokens_per_doc(arr)
+# arbitrary Unicode, with the characters where a byte-level tokenizer
+# could part from the regex one drawn often: the Kelvin sign and the
+# dotted capital I (they lower to ASCII), a combining mark, tab, NUL
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(blacklist_categories=("Cs",)),  # UTF-8 has no surrogates
+        st.sampled_from("\u212a\u0130\u0301\t\x00 _Az9"),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.none(), _TEXT), max_size=8), st.integers(0, 3))
+def test_arrow_matches_python_rows_property(texts, pad):
+    """Several rows, nulls and empty strings among them, as string and
+    large_string columns, whole and sliced out of a longer column: every
+    token lands on its own row (parent indices)."""
+    want = [tokenize_py(s or "") for s in texts]
+    padded = ["PAD x"] * pad + texts + ["y pad"] * pad
+    for typ in (pa.string(), pa.large_string()):
+        for arr in (pa.array(texts, typ),
+                    pa.array(padded, typ).slice(pad, len(texts))):
+            assert _arrow_tokens_per_doc(arr) == want, (typ, arr.offset)
+
+
+def test_token_byte_table_matches_regex():
+    """All 256 byte values: the tokenizer's byte table keeps exactly the
+    bytes that the oracle's split (TOKEN_SPLIT_RE, under ``re``) and the
+    DuckDB oracle SQL's '[^a-z0-9_]+' keep, and maps every other byte
+    to a space, itself a separator."""
+    import re
+
+    from quickray.schema import TOKEN_SPLIT_RE
+    from quickray.tokenize import _BYTE_CLASS
+
+    assert re.fullmatch(TOKEN_SPLIT_RE, " ")
+    for b in range(256):
+        sep = re.fullmatch(TOKEN_SPLIT_RE, chr(b)) is not None
+        assert sep == (re.fullmatch(r"[^a-z0-9_]+", chr(b)) is not None), b
+        assert _BYTE_CLASS[b] == (ord(" ") if sep else b), b
 
 
 def test_tokenizer_stage_tf_salt():

@@ -71,7 +71,7 @@ def main(argv=None) -> int:
     from quickray.delta import DeltaEngine
 
     work = os.path.abspath(args.dir)
-    main_dir = ensure_index(work, args.docs, args.seed)
+    _, main_dir = ensure_index(work, args.docs, args.seed)
     table = pq.read_table(os.path.join(work, "corpus"))
     queries = query_stream(doc_freqs(table), args.seed, args.queries)
     stream = UpsertStream(table, args.seed, BATCH_DOCS)

@@ -16,7 +16,12 @@ phase table from its ``manifest.json`` (``build_phases``: seconds, rows
 and bytes written per phase, chunked phases summed under their base
 name) and ``largest_shard``: the segment ``shard`` with the most
 postings, its term and posting counts and the docbase run rows its
-merge read, beside the mean postings per shard. It is never a gate.
+merge read, beside the mean postings per shard. ``kernels_ms`` times
+the build's content kernels in this process, fastest of ``--passes``:
+``flatten_tokens``, ``batch_postings`` and ``encode_runs`` on the
+corpus's first tokenizer batch (4096 docs, the build's default), and
+``make_final_merge`` on the largest shard's merge group. It is never a
+gate.
 
 Run from the root of a quickray checkout:
 
@@ -65,14 +70,14 @@ def _built(out: str) -> bool:
     return bool(seg) and all(rec.get("status") == "done" for rec in seg)
 
 
-def ensure_index(work: str, n_docs: int, seed: int) -> str:
+def ensure_index(work: str, n_docs: int, seed: int) -> tuple[str, str]:
     """The corpus and its index under ``work``, built on first use."""
     from quickray.corpus import ensure_corpus_parquet
 
     corpus = ensure_corpus_parquet(os.path.join(work, "corpus"), n_docs, seed=seed)
     out = os.path.join(work, f"idx_n{n_docs}_s{seed}")
     if _built(out):
-        return out
+        return corpus, out
     import ray
 
     from quickray.build import build_index
@@ -91,7 +96,7 @@ def ensure_index(work: str, n_docs: int, seed: int) -> str:
         print(f"built {n_docs} docs in {time.perf_counter() - t0:.1f} s")
     finally:
         ray.shutdown()
-    return out
+    return corpus, out
 
 
 def build_phases(out: str) -> dict:
@@ -131,6 +136,59 @@ def largest_shard(out: str) -> dict:
     }
 
 
+def _fastest_ms(fn, passes: int):
+    """(fastest of ``passes`` calls of ``fn`` in ms, its last result)."""
+    best = np.inf
+    for _ in range(passes):
+        t = time.perf_counter()
+        res = fn()
+        best = min(best, time.perf_counter() - t)
+    return round(1e3 * best, 1), res
+
+
+def kernel_table(corpus: str, out: str, shard: int, passes: int) -> dict:
+    """Milliseconds of each content kernel: the docbase pass's three on
+    the corpus's first tokenizer batch, and the final merge on the
+    docbase runs of merge group ``shard``."""
+    import pyarrow.parquet as pq
+
+    from quickray.docids import rank_keys
+    from quickray.merge import make_final_merge
+    from quickray.schema import BATCH_RUN_SCHEMA, BLOCK_SIZE
+    from quickray.tokenize import (
+        batch_postings,
+        encode_runs,
+        flatten_tokens,
+        rank_lookup,
+    )
+
+    with open(os.path.join(out, "stats", "stats.json")) as f:
+        stats = json.load(f)
+    shards = pads.dataset(os.path.join(out, "segments"), format="parquet").to_table(
+        columns=["shard"]
+    )["shard"]
+    num_shards = pc.max(shards).as_py() + 1
+    batch = pads.dataset(corpus, format="parquet").head(4096)
+    ids = rank_lookup(batch, rank_keys(pq.read_table(corpus, columns=["repo", "path"])))
+    ms = {}
+    ms["flatten_tokens"], (flat, parents) = _fastest_ms(
+        lambda: flatten_tokens(batch["content"]), passes)
+    ms["batch_postings"], grouped = _fastest_ms(
+        lambda: batch_postings(batch, ids, flat, parents, []), passes)
+    ms["encode_runs"], _ = _fastest_ms(lambda: encode_runs(grouped, num_shards), passes)
+
+    dm = pq.read_table(os.path.join(out, "docmeta"), columns=["doc_id", "doc_len"])
+    dl = np.zeros(stats["n_docs"], dtype=np.int64)
+    dl[np.asarray(dm["doc_id"])] = np.asarray(dm["doc_len"])
+    runs = pads.dataset(os.path.join(out, "docbase"), format="parquet").to_table(
+        columns=BATCH_RUN_SCHEMA.names,
+        filter=(pads.field("kind") == 1) & (pads.field("mpart") == shard),
+    )
+    merge = make_final_merge(stats["n_docs"], stats["avgdl"], BLOCK_SIZE, dl)
+    ms["make_final_merge"], _ = _fastest_ms(lambda: merge(runs), passes)
+    return ms
+
+
 def _latency(sec: np.ndarray) -> dict:
     ms = 1e3 * sec
     return {
@@ -151,7 +209,7 @@ def main(argv=None) -> int:
 
     from quickray.engine import Index, LocalEngine
 
-    out = ensure_index(os.path.abspath(args.dir), args.docs, args.seed)
+    corpus, out = ensure_index(os.path.abspath(args.dir), args.docs, args.seed)
     t0 = time.perf_counter()
     ix = Index(out, **HOT_LOAD)
     load_s = time.perf_counter() - t0
@@ -192,8 +250,10 @@ def main(argv=None) -> int:
 
     shape = np.array([q.id.split(":", 1)[0] for q in queries])
     labels = np.array(labels)
+    big = largest_shard(out)
     report = {"docs": ix.n_docs, "queries": len(queries), "load_s": round(load_s, 3),
-              "build_phases": build_phases(out), "largest_shard": largest_shard(out)}
+              "build_phases": build_phases(out), "largest_shard": big,
+              "kernels_ms": kernel_table(corpus, out, big["shard"], args.passes)}
     for s in SHAPES:
         report[s] = _latency(best[shape == s])
     flat = np.isin(shape, FLAT_OR)
