@@ -20,9 +20,8 @@ Phases (each a checkpointed Dataset pipeline, see checkpoint.Manifest):
             index (J1 analog); no content involved.
   segments  THE one merge: groupby(mpart) over the docbase runs ->
             vectorized partition merge -> final posting segments (doc
-            ids + tfs; doc_len and bits stay in docmeta) with BM25
-            block-max metadata, dl looked up from a broadcast
-            doc_id-indexed array (never shuffled).
+            ids + tfs; doc_len and bits stay in docmeta). It scores
+            nothing and reads no docmeta or statistics.
 
 Skew: a merge group holds every run of its terms, so the largest group
 is the mpart that holds the hottest terms. Salting a hot term's runs
@@ -33,7 +32,7 @@ doc_id), so correctness never depends on run arrival order (SURVEY
 
 Scale notes: the only all-to-all exchange is the merge's run shuffle,
 over varint-compressed payloads pre-aggregated per batch; reads prune
-columns; small sides (rank table, doc_len) are ray.put broadcasts. The rank table bounds one build partition to ~10^8 docs
+columns; the small side (the rank table) is a ray.put broadcast. The rank table bounds one build partition to ~10^8 docs
 (docids.py); a 10^12-file corpus runs as many independent key-range
 build partitions with doc_id offsets from a driver-side prefix sum.
 
@@ -77,8 +76,8 @@ import ray
 import ray.data as rd
 
 from quickray.checkpoint import MANIFEST, Manifest
-from quickray.merge import make_final_merge
-from quickray.schema import BATCH_RUN_SCHEMA, BLOCK_SIZE, LANGS
+from quickray.merge import final_merge
+from quickray.schema import BATCH_RUN_SCHEMA, LANGS
 from quickray.tokenize import (
     batch_postings,
     encode_runs,
@@ -634,7 +633,6 @@ def build_index(
     durable_shuffle: bool = False,
     shuffle_chunks: int = 4,
     tokenizer_batch_size: int = 4096,
-    block_size: int = BLOCK_SIZE,
     fingerprint: str | None = None,
     field_cols: list[str] | None = None,
 ) -> BuildResult:
@@ -694,18 +692,18 @@ def build_index(
     # layout-critical params join the fingerprint: resuming a build dir
     # with a different segment layout must invalidate, never silently
     # mix chunk bounds (the runs/segments on disk encode
-    # num_shards/block_size; field_cols change the
-    # posting table's contents; langs change the docmeta BITS
+    # num_shards; field_cols change the posting table's contents;
+    # langs change the docmeta BITS
     # encoding and id_col changes doc_id assignment semantics — a
     # resume under different values must rebuild, not silently serve
     # the stale index)
     layout = (
         f"|layout:shards={num_shards},"
-        f"chunks={shuffle_chunks if durable_shuffle else 0},bs={block_size}"
+        f"chunks={shuffle_chunks if durable_shuffle else 0}"
         f",fields={'+'.join(field_cols)}"
         f",langs={'+'.join(langs)},id={id_col or 'rank'}"
         ",dbv=4"  # docbase schema v4 (kind=1 runs carry their mpart)
-        ",segv=2"  # segment format v2: doc ids + tfs per posting
+        ",segv=3"  # segment format v3: doc ids + tfs per posting, no scores
     )
     man = Manifest(out_dir, src.fingerprint + layout, executor=executor)
     result = BuildResult(out_dir=out_dir)
@@ -821,7 +819,6 @@ def build_index(
             "total_tokens": total_tokens,
             "avgdl": avgdl,
             "num_shards": num_shards,
-            "block_size": block_size,
             "langs": langs,
             "field_cols": field_cols,
         }
@@ -886,13 +883,6 @@ def build_index(
         chunks = {"segments": ("segments", 0, num_shards)}
     todo = [name for name in chunks if not man.phase_done(name)]
     if todo:
-        dm = pq.read_table(docmeta_dir, columns=["doc_id", "doc_len"])
-        dl = np.zeros(stats["n_docs"], dtype=np.int64)
-        dl[np.asarray(dm["doc_id"])] = np.asarray(dm["doc_len"])
-        merge = make_final_merge(
-            stats["n_docs"], stats["avgdl"], block_size, put(dl)
-        )
-
         def _plan_merge(name: str):
             """Plan one chunk SEQUENTIALLY (read_parquet path resolution
             imports optional fs modules — racy from threads); only the
@@ -906,7 +896,7 @@ def build_index(
                     filter=(pads.field("kind") == 1) & (mpart >= lo) & (mpart < hi),
                 )
                 .groupby("mpart")
-                .map_groups(merge, batch_format="pyarrow")
+                .map_groups(final_merge, batch_format="pyarrow")
             )
 
             def run() -> None:

@@ -230,8 +230,8 @@ def block_max_metadata(
     """Per-block (last_doc_id, max_score) over a sorted posting list.
 
     `scores` are the exact BM25 contributions of this term for each
-    posting (computable at build time: tf, doc_len and global stats are
-    all known after the stats phase — SURVEY.md §7.4 phase C).
+    posting under the serving scorer, 0.0 for a dead doc
+    (engine.Scorer.blocks).
     """
     n = len(doc_ids)
     if n == 0:

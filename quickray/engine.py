@@ -4,25 +4,26 @@
   loaded once per worker" mapping — in Ray terms this lives in an
   actor's __init__).
 - ``Scorer``: BM25 under one engine's fixed statistics, memoizing each
-  term's contribution vector (LRU-bounded). An Index owns one for its
-  own statistics; the parts of a multi-part engine score with
-  corpus-global ones, get their own and memoize just the same.
+  term's contribution vector and, on first use by pruning, its block
+  maxima (both LRU-bounded). An Index owns one for its own statistics;
+  the parts of a multi-part engine score with corpus-global ones and
+  their live masks, get their own and memoize just the same.
 - ``LocalEngine``: boolean set algebra bit-identical to quicker's
   skiplist semantics (IntersectionOfSkipList/UnionOfSkipList + flag
   filter, skiplist_reverse_index.go:77-206) + exact BM25 top-k, scored
-  by the ``Scorer`` it is handed (the index's own by default). An
-  optional doc-indexed ``live`` mask (tombstones) filters docs wherever
-  the flag bits do: both are doc-level facts, so the postings served
-  are the Index's own, block metadata included. It is the one place a
-  query is routed. A flat OR or single term goes to
-  ``wand.block_max_topk``, which only decides whether to prune (only
-  ever under the index's own scorer) and scores the pruned blocks; its
-  exhaustive side is the engine's ``_flat_eval``. Every other tree is
-  routed once by its result-size estimate from segment dfs (Term ->
-  df, And -> min, Or -> sum). Above ``n_docs // DENSE_DIVISOR`` it is
-  evaluated term at a time over doc-indexed arrays (Turtle & Flood,
-  IP&M 1995): each term, in ascending order, adds its contributions
-  into one score vector and sets one boolean doc mask; the tree is
+  by the ``Scorer`` it is handed (the index's own by default). The
+  scorer's optional doc-indexed ``live`` mask (tombstones) filters docs
+  wherever the flag bits do: both are doc-level facts, so the postings
+  served are the Index's own. It is the one place a query is routed. A
+  flat OR or single term goes to ``wand.block_max_topk``, which only
+  decides whether to prune (under any scorer) and scores the pruned
+  blocks; its exhaustive side is the engine's ``_flat_eval``. Every
+  other tree is routed once by its result-size estimate from segment
+  dfs (Term -> df, And -> min, Or -> sum). Above
+  ``n_docs // DENSE_DIVISOR`` it is evaluated term at a time over
+  doc-indexed arrays (Turtle & Flood, IP&M 1995): each term, in
+  ascending order, adds its contributions into one score vector and
+  sets one boolean doc mask; the tree is
   ``logical_and``/``logical_or`` over the masks (an absent term is
   all-false), the flag filter is one mask over the docmeta bits (bits
   are doc-level, so this equals filtering at the leaves), and the top-k
@@ -61,6 +62,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from quickray.codec import (
+    block_max_metadata,
     decode_postings,
     gather_ranges,
     varint_counts,
@@ -85,8 +87,6 @@ class Posting:
 
     doc_ids: np.ndarray
     tfs: np.ndarray
-    block_last: np.ndarray
-    block_max: np.ndarray
 
 
 # docmeta's doc-level columns: scoring gathers doc_len and flag filters
@@ -118,19 +118,20 @@ def _lru_fetch(cache: OrderedDict, key, cap: int, make):
 class Scorer:
     """BM25 under one fixed set of statistics: ``n_docs``, ``avgdl`` and
     a df resolver (``df.get(term, posting_df)``; None scores with each
-    posting's own length). An engine's statistics never change, so
-    each term's full per-posting contribution vector — and, for
-    stopword-grade terms, its dense doc_id-indexed vector — is computed
-    once and memoized HERE, per scorer: two engines over one Index with
-    different statistics never see each other's contributions. Both
+    posting's own length), and the doc-indexed ``live`` mask of the
+    docs it serves (False = tombstoned; None = every doc is live). An
+    engine's statistics never change, so each term's full per-posting
+    contribution vector — and, for stopword-grade terms, its dense
+    doc_id-indexed vector, and for pruned terms its block maxima — is
+    computed once and memoized HERE, per scorer: two engines over one
+    Index with different statistics never see each other's values. The
     memos are recency-evicting and capped at the index's posting-LRU
     capacity.
 
-    ``Index.scorer`` is the index's own (its stored df, n_docs, avgdl):
-    the only statistics its merge-time block bounds were computed
-    under, so the only scorer block-max pruning may serve (wand.py)."""
+    ``Index.scorer`` is the index's own (its stored df, n_docs, avgdl,
+    every doc live)."""
 
-    def __init__(self, index, n_docs: int, avgdl: float, df=None):
+    def __init__(self, index, n_docs: int, avgdl: float, df=None, live=None):
         # weak: the own scorer is an attribute of its index, and a strong
         # back-reference would make a cycle that keeps every dropped
         # Index (segments, posting LRU) alive until a full GC pass
@@ -138,8 +139,10 @@ class Scorer:
         self.n_docs = n_docs
         self.avgdl = avgdl
         self._df = df
+        self.live = live
         self._contrib: OrderedDict[str, np.ndarray] = OrderedDict()
         self._dense: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._blocks: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
     def contrib(self, term: str, p: Posting) -> np.ndarray:
         """Exact BM25 contribution of every posting of ``term`` (``p`` is
@@ -167,6 +170,24 @@ class Scorer:
             return d
 
         return _lru_fetch(self._dense, term, self._index._cache_cap, make)
+
+    def blocks(self, term: str, p: Posting) -> tuple[np.ndarray, np.ndarray]:
+        """(block_last, block_max) of ``term`` over its posting ``p`` cut
+        into ``wand.BLOCK_SIZE``-posting blocks: each block's last doc
+        id and its largest contribution of a live doc (dead docs count
+        0.0, so a block with no live doc has maximum 0). Each positive
+        maximum is one live doc's exact contribution."""
+
+        def make():
+            # wand imports this module: read its constant at call time
+            from quickray.wand import BLOCK_SIZE
+
+            c = self.contrib(term, p)
+            if self.live is not None:
+                c = np.where(self.live[p.doc_ids], c, 0.0)
+            return block_max_metadata(p.doc_ids, c, BLOCK_SIZE)
+
+        return _lru_fetch(self._blocks, term, self._index._cache_cap, make)
 
 
 # evaluation moves to dense doc-indexed arrays once its work (postings
@@ -219,11 +240,7 @@ _DECODE_CHUNK = 1 << 19
 # a segment row's varint streams, in Posting field order
 _STREAMS = ("postings", "tfs")
 # 64-bit offsets: a combined column may exceed 2 GiB
-_LARGE = {
-    **{c: pa.large_binary() for c in _STREAMS},
-    "block_last": pa.large_list(pa.int64()),
-    "block_max": pa.large_list(pa.float64()),
-}
+_LARGE = {c: pa.large_binary() for c in _STREAMS}
 
 
 def _one_chunk(col: pa.ChunkedArray) -> pa.Array:
@@ -231,13 +248,11 @@ def _one_chunk(col: pa.ChunkedArray) -> pa.Array:
 
 
 def _column_view(seg: pa.Table, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-copy numpy (int64 offsets, values) of a large-binary or
-    large-list segment column held in one chunk."""
+    """Zero-copy numpy (int64 offsets, bytes) of a large-binary segment
+    column held in one chunk."""
     arr = _one_chunk(seg[name])
     if arr.null_count:
         raise ValueError(f"segment column {name!r} holds nulls")
-    if pa.types.is_large_list(arr.type):
-        return arr.offsets.to_numpy(), arr.values.to_numpy()
     _, offs, data = arr.buffers()
     offs = np.frombuffer(offs, np.int64)[arr.offset : arr.offset + len(arr) + 1]
     return offs, np.frombuffer(data, np.uint8) if data else np.empty(0, np.uint8)
@@ -285,7 +300,7 @@ class Index:
         ).combine_chunks()
         self._seg = seg
         self._df = _one_chunk(seg["df"]).to_numpy()
-        self._cols = {c: _column_view(seg, c) for c in _LARGE}
+        self._cols = {c: _column_view(seg, c) for c in _STREAMS}
         # term lookup = binary search over a sorted VIEW of the segment
         # term column (one int64 permutation array + O(log V) bounded
         # .as_py() per probe) — never a vocabulary-sized Python dict
@@ -405,15 +420,9 @@ class Index:
                     f" df in one of {len(rows)} rows (terms {terms}...)"
                 )
             flat[col] = vals
-        (bo, bl), (_, bm) = self._cols["block_last"], self._cols["block_max"]
-        bl, bb = gather_ranges(bl, bo[rows], bo[nxt])
-        bm, _ = gather_ranges(bm, bo[rows], bo[nxt])
         d, t = flat["postings"], flat["tfs"]
-        b, bb = bounds.tolist(), bb.tolist()
-        ps = [
-            Posting(d[lo:hi], t[lo:hi], bl[c:e], bm[c:e])
-            for lo, hi, c, e in zip(b, b[1:], bb, bb[1:])
-        ]
+        b = bounds.tolist()
+        ps = [Posting(d[lo:hi], t[lo:hi]) for lo, hi in zip(b, b[1:])]
         return bounds, flat, ps
 
     def df_of(self, term: str) -> int:
@@ -620,25 +629,16 @@ def _topk_select(
 
 
 class LocalEngine:
-    def __init__(
-        self,
-        index: Index,
-        scorer: Scorer | None = None,
-        live: np.ndarray | None = None,
-    ):
+    def __init__(self, index: Index, scorer: Scorer | None = None):
         """Scores with ``scorer``, by default ``index.scorer``: the
         index's own statistics, shared by every engine over that index.
         A MultiPartEngine part is handed a Scorer over ``index`` with
-        corpus-global statistics instead, so part-local postings score
-        with corpus-global idf/avgdl, which is what makes scatter
-        results equal a single global build. Every scorer takes the
-        same routes; only block-max pruning is reserved to the index's
-        own (wand.py).
-
-        ``live`` is a doc-indexed boolean mask, False for tombstoned
-        docs (None: every doc is live). It is never written to."""
+        corpus-global statistics and the part's live mask instead, so
+        part-local postings score with corpus-global idf/avgdl, which is
+        what makes scatter results equal a single global build. Every
+        scorer takes the same routes, block-max pruning included
+        (wand.py)."""
         self.index = index
-        self.live = live
         # the last query's path: for a flat OR as wand.block_max_topk
         # left it, for any other tree (route, estimated result size)
         # with route "dense" or "sparse"
@@ -646,6 +646,12 @@ class LocalEngine:
         # boolean evaluation needs only posting()/df_of(): an index
         # without a scorer of its own can still serve candidates()
         self.scorer = scorer if scorer is not None else getattr(index, "scorer", None)
+
+    @property
+    def live(self) -> np.ndarray | None:
+        """The scorer's doc-indexed mask, False for tombstoned docs (None:
+        every doc is live). It is never written to."""
+        return getattr(self.scorer, "live", None)
 
     # ------------------------------------------------------- set algebra
     def _filters(self, q: Query) -> bool:
@@ -971,7 +977,7 @@ class MultiPartEngine:
         self.avgdl = tokens / max(1, n_live)
         df = _GlobalDf(indexes, lives)
         self.engines = [
-            LocalEngine(ix, Scorer(ix, n_live, self.avgdl, df), live)
+            LocalEngine(ix, Scorer(ix, n_live, self.avgdl, df, live))
             for ix, live in zip(indexes, lives)
         ]
         self._labels = labels

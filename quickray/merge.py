@@ -6,10 +6,9 @@ exploded (term, doc) rows, straight from the docbase checkpoint, and
 groups them by a hash partition id rather than by term:
 groupby("mpart") — mpart = hash(term) % num_shards, written by the
 docbase pass — concats each term's runs into the final segment row
-(doc ids + tfs only) and computes BM25 block-max metadata, looking
-doc_len up in a broadcast doc_id-indexed array (doc_ids are dense
-0..N-1, so lookup is a numpy take from a plasma-shared array; doc_len
-is never shuffled or stored).
+(doc ids + tfs only). The merge scores nothing: it needs no corpus
+statistics and no doc-level data, and a segment holds no value that
+depends on them.
 
 One ``map_groups`` call processes a whole partition (hundreds to
 thousands of terms) in whole-column passes: both binary columns are
@@ -43,7 +42,6 @@ from quickray.codec import (
     varint_encode_sizes,
 )
 from quickray.schema import SEGMENT_SCHEMA
-from quickray.util import fetch
 
 
 @dataclass
@@ -107,64 +105,24 @@ def _concat_decode_sort(t: pa.Table) -> _Merged:
     )
 
 
-def make_final_merge(n_docs: int, avgdl: float, block_size: int, dl_ref):
-    """groupby("mpart") finalizer: runs -> final segment rows.
-
-    ``dl_ref`` is the doc_len int64 array indexed by doc_id, or a
-    ray.put ObjectRef of it — the broadcast-small-side pattern: fetched
-    once per task from the local plasma store (zero-copy), never
-    re-shipped through the shuffle.
-    """
-
-    def merge_partition(t: pa.Table) -> pa.Table:
-        from quickray.scoring import bm25_contrib
-
-        if t.num_rows == 0:
-            return SEGMENT_SCHEMA.empty_table()
-        dl_arr = fetch(dl_ref)
-        m = _concat_decode_sort(t)
-        starts = m.g_val_starts
-        pbuf, pnb = varint_encode_sizes(segmented_delta_encode(m.docs, starts))
-        tbuf, tnb = varint_encode_sizes(m.tfs)
-
-        df_per_val = np.repeat(m.g_val_lens, m.g_val_lens)
-        scores = bm25_contrib(m.tfs, dl_arr[m.docs], df_per_val, n_docs, avgdl)
-        ends = starts + m.g_val_lens
-        # block-max metadata for ALL groups in one pass (a per-term
-        # Python loop here was ~60% of the final-merge wall at 2M vocab)
-        lens = m.g_val_lens
-        nblocks = (lens + block_size - 1) // block_size
-        block_off = np.concatenate(([0], np.cumsum(nblocks)))
-        block_group = np.repeat(np.arange(len(lens)), nblocks)
-        within = np.arange(len(block_group)) - block_off[block_group]
-        bstart = starts[block_group] + within * block_size
-        bend = np.minimum(bstart + block_size, ends[block_group])
-        block_last_vals = m.docs[bend - 1]
-        block_max_vals = (
-            np.maximum.reduceat(scores, bstart)
-            if len(bstart)
-            else np.empty(0, np.float64)
-        )
-        block_last = pa.ListArray.from_arrays(
-            pa.array(block_off, pa.int32()), pa.array(block_last_vals, pa.int64())
-        )
-        block_max = pa.ListArray.from_arrays(
-            pa.array(block_off, pa.int32()),
-            pa.array(block_max_vals, pa.float64()),
-        )
-        # the group key IS the shard id: mpart = hash(term) % num_shards
-        shard = int(t["mpart"][0].as_py())
-        return pa.table(
-            {
-                "term": m.terms,
-                "df": pa.array(m.g_val_lens),
-                "postings": binary_runs("postings", pbuf, pnb, starts),
-                "tfs": binary_runs("tfs", tbuf, tnb, starts),
-                "block_last": block_last,
-                "block_max": block_max,
-                "shard": pa.array(np.full(len(m.terms), shard, np.int64)),
-            },
-            schema=SEGMENT_SCHEMA,
-        )
-
-    return merge_partition
+def final_merge(t: pa.Table) -> pa.Table:
+    """groupby("mpart") finalizer: one merge group's runs -> its final
+    segment rows (doc ids and tfs only)."""
+    if t.num_rows == 0:
+        return SEGMENT_SCHEMA.empty_table()
+    m = _concat_decode_sort(t)
+    starts = m.g_val_starts
+    pbuf, pnb = varint_encode_sizes(segmented_delta_encode(m.docs, starts))
+    tbuf, tnb = varint_encode_sizes(m.tfs)
+    # the group key IS the shard id: mpart = hash(term) % num_shards
+    shard = int(t["mpart"][0].as_py())
+    return pa.table(
+        {
+            "term": m.terms,
+            "df": pa.array(m.g_val_lens),
+            "postings": binary_runs("postings", pbuf, pnb, starts),
+            "tfs": binary_runs("tfs", tbuf, tnb, starts),
+            "shard": pa.array(np.full(len(m.terms), shard, np.int64)),
+        },
+        schema=SEGMENT_SCHEMA,
+    )

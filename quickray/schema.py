@@ -10,9 +10,11 @@ Data-model mapping from the reference (SURVEY.md §1.2):
   lang/path/doc_len (demo/job/bits.go:24-69 analog).
 - posting row = quicker's term -> skiplist-of-(DocId, BitsFeature)
   (skiplist_reverse_index.go:15-18) as delta+varint doc ids and varint
-  tfs with per-block max-score metadata for block-max pruning. The
-  reference keeps BitsFeature in every posting; here doc_len and bits
-  live once, in docmeta, and serving gathers them by doc_id.
+  tfs, and no scores: like the reference's skip list, a segment holds
+  no statistic-dependent value (serving derives block-max bounds from
+  the contributions it scores with, wand.py). The reference keeps
+  BitsFeature in every posting; here doc_len and bits live once, in
+  docmeta, and serving gathers them by doc_id.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import pyarrow as pa
 # ---------------------------------------------------------------- constants
 BM25_K1 = 1.2
 BM25_B = 0.75
-BLOCK_SIZE = 128  # docs per block-max block
 
 # Language set -> bit position (bits.go:6-21 analog, our corpus's categories).
 LANGS = ["go", "py", "js", "java", "rs", "c"]
@@ -67,15 +68,15 @@ DOCMETA_SCHEMA = pa.schema(
 # aligned (i-th decoded entry of each describes the i-th posting).
 # Postings are sorted ascending by doc_id (the reference's one invariant,
 # skiplist_reverse_index.go:49-55). Doc-level data (doc_len, bits) is
-# not repeated per posting: docmeta holds it, indexed by doc_id.
+# not repeated per posting: docmeta holds it, indexed by doc_id. No
+# column depends on the corpus statistics, so one segment serves any
+# scorer.
 SEGMENT_SCHEMA = pa.schema(
     [
         ("term", pa.string()),
         ("df", pa.int64()),  # == number of postings
         ("postings", pa.binary()),  # delta+varint doc_ids
         ("tfs", pa.binary()),  # varint term frequencies
-        ("block_last", pa.list_(pa.int64())),  # last doc_id per block
-        ("block_max", pa.list_(pa.float64())),  # max BM25 contribution per block
         ("shard", pa.int64()),  # hash(term) % num_shards (segment layout key)
     ]
 )
@@ -91,8 +92,7 @@ SEGMENT_SCHEMA = pa.schema(
 #             ranges are disjoint, so ordering runs by min_doc makes the
 #             per-term concatenation already globally sorted)
 # Runs carry only doc_ids + tfs, like the final segments: the merge
-# looks doc_len up in a broadcast doc_id-indexed array (doc_ids are
-# dense 0..N-1) for its block-max bounds only.
+# concatenates and re-encodes them and reads nothing else.
 BATCH_RUN_SCHEMA = pa.schema(
     [
         ("term", pa.string()),

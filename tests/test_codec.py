@@ -69,6 +69,16 @@ def test_block_max():
     assert last[0] == ids[127] and last[1] == ids[255] and last[2] == ids[299]
     assert bmax[0] == scores[:128].max()
     assert bmax[2] == scores[256:].max()
+    # dead docs' contributions zeroed, as a live-masked Scorer passes
+    # them: the maxima skip them, and an all-dead block's maximum is 0
+    dead = np.zeros(300, dtype=bool)
+    dead[np.argmax(scores[128:256]) + 128] = True
+    dead[256:] = True
+    last_z, bmax_z = block_max_metadata(ids, np.where(dead, 0.0, scores), 128)
+    assert last_z.tolist() == last.tolist()
+    assert bmax_z[0] == bmax[0]
+    assert bmax_z[1] == scores[128:256][~dead[128:256]].max() < bmax[1]
+    assert bmax_z[2] == 0.0
     # empty
     l0, b0 = block_max_metadata(np.empty(0, np.int64), np.empty(0), 128)
     assert len(l0) == 0 and len(b0) == 0

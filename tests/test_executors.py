@@ -1,9 +1,9 @@
 """The two build executors (build.py): a source of at most one
 tokenizer batch builds in the calling process with no Ray job (local);
 larger or uncounted sources build on Ray. Both must write the same
-index, streaming or durable, and it must equal the digests pinned on
-the two-level (salted) merge that the one merge replaced; the local one
-must also resume, fail on bad input and run without ray.init."""
+index, streaming or durable, and it must equal the pinned digests;
+the local one must also resume, fail on bad input and run without
+ray.init."""
 
 import hashlib
 import itertools
@@ -34,21 +34,24 @@ VARIANTS = {
     "durable_field_cols": {**DURABLE, "field_cols": ["lang"]},
     "durable_id_col": {**DURABLE, "id_col": "my_id"},
 }
-# sha256 (_digest) of the segments sorted by term and of docmeta sorted
-# by doc_id, every column, as the two-level salted merge (hot_df=40,
-# num_salts=4 or the defaults: the same bytes) wrote them for the
-# fixture corpus on both executors, streaming and durable
+# sha256 (_digest) of the segments sorted by term (term, df, postings,
+# tfs, shard) and of docmeta sorted by doc_id (every column) for the
+# fixture corpus. The segment digests were taken over those five
+# columns of the build that also stored block maxima, and its docmeta
+# digests over the two-level salted merge before it (hot_df=40,
+# num_salts=4 or the defaults: the same bytes), so both pin postings
+# and docmeta across the format changes
 PINNED = {
     "plain": (
-        "a4e952bd03dd80e6ee121f6ec7a30a3a02252f2bc9b8a345137e383592e7d89f",
+        "0317554cfe56385679601f2fb4011c3c7149b1ebc97a763bf1524fd9ae9f3ede",
         "3903bff0e228ab0837ac14245560f7f26835cf65855a822db7beb5e4d20979f1",
     ),
     "field_cols": (
-        "84409a8ee5d30d6967abcb8cd8df83bf0201e99288c48c54e354d05bd091ac15",
+        "13f18b50ca7c06977f2b5bf0ace56542109a3be0bd93415628e45d36d976849d",
         "3903bff0e228ab0837ac14245560f7f26835cf65855a822db7beb5e4d20979f1",
     ),
     "id_col": (
-        "1cb630791fbccc90c7983a51f35b426b7d2db4642c9f12d683b2bfa8a3f263c1",
+        "306cf39903fae1cdf4838b100fa0e0de9dc3a1468fa17676cc1cee5698456052",
         "a9b7519e5b2bace4abd400628fa44ddd96af5ff485dfa90a524ada4aa196f4b9",
     ),
 }

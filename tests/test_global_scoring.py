@@ -5,10 +5,10 @@ Oracle over the same live corpus.
 Every query is issued twice on the same engine: the first call fills
 the scorer's contribution memo and the posting LRU, the second is
 served from them; both must be rank-identical to the
-Oracle with scores within 1e-9 relative. Block-max pruning must never
-run under a scorer that is not the index's own: its block bounds were
-written under the index's own statistics. A dropped engine must be
-freed with its memos by reference counting alone.
+Oracle with scores within 1e-9 relative. Every part prunes with the
+block maxima its own scorer derives over its live docs, and answers
+like exhaustive scoring, the Oracle and a rebuild. A dropped engine
+must be freed with its memos by reference counting alone.
 """
 
 import gc
@@ -26,7 +26,7 @@ from quickray.corpus import generate_corpus
 from quickray.delta import DeltaEngine
 from quickray.engine import Index, LocalEngine, PartitionedEngine
 from quickray.oracle import Oracle
-from quickray.query import And, Or, Query, Term
+from quickray.query import And, Or, Query, Term, collect_terms
 from quickray.queryset import ABSENT
 
 KS = (0, 1, 10, 100)
@@ -185,8 +185,8 @@ def test_delta_engine_twice_vs_oracle(delta_case):
 
 def test_tombstoned_part_serves_index_postings(delta_case):
     """A part with tombstones serves the Index's own postings: the LRU's
-    objects, dead docs and block metadata included; the live mask
-    alone removes the dead docs."""
+    objects, dead docs included; the live mask alone removes the dead
+    docs."""
     _, eng, live = delta_case["stages"][-1]
     tomb = delta_case["tomb"]
     main = eng.engines[0]  # main under its tombstones
@@ -200,10 +200,7 @@ def test_tombstoned_part_serves_index_postings(delta_case):
     served = [t for t, v in main.index._cache.items() if v is not None]
     assert tomb in served
     for t in served:
-        p = main.index._cache[t]
-        assert main.index.posting(t) is p
-        assert len(p.block_last) == len(p.block_max) > 0
-        assert p.block_last[-1] == p.doc_ids[-1]
+        assert main.index.posting(t) is main.index._cache[t]
 
 
 def test_dense_flat_or_leaves_live_unchanged(delta_case):
@@ -256,44 +253,110 @@ def test_partitioned_engine_twice_vs_oracle(partitioned_case):
     _check_twice("partitioned", eng.search, oracle, key_of, queries)
 
 
-# ------------------------------------------------------ no foreign pruning
-def test_block_max_never_prunes_under_foreign_scorer(
+# ------------------------------------------------------ pruning parts
+def _force(monkeypatch, side):
+    if side == "prune":  # every query plan can prune is pruned
+        monkeypatch.setattr(wand, "WORK_CUTOFF", 0)
+        monkeypatch.setattr(wand, "PRUNE_SPAN", 1.0)
+    else:
+        monkeypatch.setattr(wand, "WORK_CUTOFF", 1 << 62)
+
+
+def test_block_max_prunes_under_global_scorer(
     monkeypatch, delta_case, partitioned_case
 ):
     """With the prune side of wand.plan forced (work cutoff off, any
-    kept span) and k=1, block_max_topk prunes under an index's own
-    scorer without a flag filter, takes the exhaustive path at the flag
-    test with one, and answers like exhaustive scoring of every
-    candidate either way; the same flat ORs on the delta and
-    partitioned engines, whose scorers are not their indexes' own, must
-    never prune (each part records the foreign-scorer exit)."""
-    monkeypatch.setattr(wand, "WORK_CUTOFF", 0)
-    monkeypatch.setattr(wand, "PRUNE_SPAN", 1.0)
-
+    kept span), the flat ORs of the delta and partitioned engines prune
+    in every part that holds a query term, each part with the block
+    maxima its own corpus-global scorer derives (over its live docs),
+    and take the flag exit under a flag filter. Every answer equals
+    exhaustive scoring and the Oracle."""
+    _, delta, live = delta_case["stages"][-1]
     cases = [
-        (delta_case["main"], delta_case["stages"][-1][1]),
-        (partitioned_case["dirs"][0], partitioned_case["engine"]),
+        ("delta", delta, Oracle(live), sorted(_keys(live).to_pylist())),
+        ("partitioned", partitioned_case["engine"], partitioned_case["oracle"],
+         list(range(partitioned_case["oracle"].n_docs))),
     ]
-    for own_dir, eng in cases:
-        ix = Index(own_dir)
+    for name, eng, oracle, key_of in cases:
+        ix = eng.engines[0].index
         n = ix.n_docs
         mids = [t for t in _content_terms(ix) if 2 < ix.df_of(t) < n // 4]
-        tree = Or(tuple(Term(t) for t in mids[:3]))
-        qs = [Query(tree=tree, k=1), Query(tree=tree, k=1, off_flag=1 << 8)]
-
-        own = LocalEngine(ix)
-        for q, want in zip(qs, (("pruned",), ("exhaustive", "flag filter"))):
-            ids, sc = own.search(q)
-            assert own.last_path[: len(want)] == want, (q, own.last_path)
-            want_ids, want_sc = own.score(q, own.candidates(q))
-            assert ids.tolist() == want_ids.tolist(), q
-            np.testing.assert_allclose(sc, want_sc, rtol=1e-9, atol=0)
-
-        for q in qs * 2:
+        hot = sorted(oracle.df(), key=lambda t: (-oracle.df()[t], t))[:2]
+        trees = [Or(tuple(Term(t) for t in mids[:3])), Term(hot[0]),
+                 Or((Term(hot[0]), Term(hot[1]), Term(mids[0])))]
+        qs = [Query(tree=tr, k=k, **fl) for tr in trees for k in (1, 3, 10)
+              for fl in ({}, {"off_flag": 1 << 8})]
+        got = {}
+        for side in ("exhaustive", "prune"):
+            _force(monkeypatch, side)
+            got[side] = [eng.search(q) for q in qs]
+        pruned = 0
+        for q, (keys, sc), (keys_e, sc_e) in zip(qs, got["prune"], got["exhaustive"]):
             eng.search(q)
             for part in eng.engines:
-                assert part.scorer is not getattr(part.index, "scorer", None)
-                assert part.last_path == ("exhaustive", "foreign scorer"), q
+                held = any(part.index.df_of(t) for t in collect_terms(q.tree))
+                path = part.last_path
+                if not held:
+                    assert path == ("exhaustive", "below cutoff"), (name, q)
+                elif q.has_flags:
+                    assert path == ("exhaustive", "flag filter"), (name, q)
+                elif path[0] == "pruned":
+                    pruned += 1
+                else:  # fewer than k blocks: k=1 always prunes
+                    assert path == ("exhaustive", "k above blocks"), (name, q, path)
+                    assert q.k > 1, (name, q)
+            assert keys.tolist() == keys_e.tolist(), (name, q)
+            np.testing.assert_allclose(sc, sc_e, rtol=1e-9, atol=0)
+        assert pruned >= len(trees)
+        _check_twice(name, eng.search, oracle, key_of, qs)
+
+
+def test_pruning_skips_tombstoned_block_maxima(monkeypatch, delta_case, tmp_path):
+    """A tombstoned main doc holds its term's largest contribution (so
+    the largest in its block), and every doc of the block with the next
+    largest maximum is tombstoned too. Served with 8-posting blocks and
+    pruning forced, the main part's block maxima skip the dead docs (the
+    all-dead block's maximum is 0), its flat ORs prune, and every answer
+    is (key, score)-identical to a rebuild of the live corpus."""
+    monkeypatch.setattr(wand, "BLOCK_SIZE", 8)
+    _force(monkeypatch, "prune")
+    main = delta_case["main"]
+    base = generate_corpus(240, seed=31)
+    own = Index(main)
+    term = next(t for t in _content_terms(own) if 48 <= own.df_of(t) <= 96)
+    p = own.posting(term)
+    bmax = own.scorer.blocks(term, p)[1]
+    top, second = np.argsort(-bmax, kind="stable")[:2]
+    c = own.scorer.contrib(term, p)
+    star = int(p.doc_ids[np.argmax(c)])  # in block ``top``
+    dead_block = p.doc_ids[second * 8:(second + 1) * 8]
+    keys = own.keys_by_id()
+    deleted = {k.decode() for k in keys[[star, *dead_block]]}
+
+    eng = DeltaEngine([main], deleted_keys=deleted)
+    part = eng.engines[0]
+    assert not part.live[star] and not part.live[dead_block].any()
+    c = part.scorer.contrib(term, p)
+    blk = slice(top * 8, (top + 1) * 8)
+    bm = part.scorer.blocks(term, p)[1]
+    assert c[blk].max() == c[p.doc_ids == star][0] > bm[top] > 0
+    assert bm[second] == 0.0
+
+    live = _without(base, deleted)
+    out = str(tmp_path / "rebuild")
+    build_index(live, out, **BUILD)
+    rb = LocalEngine(Index(out))
+    rb_keys = rb.index.keys_by_id()
+    other = next(t for t in _content_terms(own) if own.df_of(t) > own.df_of(term))
+    for tree in (Term(term), Or((Term(term), Term(other)))):
+        for k in (1, 2, 3, 5):  # at least 6 blocks per term
+            q = Query(tree=tree, k=k)
+            got_keys, got_sc = eng.search(q)
+            assert part.last_path[0] == "pruned", (q, part.last_path)
+            ids, want_sc = rb.search(q)
+            want_keys = [x.decode() for x in rb_keys[ids]]
+            assert got_keys.tolist() == want_keys, q
+            np.testing.assert_allclose(got_sc, want_sc, rtol=1e-9, atol=1e-12)
 
 
 def test_dropped_engines_free_without_gc(delta_case, partitioned_case):

@@ -17,7 +17,7 @@ from quickray.codec import (
     varint_decode,
     varint_encode_sizes,
 )
-from quickray.merge import make_final_merge
+from quickray.merge import final_merge
 from quickray.schema import BATCH_RUN_SCHEMA
 from quickray.tokenize import Tokenizer
 from quickray.util import stable_hash_str
@@ -122,16 +122,10 @@ def test_run_merge_matches_naive_inversion(docs, bs, shards, shuffle):
         runs = runs.take(idx)
 
     # one merge per mpart — exactly like the build's segments phase
-    dl = np.array([len(t) for _, t in doc_rows], dtype=np.int64)
-    import ray
-
-    ref = ray.put(dl)
-    merge = make_final_merge(n_docs=n, avgdl=float(dl.mean()), block_size=4,
-                             dl_ref=ref)
     segs = []
     for mp in np.unique(np.asarray(runs["mpart"])):
         grp = runs.filter(pa.compute.equal(runs["mpart"], int(mp)))
-        segs.append(merge(grp))
+        segs.append(final_merge(grp))
     seg = pa.concat_tables(segs)
 
     from quickray.codec import decode_postings

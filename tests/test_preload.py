@@ -19,7 +19,7 @@ from quickray import engine
 from quickray.engine import Index, LocalEngine
 from quickray.query import And, Or, Query, Term
 
-FIELDS = ("doc_ids", "tfs", "block_last", "block_max")
+FIELDS = ("doc_ids", "tfs")
 KS = (0, 1, 10, 100)
 
 

@@ -15,7 +15,7 @@ from quickray.corpus import generate_corpus
 
 def _segments_fingerprint(out):
     t = pq.read_table(os.path.join(out, "segments")).sort_by("term")
-    return [t[c].to_pylist() for c in ["term", "postings", "tfs", "block_max"]]
+    return [t[c].to_pylist() for c in ["term", "df", "postings", "tfs"]]
 
 
 def _drop(man, out, prefixes):

@@ -31,12 +31,7 @@ class FakeIndex:
         if ids is None:
             return None
         arr = np.array(ids, dtype=np.int64)
-        ones = np.ones(len(arr), dtype=np.int64)
-        return Posting(
-            doc_ids=arr, tfs=ones,
-            block_last=np.array([arr[-1]] if len(arr) else [], np.int64),
-            block_max=np.array([1.0] if len(arr) else [], np.float64),
-        )
+        return Posting(doc_ids=arr, tfs=np.ones(len(arr), dtype=np.int64))
 
 
 L1 = [1, 4, 5, 7, 9, 11]

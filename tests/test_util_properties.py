@@ -118,55 +118,3 @@ def test_field_posting_keys_contract(vals):
         kept_vals = [v for v in vals if v]
     assert kept_keys == [f"lang\x01{v.lower()}" for v in kept_vals]
 
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(
-        st.integers(min_value=1, max_value=500),
-        min_size=1,
-        max_size=6,
-    ),
-    st.sampled_from([1, 3, 128]),
-    st.integers(min_value=0, max_value=2**31),
-)
-def test_merge_blockmax_matches_codec_reference(group_lens, block_size, seed):
-    """merge.py computes block-max metadata inline (vectorized across
-    groups); codec.block_max_metadata is the per-group reference. The
-    two implementations of the per-block (last_doc_id, max_score)
-    contract must agree on arbitrary group layouts — this differential
-    pins them together so a semantics change to one cannot silently
-    diverge the shipped index layout from the tested contract."""
-    from quickray.codec import block_max_metadata
-
-    rng = np.random.default_rng(seed)
-    starts = np.concatenate(([0], np.cumsum(group_lens)))[:-1]
-    total = int(np.sum(group_lens))
-    # strictly increasing doc ids within each group
-    docs = np.concatenate([
-        np.cumsum(rng.integers(1, 50, size=ln)) for ln in group_lens
-    ]).astype(np.int64)
-    scores = rng.random(total)
-
-    # the merge.py inline shape, lifted verbatim
-    lens = np.asarray(group_lens, dtype=np.int64)
-    ends = starts + lens
-    nblocks = (lens + block_size - 1) // block_size
-    block_off = np.concatenate(([0], np.cumsum(nblocks)))
-    block_group = np.repeat(np.arange(len(lens)), nblocks)
-    within = np.arange(len(block_group)) - block_off[block_group]
-    bstart = starts[block_group] + within * block_size
-    bend = np.minimum(bstart + block_size, ends[block_group])
-    inline_last = docs[bend - 1]
-    inline_max = (
-        np.maximum.reduceat(scores, bstart)
-        if len(bstart)
-        else np.empty(0, np.float64)
-    )
-
-    for gi, (lo, hi) in enumerate(zip(starts, ends)):
-        want_last, want_max = block_max_metadata(
-            docs[lo:hi], scores[lo:hi], block_size
-        )
-        glo, ghi = block_off[gi], block_off[gi + 1]
-        assert inline_last[glo:ghi].tolist() == want_last.tolist()
-        assert np.array_equal(inline_max[glo:ghi], want_max)

@@ -8,8 +8,9 @@ paths on a 1,600-doc build (the local executor: no Ray job).
 - each of plan's exits, and the prune side, is reached for the reason
   it names, and every query leaves its path on the engine.
 
-Each build runs at the default block size and at a small one, so that
-k=100 has enough blocks to prune too.
+Each engine serves at the default block size and at a small one
+(``wand.BLOCK_SIZE``, read when a scorer derives a term's block
+maxima), so that k=100 has enough blocks to prune too.
 """
 
 import numpy as np
@@ -36,11 +37,20 @@ def oracle(corpus):
     return Oracle(corpus)
 
 
-@pytest.fixture(scope="module", params=[128, 8], ids=["bs128", "bs8"])
-def engine(request, corpus, tmp_path_factory):
+@pytest.fixture(scope="module")
+def built(corpus, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("wand") / "idx")
-    build_index(corpus, out, block_size=request.param)
-    return LocalEngine(Index(out))
+    build_index(corpus, out)
+    return out
+
+
+@pytest.fixture(scope="module", params=[128, 8], ids=["bs128", "bs8"])
+def engine(request, built):
+    """A fresh engine (empty block-maxima memo) serving at the block
+    size of the param for the lifetime of the fixture."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wand, "BLOCK_SIZE", request.param)
+        yield LocalEngine(Index(built))
 
 
 def _pool(oracle, n=80):
@@ -57,30 +67,34 @@ def _force(monkeypatch, side):
         monkeypatch.setattr(wand, "WORK_CUTOFF", 1 << 62)
 
 
-def _postings(index, terms):
-    ps = [index.posting(t) for t in sorted(set(terms))]
-    return [p for p in ps if p is not None and len(p.doc_ids)]
+def _maxima(engine, terms):
+    """Each nonempty query term's block maxima, from the engine's
+    scorer, one per ``wand.BLOCK_SIZE`` postings."""
+    ts, ps, _ = engine._scored_postings(sorted(set(terms)))
+    bms = [engine.scorer.blocks(t, p)[1] for t, p in zip(ts, ps)]
+    for p, bm in zip(ps, bms):
+        assert len(bm) == -(-len(p.doc_ids) // wand.BLOCK_SIZE)
+    return bms
 
 
 def test_theta0_lower_bounds_kth_score(engine, oracle, monkeypatch):
     _force(monkeypatch, "exhaustive")
-    ix = engine.index
     pool = _pool(oracle)
     rng = np.random.default_rng(5)
     checked = 0
     for _ in range(60):
         terms = [str(t) for t in rng.choice(pool, rng.integers(1, 5), replace=False)]
-        ps = _postings(ix, terms)
-        k = int(rng.integers(1, max(len(p.block_max) for p in ps) + 1))
-        theta0 = wand.theta_floor(ps, k)
+        bms = _maxima(engine, terms)
+        k = int(rng.integers(1, max(len(bm) for bm in bms) + 1))
+        theta0 = wand.theta_floor(bms, k)
         assert theta0 is not None  # some term has k blocks
         _, scores = engine.search(Query(tree=Or(tuple(map(Term, terms))), k=k))
         assert len(scores) == k
         assert theta0 <= scores[-1], (terms, k)
         checked += 1
     assert checked == 60
-    assert wand.theta_floor(ps, 0) is None
-    assert wand.theta_floor(ps, max(len(p.block_max) for p in ps) + 1) is None
+    assert wand.theta_floor(bms, 0) is None
+    assert wand.theta_floor(bms, max(len(bm) for bm in bms) + 1) is None
 
 
 def _queries(oracle, seed):
@@ -117,7 +131,7 @@ def test_forced_paths_match_oracle(engine, oracle, monkeypatch):
         np.testing.assert_allclose(sc_e, [s for _, s in want], rtol=1e-9, atol=0)
         assert path_e == ("exhaustive", "below cutoff") or q.k == 0, q.id
         shape = q.id.split(":")[0]
-        deep = wand.theta_floor(_postings(engine.index, [
+        deep = wand.theta_floor(_maxima(engine, [
             t.term for t in (q.tree.children if shape != "term" else (q.tree,))
         ]), q.k) is not None
         if q.k == 0:
@@ -133,35 +147,50 @@ def test_forced_paths_match_oracle(engine, oracle, monkeypatch):
 
 
 def _posting(block_last, block_max, first=0):
-    """A synthetic posting: one doc per id in [first, block_last[-1]],
-    cut into the given blocks."""
+    """A synthetic posting, one doc per id in [first, block_last[-1]],
+    and its blocks as ``plan`` takes them."""
     doc_ids = np.arange(first, block_last[-1] + 1, dtype=np.int64)
-    return Posting(doc_ids, np.ones_like(doc_ids),
-                   np.asarray(block_last, np.int64),
-                   np.asarray(block_max, np.float64))
+    blocks = (np.asarray(block_last, np.int64), np.asarray(block_max, np.float64))
+    return Posting(doc_ids, np.ones_like(doc_ids)), blocks
+
+
+def _plan(postings, k, filtered, n_docs):
+    """wand.plan over ``_posting`` pairs; also whether it fetched the
+    block maxima."""
+    fetched = []
+
+    def blocks():
+        fetched.append(True)
+        return [b for _, b in postings]
+
+    got = wand.plan([p for p, _ in postings], k, filtered, n_docs, blocks)
+    return got, bool(fetched)
 
 
 def test_plan_reasons(monkeypatch):
     n = 1 << 20
     peak = _posting([32, 65, 99], [1.0, 1.0, 5.0])  # keeps 34% of the span
     flat = _posting([32, 65, 99], [5.0, 5.0, 1.0])  # keeps 66%
-    assert wand.plan(False, [peak], 1, False, n)[:2] == ("exhaustive", "foreign scorer")
-    assert wand.plan(True, [peak], 0, False, n)[:2] == ("exhaustive", "k < 1")
-    assert wand.plan(True, [peak], 1, False, n)[:2] == ("exhaustive", "below cutoff")
+    # the cheap exits never fetch a block maximum
+    for k, filtered, why in ((0, False, "k < 1"), (1, False, "below cutoff")):
+        got, fetched = _plan([peak], k, filtered, n)
+        assert got[:2] == ("exhaustive", why) and not fetched
     # work is min(postings, n_docs): a tiny index never prunes
     monkeypatch.setattr(wand, "WORK_CUTOFF", 99)
-    assert wand.plan(True, [peak], 1, False, 99)[:2] == ("exhaustive", "below cutoff")
-    assert wand.plan(True, [peak], 1, False, n)[0] == "prune"
-    assert wand.plan(True, [peak], 1, True, n)[:2] == ("exhaustive", "flag filter")
-    assert wand.plan(True, [peak], 4, False, n)[:2] == ("exhaustive", "k above blocks")
-    assert wand.plan(True, [flat], 1, False, n)[:2] == ("exhaustive", "span")
+    got, fetched = _plan([peak], 1, False, 99)
+    assert got[:2] == ("exhaustive", "below cutoff") and not fetched
+    got, fetched = _plan([peak], 1, True, n)
+    assert got[:2] == ("exhaustive", "flag filter") and not fetched
+    assert _plan([peak], 1, False, n)[0][0] == "prune"
+    assert _plan([peak], 4, False, n)[0][:2] == ("exhaustive", "k above blocks")
+    assert _plan([flat], 1, False, n)[0][:2] == ("exhaustive", "span")
 
-    path, why, (starts, ends) = wand.plan(True, [peak], 1, False, n)
-    assert (path, why) == ("prune", "bounds")
+    (path, why, (starts, ends)), fetched = _plan([peak], 1, False, n)
+    assert (path, why) == ("prune", "bounds") and fetched
     assert starts.tolist() == [66] and ends.tolist() == [100]
     # a second term's blocks add to the bound where they overlap
     other = _posting([149], [4.5], first=50)
-    path, _, (starts, ends) = wand.plan(True, [peak, other], 1, False, n)
+    (path, _, (starts, ends)), _ = _plan([peak, other], 1, False, n)
     assert path == "prune"
     assert starts.tolist() == [50, 66] and ends.tolist() == [66, 100]
-    assert wand.plan(True, [peak, other], 2, False, n)[:2] == ("exhaustive", "span")
+    assert _plan([peak, other], 2, False, n)[0][:2] == ("exhaustive", "span")

@@ -7,11 +7,17 @@ expensive, which the 6k-doc benchmark corpus never reaches. This script
 builds (or reuses) an N-doc corpus and index, loads it as ``query_hot``
 does (perfbench's ``HOT_LOAD``), replays perfbench's own query stream
 for that corpus and prints, per query shape, the p50 and p95 search
-latency. ``routes`` splits each shape by the ``engine.last_path`` its
-queries took, with their count, p50 and p95: for flat ORs the
+latency, and ``cold_p99_ms``, the p99 of the first (cold) pass over the
+whole stream. ``routes`` splits each shape by the ``engine.last_path``
+its queries took, with their count, p50 and p95: for flat ORs the
 ``block_max_topk`` path (pruned, or exhaustive and why), for the
 ``and`` and ``compound`` trees the route (dense or sparse); ``paths``
-sums the flat-OR counts over their shapes. It also prints the build's
+sums the flat-OR counts over their shapes. ``candidates_p50_ms`` is
+the p50 of ``candidates()`` per shape. The ``delta`` row serves the
+same index as ``DeltaEngine([index], deleted_keys=...)`` with a fixed
+1% of its keys, drawn from ``--seed``, deleted: the same figures, with
+routes split by its one part's ``last_path`` and ``count_p50_ms`` (the
+p50 of ``count()``) in place of ``candidates_p50_ms``. It also prints the build's
 phase table from its ``manifest.json`` (``build_phases``: seconds, rows
 and bytes written per phase, chunked phases summed under their base
 name) and ``largest_shard``: the segment ``shard`` with the most
@@ -20,7 +26,7 @@ merge read, beside the mean postings per shard. ``kernels_ms`` times
 the build's content kernels in this process, fastest of ``--passes``:
 ``flatten_tokens``, ``batch_postings`` and ``encode_runs`` on the
 corpus's first tokenizer batch (4096 docs, the build's default), and
-``make_final_merge`` on the largest shard's merge group. It is never a
+``final_merge`` on the largest shard's merge group. It is never a
 gate.
 
 Run from the root of a quickray checkout:
@@ -153,8 +159,8 @@ def kernel_table(corpus: str, out: str, shard: int, passes: int) -> dict:
     import pyarrow.parquet as pq
 
     from quickray.docids import rank_keys
-    from quickray.merge import make_final_merge
-    from quickray.schema import BATCH_RUN_SCHEMA, BLOCK_SIZE
+    from quickray.merge import final_merge
+    from quickray.schema import BATCH_RUN_SCHEMA
     from quickray.tokenize import (
         batch_postings,
         encode_runs,
@@ -162,8 +168,6 @@ def kernel_table(corpus: str, out: str, shard: int, passes: int) -> dict:
         rank_lookup,
     )
 
-    with open(os.path.join(out, "stats", "stats.json")) as f:
-        stats = json.load(f)
     shards = pads.dataset(os.path.join(out, "segments"), format="parquet").to_table(
         columns=["shard"]
     )["shard"]
@@ -177,15 +181,11 @@ def kernel_table(corpus: str, out: str, shard: int, passes: int) -> dict:
         lambda: batch_postings(batch, ids, flat, parents, []), passes)
     ms["encode_runs"], _ = _fastest_ms(lambda: encode_runs(grouped, num_shards), passes)
 
-    dm = pq.read_table(os.path.join(out, "docmeta"), columns=["doc_id", "doc_len"])
-    dl = np.zeros(stats["n_docs"], dtype=np.int64)
-    dl[np.asarray(dm["doc_id"])] = np.asarray(dm["doc_len"])
     runs = pads.dataset(os.path.join(out, "docbase"), format="parquet").to_table(
         columns=BATCH_RUN_SCHEMA.names,
         filter=(pads.field("kind") == 1) & (pads.field("mpart") == shard),
     )
-    merge = make_final_merge(stats["n_docs"], stats["avgdl"], BLOCK_SIZE, dl)
-    ms["make_final_merge"], _ = _fastest_ms(lambda: merge(runs), passes)
+    ms["final_merge"], _ = _fastest_ms(lambda: final_merge(runs), passes)
     return ms
 
 
@@ -198,6 +198,75 @@ def _latency(sec: np.ndarray) -> dict:
     }
 
 
+def _label(rec) -> str:
+    """A query's path as a routes label."""
+    if rec is None:  # a checkout that records no path here
+        return "unrecorded"
+    if rec[0] == "exhaustive":
+        return f"exhaustive: {rec[1]}"
+    return rec[0]
+
+
+def serve(eng, parts: list, queries: list, passes: int, listing) -> dict:
+    """Per-shape latency of ``eng.search`` over ``queries`` (fastest of
+    ``passes`` after a cold pass), routes by the ``last_path`` of the
+    ``parts`` (LocalEngines; several join their labels), the cold pass's
+    p99, and the p50 of ``listing`` (``candidates`` or ``count``) per
+    shape, fastest of ``passes``."""
+    best = np.full(len(queries), np.inf)
+    cold = np.empty(len(queries))
+    labels = [""] * len(queries)  # each query's path, from the cold pass
+    paths = collections.Counter()
+    blocks = np.zeros(2, np.int64)  # scored, total over pruned parts
+    for rep in range(passes + 1):
+        for i, q in enumerate(queries):
+            for part in parts:
+                part.last_path = None
+            t = time.perf_counter()
+            eng.search(q)
+            t = time.perf_counter() - t
+            if rep:
+                best[i] = min(best[i], t)
+                continue
+            cold[i] = t
+            recs = [part.last_path for part in parts]
+            for rec in recs:
+                if rec is not None and rec[0] == "pruned":
+                    blocks += rec[1:]
+            labels[i] = " | ".join(map(_label, recs))
+            if q.id.split(":", 1)[0] in FLAT_OR:
+                paths[labels[i]] += 1
+    listed = np.full(len(queries), np.inf)
+    for _ in range(passes):
+        for i, q in enumerate(queries):
+            t = time.perf_counter()
+            listing(q)
+            listed[i] = min(listed[i], time.perf_counter() - t)
+
+    shape = np.array([q.id.split(":", 1)[0] for q in queries])
+    labels = np.array(labels)
+    report = {s: _latency(best[shape == s]) for s in SHAPES}
+    flat = np.isin(shape, FLAT_OR)
+    report["flat_or_total_s"] = round(float(best[flat].sum()), 3)
+    report["cold_p99_ms"] = round(1e3 * float(np.percentile(cold, 99)), 3)
+    report["paths"] = dict(sorted(paths.items()))
+    report["routes"] = {
+        s: {
+            label: _latency(best[(shape == s) & (labels == label)])
+            for label in sorted(set(labels[shape == s]))
+        }
+        for s in SHAPES
+    }
+    if blocks[1]:
+        report["pruned_blocks_scored"] = round(float(blocks[0] / blocks[1]), 3)
+    name = f"{listing.__name__}_p50_ms"
+    report[name] = {
+        s: round(1e3 * float(np.percentile(listed[shape == s], 50)), 3)
+        for s in SHAPES
+    }
+    return report
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--docs", type=int, default=100_000)
@@ -207,6 +276,7 @@ def main(argv=None) -> int:
     ap.add_argument("--dir", default=".prune_companion")
     args = ap.parse_args(argv)
 
+    from quickray.delta import DeltaEngine
     from quickray.engine import Index, LocalEngine
 
     corpus, out = ensure_index(os.path.abspath(args.dir), args.docs, args.seed)
@@ -221,53 +291,21 @@ def main(argv=None) -> int:
     }
     queries = query_stream(df, args.seed, args.queries)
 
-    best = np.full(len(queries), np.inf)
-    labels = [""] * len(queries)  # each query's path, from the warm pass
-    paths = collections.Counter()
-    blocks = np.zeros(2, np.int64)  # scored, total over pruned queries
-    for rep in range(args.passes + 1):
-        for i, q in enumerate(queries):
-            eng.last_path = None
-            t = time.perf_counter()
-            eng.search(q)
-            t = time.perf_counter() - t
-            if rep:
-                best[i] = min(best[i], t)
-                continue
-            shape, rec = q.id.split(":", 1)[0], eng.last_path
-            if rec is None:  # a checkout that records no path here
-                label = "unrecorded"
-            elif rec[0] == "pruned":
-                label = "pruned"
-                blocks += rec[1:]
-            elif rec[0] == "exhaustive":
-                label = f"exhaustive: {rec[1]}"
-            else:
-                label = rec[0]
-            labels[i] = label
-            if shape in FLAT_OR:
-                paths[label] += 1
-
-    shape = np.array([q.id.split(":", 1)[0] for q in queries])
-    labels = np.array(labels)
     big = largest_shard(out)
     report = {"docs": ix.n_docs, "queries": len(queries), "load_s": round(load_s, 3),
               "build_phases": build_phases(out), "largest_shard": big,
               "kernels_ms": kernel_table(corpus, out, big["shard"], args.passes)}
-    for s in SHAPES:
-        report[s] = _latency(best[shape == s])
-    flat = np.isin(shape, FLAT_OR)
-    report["flat_or_total_s"] = round(float(best[flat].sum()), 3)
-    report["paths"] = dict(sorted(paths.items()))
-    report["routes"] = {
-        s: {
-            label: _latency(best[(shape == s) & (labels == label)])
-            for label in sorted(set(labels[shape == s]))
-        }
-        for s in SHAPES
-    }
-    if blocks[1]:
-        report["pruned_blocks_scored"] = round(float(blocks[0] / blocks[1]), 3)
+    report.update(serve(eng, [eng], queries, args.passes, eng.candidates))
+
+    keys = ix.keys_by_id()
+    gone = np.random.default_rng(args.seed).choice(
+        len(keys), len(keys) // 100, replace=False
+    )
+    delta = DeltaEngine([out], deleted_keys=[bytes(k) for k in keys[gone]])
+    report["delta"] = {"deleted": len(gone), "n_docs": delta.n_docs}
+    report["delta"].update(
+        serve(delta, delta.engines, queries, args.passes, delta.count)
+    )
     print(json.dumps(report))
     return 0
 
