@@ -20,7 +20,7 @@ from typing import Any
 # Shared SQL fragments ------------------------------------------------------
 # Tokenization identical to quickray.tokenize (lowercase, split on runs
 # of non-[a-z0-9_]); doc_len counts docs with zero tokens as 0; global
-# stats computed exactly like the engine's stats phase.
+# stats computed exactly like the engine's docmeta-phase scan.
 _TOK = """
 tok AS (
   SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9_]+')) AS term

@@ -1,23 +1,22 @@
 """The index-build pipeline (SURVEY.md §7.2/§7.4).
 
-Phases (each a checkpointed Dataset pipeline, see checkpoint.Manifest):
+Phases (each checkpointed, see checkpoint.Manifest):
 
   docids    KEY columns only (pruned read) -> rank-ordered key array
             (docids.rank_keys) -> small parquet artifact; broadcast via
             ray.put so every later stage stamps doc_id with a local C++
             hash probe. Content never shuffles for id assignment.
   docbase   THE one content pass: each tokenizer batch is tokenized
-            once into doc_id + sha256(content) + doc_len (kind=0 rows)
-            AND its compressed posting runs, content and field keys
-            alike (kind=1 rows: term, mpart = hash(term) % num_shards,
-            min_doc, df, delta+varint doc ids, varint tfs) -> one
+            once into doc_id + sha256(content) + doc_len + bits(lang,
+            path) (kind=0 rows) AND its compressed posting runs, content
+            and field keys alike (kind=1 rows: term, mpart = hash(term) %
+            num_shards, min_doc, df, delta+varint doc ids, varint tfs) -> one
             combined table. The corpus itself is NOT rewritten, and no
             later phase reads content.
-  stats     one driver scan of the docbase ids and lengths: n_docs /
-            total_tokens / avgdl and the exact dense-id check — zero
-            content or run reads.
-  docmeta   docbase + bits(lang, path, doc_len > avgdl) — the forward
-            index (J1 analog); no content involved.
+  docmeta   one driver scan of the docbase doc rows copies them into
+            docmeta (the forward index, J1 analog) and writes stats.json
+            (n_docs / total_tokens / avgdl, exact dense-id check) — no
+            Ray job, zero content or run reads.
   segments  THE one merge: groupby(mpart) over the docbase runs ->
             vectorized partition merge -> final posting segments (doc
             ids + tfs; doc_len and bits stay in docmeta). It scores
@@ -36,8 +35,8 @@ columns; the small side (the rank table) is a ray.put broadcast. The rank table 
 (docids.py); a 10^12-file corpus runs as many independent key-range
 build partitions with doc_id offsets from a driver-side prefix sum.
 
-Executors: every phase is written once against the few ``ray.data``
-calls it needs, and one of two executors runs it.
+Executors: every data-parallel phase is written once against the few
+``ray.data`` calls it needs, and one of two executors runs it.
 
   ray       Ray Data jobs (the caller initialises Ray).
   local     _LocalDataset: the same calls, run eagerly in the calling
@@ -77,7 +76,8 @@ import ray.data as rd
 
 from quickray.checkpoint import MANIFEST, Manifest
 from quickray.merge import final_merge
-from quickray.schema import BATCH_RUN_SCHEMA, LANGS
+from quickray.schema import BATCH_RUN_SCHEMA, DOCMETA_SCHEMA, LANGS
+from quickray.scoring import compute_bits
 from quickray.tokenize import (
     batch_postings,
     encode_runs,
@@ -122,23 +122,12 @@ def _chunk_bounds(n: int, chunks: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-# docbase phase output: kind=0 rows are the per-doc forward-index rows,
-# kind=1 rows are the batch's posting runs (BATCH_RUN_SCHEMA), from the
-# SAME tokenization the doc_len computation pays for: the build's one
-# content pass. The segments phase merges the runs
-_DOC_COLS = ["doc_id", "repo", "path", "commit", "lang", "sha256", "doc_len"]
+# docbase phase output: kind=0 rows are the per-doc forward-index rows
+# (DOCMETA_SCHEMA), kind=1 rows are the batch's posting runs
+# (BATCH_RUN_SCHEMA), from the SAME tokenization the doc_len computation
+# pays for: the build's one content pass. The segments phase merges the runs
 _DOCBASE_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.int64()),
-        ("repo", pa.string()),
-        ("path", pa.string()),
-        ("commit", pa.string()),
-        ("lang", pa.string()),
-        ("sha256", pa.string()),
-        ("doc_len", pa.int64()),
-        ("kind", pa.int32()),
-        *BATCH_RUN_SCHEMA,
-    ]
+    [*DOCMETA_SCHEMA, ("kind", pa.int32()), *BATCH_RUN_SCHEMA]
 )
 
 
@@ -167,7 +156,8 @@ def _rank_probe(rank_ref) -> np.ndarray:
 
 
 def _make_docbase_fn(
-    rank_ref, id_col_present: bool, field_cols: list[str], num_shards: int
+    rank_ref, id_col_present: bool, field_cols: list[str], num_shards: int,
+    langs: list[str],
 ):
     def to_docbase(t: pa.Table) -> pa.Table:
         if id_col_present:
@@ -185,6 +175,7 @@ def _make_docbase_fn(
                 "null values in 'content' — fill or drop them before"
                 " build_index"
             )
+        bits = compute_bits(t["lang"], t["path"], langs)
         from quickray.util import digest_slices
 
         # zero-object hashing: sha256 over memoryview slices of the
@@ -197,7 +188,7 @@ def _make_docbase_fn(
         flat, parents = flatten_tokens(t["content"])
         n = t.num_rows
         if doc_id.null_count or len(pc.unique(doc_id)) < n:
-            # the stats phase rejects null or repeated ids with the id
+            # the docmeta phase rejects null or repeated ids with the id
             # column named; encoding their runs would fail first
             runs = BATCH_RUN_SCHEMA.empty_table()
         else:
@@ -214,6 +205,7 @@ def _make_docbase_fn(
                 "lang": t["lang"],
                 "sha256": pa.array(digests, pa.string()),
                 "doc_len": np.bincount(np.asarray(parents), minlength=n),
+                "bits": bits,
                 "kind": pa.array(np.zeros(n, np.int32)),
             }
         )
@@ -693,7 +685,7 @@ def build_index(
     # with a different segment layout must invalidate, never silently
     # mix chunk bounds (the runs/segments on disk encode
     # num_shards; field_cols change the posting table's contents;
-    # langs change the docmeta BITS
+    # langs change the docbase/docmeta BITS
     # encoding and id_col changes doc_id assignment semantics — a
     # resume under different values must rebuild, not silently serve
     # the stale index)
@@ -702,7 +694,7 @@ def build_index(
         f"chunks={shuffle_chunks if durable_shuffle else 0}"
         f",fields={'+'.join(field_cols)}"
         f",langs={'+'.join(langs)},id={id_col or 'rank'}"
-        ",dbv=4"  # docbase schema v4 (kind=1 runs carry their mpart)
+        ",dbv=5"  # docbase schema v5 (kind=0 rows carry the doc-intrinsic bits)
         ",segv=3"  # segment format v3: doc ids + tfs per posting, no scores
     )
     man = Manifest(out_dir, src.fingerprint + layout, executor=executor)
@@ -752,7 +744,7 @@ def build_index(
         if not use_rank and id_col != "doc_id":
             ds = ds.rename_columns({id_col: "doc_id"})
         ds.map_batches(
-            _make_docbase_fn(rank_ref, not use_rank, field_cols, num_shards),
+            _make_docbase_fn(rank_ref, not use_rank, field_cols, num_shards, langs),
             batch_format="pyarrow",
             # larger batches -> fewer, longer runs per term -> fewer
             # merge rows (measured 2x on the run merge); bound by
@@ -764,13 +756,14 @@ def build_index(
                       counters={"id_mode": id_col or "rank(repo,path)"})
     result.phase_times["docbase"] = time.time() - t0
 
-    # --------------------------------------------------------- phase stats
+    # ------------------------------------------------------- phase docmeta
+    # ONE driver scan of the docbase doc rows streams them into docmeta
+    # and gives N, the token total and the exact dense-id check for
+    # stats.json: the phase owns both outputs
     t0 = time.time()
     stats_path = os.path.join(out_dir, "stats", "stats.json")
-    if not man.phase_done("stats"):
-        d = man.phase_dir("stats")
-        # ONE driver scan of the docbase ids and lengths gives N, the
-        # token total and the exact dense-id check
+    if not man.phase_done("docmeta"):
+        d = man.phase_dir("docmeta", extra_dirs=("stats",))
         docs = pads.dataset(docbase_dir, format="parquet")
         kind0 = pads.field("kind") == 0
         n_docs = docs.count_rows(filter=kind0)
@@ -789,15 +782,18 @@ def build_index(
         # (last write wins)
         seen = np.zeros(n_docs, dtype=bool)
         total_tokens, lo, hi = 0, float("inf"), -float("inf")
-        for b in docs.to_batches(columns=["doc_id", "doc_len"], filter=kind0):
-            if b.num_rows == 0:
-                continue
-            if b.column(0).null_count:
-                raise ValueError(f"null doc_ids in id column {id_col!r}")
-            ids = b.column(0).to_numpy()
-            total_tokens += int(np.asarray(b.column(1)).sum())
-            lo, hi = min(lo, int(ids.min())), max(hi, int(ids.max()))
-            seen[ids[(ids >= 0) & (ids < n_docs)]] = True
+        with pq.ParquetWriter(os.path.join(d, "0.parquet"), DOCMETA_SCHEMA) as w:
+            for b in docs.to_batches(columns=DOCMETA_SCHEMA.names, filter=kind0):
+                if b.num_rows == 0:
+                    continue
+                doc_id = b.column("doc_id")
+                if doc_id.null_count:
+                    raise ValueError(f"null doc_ids in id column {id_col!r}")
+                ids = doc_id.to_numpy()
+                total_tokens += int(np.asarray(b.column("doc_len")).sum())
+                lo, hi = min(lo, int(ids.min())), max(hi, int(ids.max()))
+                seen[ids[(ids >= 0) & (ids < n_docs)]] = True
+                w.write_batch(b)
         if not (lo == 0 and hi == n_docs - 1):
             raise ValueError(
                 f"doc_ids must be dense 0..N-1 (got min={lo} "
@@ -822,37 +818,12 @@ def build_index(
             "langs": langs,
             "field_cols": field_cols,
         }
-        with open(os.path.join(d, "stats.json"), "w") as f:
+        with open(stats_path, "w") as f:
             json.dump(stats, f)
-        man.mark_done("stats", with_files=False, elapsed=time.time() - t0,
-                      counters=stats)
+        man.mark_done("docmeta", elapsed=time.time() - t0, counters=stats)
     with open(stats_path) as f:
         stats = json.load(f)
     result.stats = stats
-    result.phase_times["stats"] = time.time() - t0
-
-    # ------------------------------------------------------- phase docmeta
-    t0 = time.time()
-    docmeta_dir = os.path.join(out_dir, "docmeta")
-    if not man.phase_done("docmeta"):
-        d = man.phase_dir("docmeta")
-        avgdl = stats["avgdl"]
-
-        def add_bits(t: pa.Table) -> pa.Table:
-            from quickray.scoring import compute_bits
-
-            t = t.drop_columns(["kind"])
-            bits = compute_bits(
-                t["lang"].to_pylist(), t["path"].to_pylist(),
-                np.asarray(t["doc_len"]), avgdl, langs,
-            )
-            return t.append_column("bits", pa.array(bits))
-
-        data.read_parquet(
-            docbase_dir, columns=_DOC_COLS + ["kind"],
-            filter=pads.field("kind") == 0,
-        ).map_batches(add_bits, batch_format="pyarrow").write_parquet(d)
-        man.mark_done("docmeta", elapsed=time.time() - t0)
     result.phase_times["docmeta"] = time.time() - t0
 
     # ------------------------------------------------------ phase segments

@@ -66,10 +66,10 @@ class Manifest:
             # phases ("segments:3") live under the base name's dir.
             else:
                 for name, rec in prev.get("phases", {}).items():
-                    base = rec.get("dir", name).split("/")[0].split(":")[0]
-                    d = os.path.join(out_dir, base)
-                    if os.path.isdir(d):
-                        shutil.rmtree(d)
+                    for rel in (rec.get("dir", name), *rec.get("extra_dirs", ())):
+                        d = os.path.join(out_dir, rel.split("/")[0].split(":")[0])
+                        if os.path.isdir(d):
+                            shutil.rmtree(d)
                 # persist the NEW (empty) manifest immediately: the
                 # phase dirs are already gone, so if this run dies
                 # before its first mark_done, a rerun under the OLD
@@ -81,19 +81,25 @@ class Manifest:
         ph = self.data["phases"].get(name)
         return bool(ph and ph.get("status") == "done")
 
-    def phase_dir(self, name: str, clean: bool = True, subdir: str | None = None) -> str:
+    def phase_dir(
+        self, name: str, subdir: str | None = None, extra_dirs: tuple = ()
+    ) -> str:
         """Directory for a phase's output (``subdir`` for chunked phases
         whose name isn't a valid path, e.g. "segments:3" ->
-        segments/chunk_3); wipes partial output of an unfinished phase
-        so reruns are idempotent."""
+        segments/chunk_3; ``extra_dirs``: more dirs the phase owns,
+        whose files are not listed); wipes partial output of an
+        unfinished phase so reruns are idempotent."""
         rel = subdir or name
         with self._lock:
-            self.data["phases"].setdefault(name, {})["dir"] = rel
-        d = os.path.join(self.out_dir, rel)
-        if clean and not self.phase_done(name) and os.path.isdir(d):
-            shutil.rmtree(d)
-        os.makedirs(d, exist_ok=True)
-        return d
+            self.data["phases"].setdefault(name, {}).update(
+                dir=rel, extra_dirs=list(extra_dirs)
+            )
+        for r in (rel, *extra_dirs):
+            d = os.path.join(self.out_dir, r)
+            if not self.phase_done(name) and os.path.isdir(d):
+                shutil.rmtree(d)
+            os.makedirs(d, exist_ok=True)
+        return os.path.join(self.out_dir, rel)
 
     def mark_done(
         self,
@@ -103,9 +109,9 @@ class Manifest:
         with_files: bool = True,
         elapsed: float | None = None,
     ) -> None:
-        rel = self.data["phases"].get(name, {}).get("dir", name)
         rec: dict[str, Any] = {
-            "status": "done", "finished_at": time.time(), "dir": rel,
+            "dir": name, **self.data["phases"].get(name, {}),
+            "status": "done", "finished_at": time.time(),
         }
         if elapsed is not None:
             rec["elapsed_sec"] = round(elapsed, 3)
@@ -113,7 +119,7 @@ class Manifest:
             rec["executor"] = self.executor
         if counters:
             rec["counters"] = counters
-        d = os.path.join(self.out_dir, rel)
+        d = os.path.join(self.out_dir, rec["dir"])
         if with_files and os.path.isdir(d):
             files, rows = parquet_file_stats(d)
             rec["files"] = files

@@ -16,6 +16,8 @@ Score identity with a from-scratch rebuild over the live corpus:
   live df is the count of live docs in each part's posting (a part
   without tombstones answers with its stored df). No stored statistic
   goes stale, and no posting is copied.
+- flag bits: the stored bits are doc-intrinsic, and each part's Scorer
+  derives the long-doc bit (doc_len > avgdl) from the live avgdl.
 - tie-break: a rebuild orders by (-score, doc_id) where doc_id is the
   dense (repo, path) rank; ranks are monotone in key order, so sorting
   by (-score, key) here reproduces the rebuild's order exactly.

@@ -5,9 +5,10 @@
   actor's __init__).
 - ``Scorer``: BM25 under one engine's fixed statistics, memoizing each
   term's contribution vector and, on first use by pruning, its block
-  maxima (both LRU-bounded). An Index owns one for its own statistics;
-  the parts of a multi-part engine score with corpus-global ones and
-  their live masks, get their own and memoize just the same.
+  maxima (both LRU-bounded), and the flag bits (long-doc bit from its
+  avgdl). An Index owns one for its own statistics; the parts of a
+  multi-part engine score with corpus-global ones and their live masks,
+  get their own and memoize just the same.
 - ``LocalEngine``: boolean set algebra bit-identical to quicker's
   skiplist semantics (IntersectionOfSkipList/UnionOfSkipList + flag
   filter, skiplist_reverse_index.go:77-206) + exact BM25 top-k, scored
@@ -25,7 +26,7 @@
   ascending order, adds its contributions into one score vector and
   sets one boolean doc mask; the tree is
   ``logical_and``/``logical_or`` over the masks (an absent term is
-  all-false), the flag filter is one mask over the docmeta bits (bits
+  all-false), the flag filter is one mask over the scorer's bits (bits
   are doc-level, so this equals filtering at the leaves), and the top-k
   is selected among the docs of the final mask. Below it, sorted-array
   set algebra finds the candidates (every And, at any depth, seeds from
@@ -77,6 +78,7 @@ from quickray.query import (
     flat_or_terms,
     query_from_json,
 )
+from quickray.schema import BIT_LONG_DOC
 from quickray.scoring import bm25_contrib, flags_mask
 
 
@@ -92,13 +94,6 @@ class Posting:
 # docmeta's doc-level columns: scoring gathers doc_len and flag filters
 # gather bits, so any docmeta read loads both (one parquet read)
 _DOC_COLS = ("doc_len", "bits")
-
-
-def flags_ok(index, doc_ids: np.ndarray, q: Query) -> np.ndarray:
-    """``q``'s flag filter over ``doc_ids``, on the doc-level bits
-    gathered from ``index``'s dense docmeta array."""
-    bits = index.docmeta_arrays(("bits",))["bits"][doc_ids]
-    return flags_mask(bits, q.on_flag, q.off_flag, q.or_flags)
 
 
 def _lru_fetch(cache: OrderedDict, key, cap: int, make):
@@ -143,6 +138,15 @@ class Scorer:
         self._contrib: OrderedDict[str, np.ndarray] = OrderedDict()
         self._dense: OrderedDict[str, np.ndarray] = OrderedDict()
         self._blocks: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+
+    @functools.cached_property
+    def bits(self) -> np.ndarray:
+        """Doc-indexed flag bits, which every flag filter reads: docmeta's
+        bits with bit 9 REPLACED by ``doc_len > avgdl`` (so docmeta that
+        still stores a build's own bit 9 serves too). Computed once."""
+        dm = self._index.docmeta_arrays(_DOC_COLS)
+        long_doc = (dm["doc_len"] > self.avgdl).astype(np.int64) << BIT_LONG_DOC
+        return (dm["bits"] & ~(1 << BIT_LONG_DOC)) | long_doc
 
     def contrib(self, term: str, p: Posting) -> np.ndarray:
         """Exact BM25 contribution of every posting of ``term`` (``p`` is
@@ -663,7 +667,9 @@ class LocalEngine:
         filter (call only when ``_filters(q)``)."""
         if not q.has_flags:
             return self.live[doc_ids]
-        ok = flags_ok(self.index, doc_ids, q)
+        ok = flags_mask(
+            self.scorer.bits[doc_ids], q.on_flag, q.off_flag, q.or_flags
+        )
         return ok if self.live is None else ok & self.live[doc_ids]
 
     def _leaf(self, term: str, q: Query) -> np.ndarray:
@@ -749,8 +755,7 @@ class LocalEngine:
                     m[p.doc_ids] = True
             keep = self._tree_mask(tree, masks)
         if q.has_flags:
-            bits = self.index.docmeta_arrays(("bits",))["bits"]
-            ok = flags_mask(bits, q.on_flag, q.off_flag, q.or_flags)
+            ok = flags_mask(self.scorer.bits, q.on_flag, q.off_flag, q.or_flags)
             keep = ok if keep is None else keep & ok
         if self.live is not None:
             keep = self.live if keep is None else keep & self.live
@@ -953,7 +958,8 @@ class MultiPartEngine:
     to result labels. Scoring uses corpus-GLOBAL statistics over the
     live docs: n_docs, avgdl from the parts' token totals less the dead
     docs' docmeta doc_len, and a lazy per-term df (``_GlobalDf``). Each
-    part then scores as one build of the live corpus would. Labels
+    part then scores, and filters the long-doc bit, as one build of the
+    live corpus would. Labels
     (global doc ids, or 'repo\\x01path' keys) are monotone in key
     order, as a rebuild's dense doc ids are, so the global
     (-score, label) order restricted to a part preserves relative
@@ -1093,7 +1099,8 @@ class QueryEngineActor:
                 p = self.engine.index.posting(t)
                 if p is None:
                     continue
-                m = flags_ok(self.engine.index, p.doc_ids, q)
+                bits = self.engine.scorer.bits[p.doc_ids]
+                m = flags_mask(bits, q.on_flag, q.off_flag, q.or_flags)
                 d = p.doc_ids[m]
                 # contribs are memoized by the scorer — repeated terms
                 # across the query batch cost one gather each

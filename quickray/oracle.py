@@ -53,7 +53,7 @@ class Oracle:
         # build_index.go:114-127; key = field + "\x01" + word,
         # gen/document.go:5): one tf=1 posting per doc per field. They
         # are NOT tokens — doc_len / avgdl / total_tokens stay
-        # content-only, matching the engine's stats phase.
+        # content-only, matching the engine's docmeta-phase statistics.
         # null/empty values emit NO posting (reference: empty keywords
         # are never indexed — keyword_author.go's len(Author) > 0
         # guard). Dict-form restatement of the single key contract in

@@ -159,11 +159,15 @@ def doc_lengths(sf_dir: str) -> pa.Table:
 
 
 def docmeta_bits(sf_dir: str) -> pa.Table:
+    """Each doc's lang, doc_len and flag bits as served (Scorer.bits:
+    docmeta's doc-intrinsic bits plus the long-doc bit from avgdl)."""
+    eng = docs_engine(sf_dir)
     dm = pq.read_table(
-        os.path.join(docs_engine(sf_dir).index.out_dir, "docmeta"),
-        columns=["doc_id", "lang", "doc_len", "bits"],
+        os.path.join(eng.index.out_dir, "docmeta"),
+        columns=["doc_id", "lang", "doc_len"],
     )
-    return dm
+    bits = eng.scorer.bits[np.asarray(dm["doc_id"])]
+    return dm.append_column("bits", pa.array(bits, pa.int64()))
 
 
 def sha256_docs(sf_dir: str) -> pa.Table:

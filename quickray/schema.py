@@ -7,7 +7,7 @@ Data-model mapping from the reference (SURVEY.md §1.2):
   assigned (dense rank over (repo, path, commit)) instead of an atomic
   per-worker counter, so builds are reproducible at any parallelism.
 - bits        = quicker BitsFeature (api/document.proto:15) derived from
-  lang/path/doc_len (demo/job/bits.go:24-69 analog).
+  lang/path alone (demo/job/bits.go:24-69 analog).
 - posting row = quicker's term -> skiplist-of-(DocId, BitsFeature)
   (skiplist_reverse_index.go:15-18) as delta+varint doc ids and varint
   tfs, and no scores: like the reference's skip list, a segment holds
@@ -29,7 +29,7 @@ BM25_B = 0.75
 LANGS = ["go", "py", "js", "java", "rs", "c"]
 # Extra feature bits (FIXTURES.md F2)
 BIT_TEST_PATH = 8  # path basename starts with "test"
-BIT_LONG_DOC = 9  # doc_len > avgdl (global mean token count)
+BIT_LONG_DOC = 9  # doc_len > avgdl: never stored, engine.Scorer.bits derives it
 
 # Tokenizer: lowercase, then every maximal run of TOKEN_BYTES is a
 # token. TOKEN_BYTES is the one definition, all ASCII, so every byte of a
@@ -51,6 +51,8 @@ CORPUS_SCHEMA = pa.schema(
     ]
 )
 
+# The forward index: every column is a fact of the doc alone (``bits``:
+# scoring.compute_bits), none depends on the corpus statistics
 DOCMETA_SCHEMA = pa.schema(
     [
         ("doc_id", pa.int64()),

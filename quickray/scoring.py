@@ -12,8 +12,10 @@ scores are bit-identical (SURVEY §7.8 hard part b).
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
-from quickray.schema import BIT_LONG_DOC, BIT_TEST_PATH, BM25_B, BM25_K1
+from quickray.schema import BIT_TEST_PATH, BM25_B, BM25_K1
 
 
 def idf(df: float, n_docs: int) -> float:
@@ -34,26 +36,25 @@ def bm25_contrib(
     return idf_v * tf * (BM25_K1 + 1.0) / denom
 
 
-def compute_bits(
-    langs_col, paths_col, doc_lens: np.ndarray, avgdl: float, langs: list[str]
-) -> np.ndarray:
-    """BitsFeature per doc (demo/job/bits.go:24-69 analog, FIXTURES.md F2).
+def compute_bits(lang, path, langs: list[str]) -> np.ndarray:
+    """Doc-intrinsic BitsFeature per doc (demo/job/bits.go:24-69 analog,
+    FIXTURES.md F2), one Arrow pass over the ``lang`` and ``path``
+    columns (or sequences Arrow converts). Raises on a null path.
 
-    bit i (< len(langs)): lang == langs[i]
+    bit i (< len(langs)): lang == langs[i] (a null lang sets none)
     bit 8: path basename starts with "test" (or path starts with "test")
-    bit 9: doc_len > avgdl
+    bit 9 (doc_len > avgdl) is never stored: engine.Scorer.bits derives it
     """
-    lang_np = np.asarray(langs_col, dtype=object)
-    path_np = np.asarray(paths_col, dtype=object)
-    bits = np.zeros(len(lang_np), dtype=np.int64)
-    for i, l in enumerate(langs):
-        bits |= (lang_np == l).astype(np.int64) << i
-    is_test = np.array(
-        [p.startswith("test") or p.rsplit("/", 1)[-1].startswith("test") for p in path_np],
-        dtype=np.int64,
-    )
-    bits |= is_test << BIT_TEST_PATH
-    bits |= (np.asarray(doc_lens) > avgdl).astype(np.int64) << BIT_LONG_DOC
+    lang, path = (pa.chunked_array([c]).cast(pa.string()) for c in (lang, path))
+    if path.null_count:
+        raise ValueError(
+            "null values in 'path' — fill or drop them before build_index"
+        )
+    masks = {i: pc.equal(lang, l) for i, l in enumerate(langs)}
+    masks[BIT_TEST_PATH] = pc.match_substring_regex(path, r"^test|/test[^/]*$")
+    bits = np.zeros(len(path), dtype=np.int64)
+    for bit, m in masks.items():
+        bits |= pc.fill_null(m, False).to_numpy().astype(np.int64) << bit
     return bits
 
 

@@ -239,12 +239,9 @@ def batch_postings(
 def term_shards(terms: pa.Array, num_shards: int) -> np.ndarray:
     """Each term's merge group, ``stable_hash_str(term) % num_shards``:
     the runs' ``mpart`` and the final segments' ``shard``."""
-    from quickray.util import stable_hash_str
+    from quickray.util import crc32_strings
 
-    return np.fromiter(
-        (stable_hash_str(t) % num_shards for t in terms.to_pylist()),
-        dtype=np.int64, count=len(terms),
-    )
+    return crc32_strings(terms).astype(np.int64) % num_shards
 
 
 def encode_runs(grouped: pa.Table, num_shards: int) -> pa.Table:

@@ -106,6 +106,55 @@ def stable_hash_str(s: str) -> int:
     return zlib.crc32(s.encode())
 
 
+def _crc32_table() -> np.ndarray:
+    """zlib's CRC-32 (reflected polynomial 0xEDB88320) per byte value."""
+    t = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        t = np.where(t & 1, (t >> 1) ^ np.uint32(0xEDB88320), t >> 1)
+    return t
+
+
+_CRC32_TABLE = _crc32_table()
+# strings still running when the vectorized pass stops; each finishes
+# with one zlib call (a long-token tail would cost a numpy step per byte)
+_CRC32_TAIL = 32
+
+
+def crc32_strings(arr) -> np.ndarray:
+    """``stable_hash_str`` of every value of an Arrow string array (no
+    nulls), as uint32, from its value buffer and offsets: CRC-32 steps
+    one byte position at a time across all strings. Sorted by
+    descending length, the strings still running at position j are a
+    prefix; once at most ``_CRC32_TAIL`` are, zlib finishes each."""
+    import pyarrow as pa
+
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    n = len(arr)
+    _, offs, data = arr.buffers()
+    wide = pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type)
+    offs = np.frombuffer(offs, np.int64 if wide else np.int32)
+    offs = offs[arr.offset : arr.offset + n + 1].astype(np.int64)
+    data = np.frombuffer(data, np.uint8) if data else np.empty(0, np.uint8)
+    lens = np.diff(offs)
+    order = np.argsort(-lens, kind="stable")
+    starts, lens = offs[:-1][order], lens[order]
+    # running[j]: how many strings are longer than j
+    running = np.searchsorted(-lens, -np.arange(lens.max(initial=0)))
+    stop = int(np.count_nonzero(running > _CRC32_TAIL))
+    crc = np.full(n, 0xFFFFFFFF, dtype=np.uint32)
+    for j, m in enumerate(running[:stop].tolist()):
+        c = crc[:m]
+        crc[:m] = _CRC32_TABLE[(c ^ data[starts[:m] + j]) & 0xFF] ^ (c >> 8)
+    crc ^= np.uint32(0xFFFFFFFF)
+    for i in range(np.count_nonzero(lens > stop)):
+        tail = data[starts[i] + stop : starts[i] + lens[i]]
+        crc[i] = zlib.crc32(tail, int(crc[i]))
+    out = np.empty(n, np.uint32)
+    out[order] = crc
+    return out
+
+
 def fetch(ref):
     """The value of a build broadcast: ``ray.get`` of the ObjectRef the
     Ray executor ``ray.put``; the local executor hands the value itself

@@ -29,11 +29,17 @@ def test_posting_lists_match_oracle(engine, oracle):
 
 
 def test_docmeta_matches_oracle(built_index, oracle):
+    """docmeta stores the doc-intrinsic bits (the Oracle's without the
+    long-doc bit 9); the Scorer serves the Oracle's bits, bit 9 derived
+    from avgdl."""
     dm = pq.read_table(os.path.join(built_index, "docmeta"))
     got_bits = dict(zip(dm["doc_id"].to_pylist(), dm["bits"].to_pylist()))
     got_len = dict(zip(dm["doc_id"].to_pylist(), dm["doc_len"].to_pylist()))
-    assert got_bits == oracle.bits
+    assert got_bits == {d: b & ~(1 << 9) for d, b in oracle.bits.items()}
     assert got_len == oracle.doc_len
+    ix = Index(built_index)
+    assert dict(enumerate(ix.scorer.bits.tolist())) == oracle.bits
+    assert any(b & (1 << 9) for b in oracle.bits.values())
 
 
 def test_sha256_invariant(built_index, small_corpus):

@@ -4,10 +4,10 @@ AddDoc/DeleteDoc lifecycle (indexer_test.go:56-185): add -> search ->
 delete -> search -> re-add(update) -> search, each step asserting
 (key, score) identity with a full rebuild of the live corpus.
 
-Class bits are build-time doc attributes (as in the reference), so the
-identity is asserted over the flag-free query set; term/compound/OR
-shapes all go through DeltaEngine's live-masked scoring with live
-global statistics.
+The identity is asserted over the whole reference query set, flag
+filters included: term/compound/OR shapes all go through DeltaEngine's
+live-masked scoring with live global statistics, and the long-doc bit
+is derived from the live avgdl.
 """
 
 import numpy as np
@@ -20,13 +20,6 @@ from quickray.delta import DeltaEngine
 from quickray.engine import Index, LocalEngine
 from quickray.oracle import Oracle
 from quickray.queryset import make_query_set
-
-
-def _flag_free(queries):
-    return [
-        q for q in queries
-        if q.on_flag == 0 and q.off_flag == 0 and not any(q.or_flags)
-    ]
 
 
 def _retag(tbl: pa.Table, prefix: str) -> pa.Table:
@@ -83,7 +76,7 @@ def test_add_delete_update_lifecycle(tmp_path, ray_session):
         for i in updated_rows
     }
 
-    queries = _flag_free(make_query_set(Oracle(base).df()))
+    queries = make_query_set(Oracle(base).df())
     assert len(queries) >= 10
 
     main_dir = str(tmp_path / "main")
@@ -156,7 +149,7 @@ def test_pure_delete_no_delta(tmp_path, ray_session):
         f"{base['repo'][i].as_py()}\x01{base['path'][i].as_py()}"
         for i in del_rows
     ]
-    queries = _flag_free(make_query_set(Oracle(base).df()))[:8]
+    queries = make_query_set(Oracle(base).df())[:8]
     eng = DeltaEngine([main_dir], deleted_keys=del_keys)
     live = base.filter(
         pc.invert(pc.is_in(
@@ -185,7 +178,7 @@ def test_conflicting_same_key_batches_last_wins(tmp_path, ray_session):
     Verified by (key, score) identity with a from-scratch rebuild of
     the final corpus, plus a no-stale-version candidates check."""
     base = generate_corpus(160, seed=21)
-    queries = _flag_free(make_query_set(Oracle(base).df()))[:10]
+    queries = make_query_set(Oracle(base).df())[:10]
 
     # batch 1: update rows 3, 10 (v1) and add two brand-new docs
     upd_rows = [3, 10]
@@ -292,7 +285,7 @@ def test_delta_over_partitioned_main(tmp_path, ray_session):
             value_set=pa.array(del_keys, pa.string()),
         ))
     )
-    queries = _flag_free(make_query_set(Oracle(base).df()))[:10]
+    queries = make_query_set(Oracle(base).df())[:10]
     exp = _rebuild_search(
         pa.concat_tables([live, additions]), str(tmp_path / "rb"), queries
     )
@@ -371,3 +364,44 @@ def test_one_docmeta_read_per_part(tmp_path, monkeypatch):
         eng.search(q)
         eng.candidates(q)
     assert len(reads) == 4
+
+
+def test_long_doc_bit_after_deleting_longest_docs(tmp_path):
+    """Deleting the longest docs lowers the live avgdl well below the
+    main build's, so docs between the two are long only in the live
+    corpus. Queries filtered on the long-doc bit 9 (on and off) must be
+    (key, score)-identical to a rebuild, as must a lang-bit filter."""
+    from quickray.query import Query, Term
+
+    base = generate_corpus(1200, seed=3)
+    main_dir = str(tmp_path / "main")
+    build_index(base, main_dir, num_shards=8)
+    lens = Oracle(base).doc_len  # keyed by the (repo, path) rank
+    keys = sorted(
+        f"{r}\x01{p}" for r, p in
+        zip(base["repo"].to_pylist(), base["path"].to_pylist())
+    )
+    longest = sorted(lens, key=lambda d: (-lens[d], d))[:150]
+    del_keys = [keys[d] for d in longest]
+    eng = DeltaEngine([main_dir], deleted_keys=del_keys)
+    assert eng.avgdl < Index(main_dir).avgdl - 10
+
+    df = Oracle(base).df()
+    hot = sorted(df, key=lambda t: (-df[t], t))[:12]
+    queries = [
+        Query(tree=Term(t), k=1000, id=f"{t}:{i}", **fl)
+        for t in hot
+        for i, fl in enumerate(
+            ({"on_flag": 1 << 9}, {"off_flag": 1 << 9}, {"on_flag": 1})
+        )
+    ]
+    live = base.filter(pc.invert(pc.is_in(
+        pc.binary_join_element_wise(
+            base["repo"].combine_chunks(), base["path"].combine_chunks(), "\x01"
+        ),
+        value_set=pa.array(del_keys, pa.string()),
+    )))
+    exp = _rebuild_search(live, str(tmp_path / "rb"), queries)
+    for q in queries:
+        k, s = eng.search(q)
+        _assert_same(f"longdoc:{q.id}", k, s, *exp[q.id])

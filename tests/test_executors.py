@@ -21,6 +21,7 @@ import pytest
 
 from quickray.build import build_index
 from quickray.corpus import generate_corpus
+from quickray.oracle import Oracle
 from quickray.schema import DOCMETA_SCHEMA, SEGMENT_SCHEMA
 
 N = 300
@@ -37,22 +38,22 @@ VARIANTS = {
 # sha256 (_digest) of the segments sorted by term (term, df, postings,
 # tfs, shard) and of docmeta sorted by doc_id (every column) for the
 # fixture corpus. The segment digests were taken over those five
-# columns of the build that also stored block maxima, and its docmeta
-# digests over the two-level salted merge before it (hot_df=40,
-# num_salts=4 or the defaults: the same bytes), so both pin postings
-# and docmeta across the format changes
+# columns of the build that also stored block maxima, so they pin
+# postings across the format changes. The docmeta digests were taken
+# on the build that still stored the long-doc bit 9, over its docmeta
+# with that bit cleared: every other byte is pinned across the change
 PINNED = {
     "plain": (
         "0317554cfe56385679601f2fb4011c3c7149b1ebc97a763bf1524fd9ae9f3ede",
-        "3903bff0e228ab0837ac14245560f7f26835cf65855a822db7beb5e4d20979f1",
+        "2ebb338c4a7fe7603dc7105d118707d8acdb06bc969416acf7fe94783f52a49d",
     ),
     "field_cols": (
         "13f18b50ca7c06977f2b5bf0ace56542109a3be0bd93415628e45d36d976849d",
-        "3903bff0e228ab0837ac14245560f7f26835cf65855a822db7beb5e4d20979f1",
+        "2ebb338c4a7fe7603dc7105d118707d8acdb06bc969416acf7fe94783f52a49d",
     ),
     "id_col": (
         "306cf39903fae1cdf4838b100fa0e0de9dc3a1468fa17676cc1cee5698456052",
-        "a9b7519e5b2bace4abd400628fa44ddd96af5ff485dfa90a524ada4aa196f4b9",
+        "519ec09c871a7097228228cb94d887804a832bb307ad03e1d5676ddf7537215c",
     ),
 }
 
@@ -242,14 +243,14 @@ def test_local_resume(tmp_path):
         ) == mtime, ph
 
 
-def _tiny(content, ids):
+def _tiny(content, ids, paths=None, langs=None):
     n = len(content)
     return pa.table(
         {
             "repo": pa.array(["r"] * n),
-            "path": pa.array([f"f{i}.go" for i in range(n)]),
+            "path": pa.array(paths or [f"f{i}.go" for i in range(n)], pa.string()),
             "commit": pa.array(["c"] * n),
-            "lang": pa.array(["go"] * n),
+            "lang": pa.array(langs or ["go"] * n, pa.string()),
             "content": pa.array(content, pa.string()),
             "myid": pa.array(ids, pa.int64()),
         }
@@ -261,6 +262,21 @@ def test_bad_input_names_the_column(tmp_path, batch):
     null_content = _tiny(["a b", None, "c", "d"], [0, 1, 2, 3])
     with pytest.raises(Exception, match="null values in 'content'"):
         build_index(null_content, str(tmp_path / "n"), tokenizer_batch_size=batch)
+    null_path = _tiny(["a b", "b", "c", "d"], [0, 1, 2, 3],
+                      paths=["f0.go", None, "test_f2.go", "f3.go"])
+    with pytest.raises(Exception, match="null values in 'path'"):
+        build_index(null_path, str(tmp_path / "np"), id_col="myid",
+                    tokenizer_batch_size=batch)
+    # a null lang sets no lang bit, as in the Oracle
+    null_lang = _tiny(["a b", "b", "c", "d"], [0, 1, 2, 3],
+                      paths=["f0.go", "f1.go", "test_f2.go", "f3.go"],
+                      langs=["go", None, None, "py"])
+    out = str(tmp_path / "nl")
+    build_index(null_lang, out, id_col="myid", tokenizer_batch_size=batch)
+    want = Oracle(null_lang, id_col="myid").bits
+    assert _docmeta(out)["bits"].to_pylist() == [1, 0, 1 << 8, 2] == [
+        want[i] & ~(1 << 9) for i in range(4)
+    ]
     # field_cols: a repeated id would repeat a field posting in its run
     for i, ((ids, msg), fields) in enumerate(itertools.product((
         ([0, 1, 1, 3], "permutation.*'myid'"),

@@ -2,6 +2,8 @@
 SURVEY M3) — incl. the or_flags zero-entry skip rule."""
 
 import numpy as np
+import pyarrow as pa
+import pytest
 
 from quickray.scoring import compute_bits, flags_mask
 
@@ -32,16 +34,34 @@ def test_no_flags_all_pass():
 
 
 def test_compute_bits_rules():
-    bits = compute_bits(
-        ["go", "py", "zz"],
-        ["src/a.go", "test/b.py", "pkg/test_c.go"],
-        np.array([5, 20, 10]),
-        avgdl=10.0,
-        langs=["go", "py"],
+    """The stored bits are doc-intrinsic: lang bits and the test-path
+    bit (bit 8: the path or its basename starts with "test"), never the
+    long-doc bit 9. A null lang sets no lang bit; a null path raises."""
+    paths = [
+        "src/a.go", "test/b.py", "pkg/test_c.go",
+        "test", "a/testx", "test/a", "a/test/b", "a/tes",
+        "ünï/testé.go", "testü/a", "ünï/tëst", "/test", "a/", "",
+    ]
+    langs = ["go", "py", "zz", *[None] * (len(paths) - 3)]
+    bits = compute_bits(langs, paths, ["go", "py"])
+    assert bits[:3].tolist() == [1 << 0, (1 << 1) | (1 << 8), 1 << 8]
+    want_test = [
+        p.startswith("test") or p.rsplit("/", 1)[-1].startswith("test")
+        for p in paths
+    ]
+    assert (bits >> 8 & 1).astype(bool).tolist() == want_test
+    assert want_test[3:] == [
+        True, True, True, False, False, True, True, False, True, False, False,
+    ]
+    assert not (bits & (1 << 9)).any()
+    # Arrow input, chunked or not, gives the same bits
+    chunked = compute_bits(
+        pa.chunked_array([langs[:5], langs[5:]], pa.string()),
+        pa.chunked_array([paths[:5], paths[5:]]), ["go", "py"],
     )
-    assert bits[0] == 1 << 0
-    assert bits[1] == (1 << 1) | (1 << 8) | (1 << 9)  # test path + long doc
-    assert bits[2] == 1 << 8  # unknown lang -> no lang bit; test_ basename
+    assert chunked.tolist() == bits.tolist()
+    with pytest.raises(ValueError, match="null values in 'path'"):
+        compute_bits(["go", "go"], ["a/test", None], ["go"])
 
 
 def test_bits_missing_or_unreadable_raises(tmp_path, monkeypatch):
@@ -57,7 +77,6 @@ def test_bits_missing_or_unreadable_raises(tmp_path, monkeypatch):
     import shutil
 
     import pyarrow.parquet as pq
-    import pytest
 
     from quickray import wand
     from quickray.build import build_index

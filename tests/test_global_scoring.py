@@ -30,14 +30,13 @@ from quickray.query import And, Or, Query, Term, collect_terms
 from quickray.queryset import ABSENT
 
 KS = (0, 1, 10, 100)
-# doc-intrinsic flag bits only (language bits, test-path bit 8): bit 9
-# (long doc) is relative to each build's own avgdl, so a part's bits
-# differ from the live corpus's
 FLAGS = (
     {"on_flag": 1},
     {"off_flag": 1 << 8},
     {"or_flags": (0, 3)},
     {"on_flag": 2, "off_flag": 4},
+    {"on_flag": 1 << 9},
+    {"off_flag": 1 << 9},
 )
 BUILD = {"num_shards": 8}
 

@@ -46,6 +46,43 @@ def test_partitioned_equals_global(split_engines, oracle):
         assert np.allclose(p_sc, g_sc, rtol=1e-12, atol=1e-15), q.id
 
 
+def test_long_doc_bit_uses_global_avgdl(tmp_path):
+    """Key-range parts whose own avgdl differs from the corpus's: a
+    part's stored bits carry no long-doc bit, and its scorer derives
+    bit 9 from the global avgdl, so queries filtered on it (on and off)
+    are (doc, score)-identical to one global build."""
+    from quickray.corpus import generate_corpus
+    from quickray.query import Query, Term
+
+    tbl = generate_corpus(1200, seed=3)
+    srt = tbl.take(pc.sort_indices(pc.binary_join_element_wise(
+        tbl["repo"].combine_chunks(), tbl["path"].combine_chunks(), "\x01"
+    )))
+    dirs = []
+    for i, (lo, hi) in enumerate(((0, 400), (400, 800), (800, 1200))):
+        dirs.append(str(tmp_path / f"p{i}"))
+        build_index(srt.slice(lo, hi - lo), dirs[-1], num_shards=8)
+    gout = str(tmp_path / "global")
+    build_index(tbl, gout, num_shards=8)
+    geng = LocalEngine(Index(gout))
+    peng = PartitionedEngine(dirs)
+    assert all(e.index.avgdl != peng.avgdl for e in peng.engines)
+    df = geng.index.df_table()
+    hot = [
+        t for t in df.sort_by([("df", "descending"), ("term", "ascending")])[
+            "term"
+        ].to_pylist()
+        if "\x01" not in t
+    ][:12]
+    for t in hot:
+        for fl in ({"on_flag": 1 << 9}, {"off_flag": 1 << 9}):
+            q = Query(tree=Term(t), k=1000, **fl)
+            g_ids, g_sc = geng.search(q)
+            p_ids, p_sc = peng.search(q)
+            assert p_ids.tolist() == g_ids.tolist(), q
+            assert np.allclose(p_sc, g_sc, rtol=1e-12, atol=1e-15), q
+
+
 def test_build_partitioned_orchestrator(tmp_path):
     """End-to-end orchestration API: repartition-by-key-range + N
     independent builds -> PartitionedEngine equals a global build."""

@@ -125,22 +125,27 @@ def test_fingerprint_same_shape_different_content(tmp_path):
 
 
 def test_old_docbase_layout_rebuilds(tmp_path, flatten_calls):
-    """A directory built with the docbase layout v3 (kind=1 runs
-    without their merge group, mpart) rebuilds instead of resuming."""
+    """A directory built with the docbase layout v4 (doc rows without
+    their bits) rebuilds instead of resuming, and the fingerprint change
+    wipes both outputs of the docmeta phase: docmeta/ and stats/."""
     out = str(tmp_path / "b")
     tbl = generate_corpus(120, seed=1)
     build_index(tbl, out)
     fresh = _segments_fingerprint(out)
     man_path = os.path.join(out, "manifest.json")
     man = json.load(open(man_path))
-    assert ",dbv=4," in man["fingerprint"]
-    man["fingerprint"] = man["fingerprint"].replace(",dbv=4,", ",dbv=3,")
+    assert ",dbv=5," in man["fingerprint"]
+    man["fingerprint"] = man["fingerprint"].replace(",dbv=5,", ",dbv=4,")
     json.dump(man, open(man_path, "w"))
+    stale = [os.path.join(out, d, "stale.marker") for d in ("docmeta", "stats")]
+    for path in stale:
+        open(path, "w").close()
     del flatten_calls[:]
     build_index(tbl, out)
     assert flatten_calls == [120]  # docbase ran again
-    assert ",dbv=4," in json.load(open(man_path))["fingerprint"]
+    assert ",dbv=5," in json.load(open(man_path))["fingerprint"]
     assert _segments_fingerprint(out) == fresh
+    assert not any(os.path.exists(path) for path in stale)
 
 
 def test_layout_param_change_invalidates(tmp_path):

@@ -6,13 +6,15 @@ results silently, so they get exhaustive randomized coverage against
 naive references."""
 
 import hashlib
+import zlib
 
 import numpy as np
 import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quickray.util import digest_slices, run_starts
+from quickray.tokenize import term_shards
+from quickray.util import crc32_strings, digest_slices, run_starts, stable_hash_str
 
 
 @settings(max_examples=150, deadline=None)
@@ -118,3 +120,27 @@ def test_field_posting_keys_contract(vals):
         kept_vals = [v for v in vals if v]
     assert kept_keys == [f"lang\x01{v.lower()}" for v in kept_vals]
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # past util._CRC32_TAIL strings, so both the vectorized steps and
+    # the zlib tail run
+    st.lists(st.one_of(st.just(""), st.text(max_size=80)), max_size=120),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from([pa.string(), pa.large_string()]),
+    st.integers(min_value=1, max_value=300),
+)
+def test_crc32_strings_matches_zlib(vals, off, typ, shards):
+    """The vectorized crc32 over the value buffer and offsets equals
+    zlib.crc32 of each UTF-8 string (empty strings, non-ASCII, sliced
+    arrays, both offset widths), and term_shards is
+    stable_hash_str % num_shards."""
+    arr = pa.array(vals, typ).slice(min(off, len(vals)))
+    want = [zlib.crc32(v.encode()) for v in vals[off:]]
+    got = crc32_strings(arr)
+    assert got.dtype == np.uint32
+    assert got.tolist() == want
+    assert term_shards(arr, shards).tolist() == [
+        stable_hash_str(v) % shards for v in vals[off:]
+    ]
