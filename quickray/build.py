@@ -13,27 +13,33 @@ Phases (each checkpointed, see checkpoint.Manifest):
             num_shards, min_doc, df, delta+varint doc ids, varint tfs) -> one
             combined table. The corpus itself is NOT rewritten, and no
             later phase reads content.
-  docmeta   one driver scan of the docbase doc rows copies them into
-            docmeta (the forward index, J1 analog) and writes stats.json
-            (n_docs / total_tokens / avgdl, exact dense-id check) — no
-            Ray job, zero content or run reads.
+  docmeta   one driver read of the docbase doc rows writes them, sorted
+            by doc_id, as docmeta (the forward index, J1 analog) and
+            writes stats.json (n_docs / total_tokens / avgdl, exact
+            dense-id check) — no Ray job, zero content or run reads.
   segments  THE one merge: groupby(mpart) over the docbase runs ->
-            vectorized partition merge -> final posting segments (doc
-            ids + tfs; doc_len and bits stay in docmeta). It scores
-            nothing and reads no docmeta or statistics.
+            vectorized partition merge -> one segment file per merge
+            group, segments/{mpart:05d}.parquet, written by the task
+            that merges the group (doc ids + tfs; doc_len and bits stay
+            in docmeta). It scores nothing and reads no docmeta or
+            statistics. A rerun merges only the groups with no file.
 
 Skew: a merge group holds every run of its terms, so the largest group
 is the mpart that holds the hottest terms. Salting a hot term's runs
 over partitions would not bound it: every posting of a term meets in
-its one segment row. The merge re-sorts decoded values by (term,
-doc_id), so correctness never depends on run arrival order (SURVEY
-§7.4; merge.py).
+its one segment row. The merge orders terms by value and re-sorts
+decoded values by (term, doc_id), so neither correctness nor a group
+file's bytes depend on run arrival order (SURVEY §7.4; merge.py).
 
 Scale notes: the only all-to-all exchange is the merge's run shuffle,
 over varint-compressed payloads pre-aggregated per batch; reads prune
-columns; the small side (the rank table) is a ray.put broadcast. The rank table bounds one build partition to ~10^8 docs
-(docids.py); a 10^12-file corpus runs as many independent key-range
-build partitions with doc_id offsets from a driver-side prefix sum.
+columns; the small side (the rank table) is a ray.put broadcast. The
+merge writes from its tasks, so no segment data returns to the driver
+(one summary row per group does). The driver holds the rank table and,
+in the docmeta phase, the doc rows; that bounds one build partition to
+~10^8 docs (docids.py); a 10^12-file corpus runs as many independent
+key-range build partitions with doc_id offsets from a driver-side
+prefix sum.
 
 Executors: every data-parallel phase is written once against the few
 ``ray.data`` calls it needs, and one of two executors runs it.
@@ -50,7 +56,8 @@ task per map phase, kilobyte shuffles), so Ray would add only per-job
 scheduling and object-store round trips (measured on one core of an
 x86-64 VM: a 200-row upsert batch builds in ~0.15 s instead of ~0.85 s).
 An unknown row count (a generic Ray Dataset) runs on Ray. Both
-executors write the same segments, docmeta and statistics
+executors run the same phase functions, the merge's group writer
+included, and write the same segment and docmeta files, byte for byte
 (tests/test_executors.py).
 """
 
@@ -61,7 +68,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -76,7 +82,13 @@ import ray.data as rd
 
 from quickray.checkpoint import MANIFEST, Manifest
 from quickray.merge import final_merge
-from quickray.schema import BATCH_RUN_SCHEMA, DOCMETA_SCHEMA, LANGS
+from quickray.schema import (
+    BATCH_RUN_SCHEMA,
+    DOCMETA_SCHEMA,
+    LANGS,
+    group_file,
+    group_files,
+)
 from quickray.scoring import compute_bits
 from quickray.tokenize import (
     batch_postings,
@@ -85,41 +97,6 @@ from quickray.tokenize import (
     rank_lookup,
 )
 from quickray.util import fetch, run_starts
-
-
-
-def _write_parquet_retry(ds: "rd.Dataset", dest: str, attempts: int = 4) -> None:
-    """write_parquet with a retry on the fsspec concurrent-import race:
-    Ray's path resolution does `from fsspec.implementations.http import
-    HTTPFileSystem` on every call; with aiohttp absent that import
-    fails, and when two driver threads hit it simultaneously one can
-    observe a partially-initialized module and get a plain ImportError
-    Ray doesn't catch (it handles only ModuleNotFoundError). The error
-    fires during PRE-EXECUTION path resolution, so retrying is safe —
-    nothing has been written."""
-    for attempt in range(attempts):
-        try:
-            ds.write_parquet(dest)
-            return
-        except ImportError as e:
-            if "fsspec" not in str(e) or attempt == attempts - 1:
-                raise
-            time.sleep(0.2 * (attempt + 1))
-
-
-def _segment_row_count(seg_dir: str) -> int:
-    """Vocab size from parquet footers only (no data read)."""
-    return sum(
-        pq.read_metadata(f).num_rows
-        for f in glob.glob(os.path.join(seg_dir, "**", "*.parquet"), recursive=True)
-    )
-
-
-def _chunk_bounds(n: int, chunks: int) -> list[tuple[int, int]]:
-    """Split range(n) into ≤chunks contiguous [lo, hi) spans."""
-    chunks = max(1, min(chunks, n))
-    step = (n + chunks - 1) // chunks
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 # docbase phase output: kind=0 rows are the per-doc forward-index rows
@@ -219,6 +196,27 @@ def _make_docbase_fn(
     return to_docbase
 
 
+def _make_group_writer(seg_dir: str):
+    def write_group(t: pa.Table) -> pa.Table:
+        """One merge group's runs -> its segment file, written under a
+        hidden temp name and renamed into place; returns the group's
+        one-row summary."""
+        t0 = time.perf_counter()
+        seg = final_merge(t)
+        merge_s = time.perf_counter() - t0
+        mpart = int(t["mpart"][0].as_py())
+        path = os.path.join(seg_dir, group_file(mpart))
+        tmp = os.path.join(seg_dir, f".{group_file(mpart)}.tmp")
+        pq.write_table(seg, tmp)
+        os.replace(tmp, path)
+        return pa.table({
+            "mpart": [mpart], "rows": [seg.num_rows],
+            "bytes": [os.path.getsize(path)], "merge_s": [round(merge_s, 4)],
+        })
+
+    return write_group
+
+
 @dataclass
 class BuildResult:
     out_dir: str
@@ -266,9 +264,7 @@ class _LocalDataset:
         )
         return cls(dset.to_table(columns=columns, filter=filter))
 
-    def map_batches(self, fn, *, fn_constructor_kwargs=None, **_ray_options):
-        if isinstance(fn, type):  # the actor-pool (callable class) form
-            fn = fn(**(fn_constructor_kwargs or {}))
+    def map_batches(self, fn, **_ray_options):
         return _LocalDataset(fn(self.table.combine_chunks()))
 
     def groupby(self, key: str) -> "_LocalDataset":
@@ -276,8 +272,8 @@ class _LocalDataset:
 
     def map_groups(self, fn, **_ray_options) -> "_LocalDataset":
         t = self.table
-        if t.num_rows == 0:  # the merges return their empty schema
-            return _LocalDataset(fn(t))
+        if t.num_rows == 0:  # no group: fn is never called
+            return self
         t = t.sort_by(self.group_key).combine_chunks()
         starts = run_starts(t[self.group_key])
         ends = np.append(starts[1:], t.num_rows)
@@ -289,9 +285,6 @@ class _LocalDataset:
         return _LocalDataset(self.table.rename_columns(
             [names.get(c, c) for c in self.table.column_names]
         ))
-
-    def sort(self, key: str) -> "_LocalDataset":
-        return _LocalDataset(self.table.sort_by(key))
 
     def take_all(self) -> list[dict]:
         return self.table.to_pylist()
@@ -594,18 +587,22 @@ def build_partitioned(
 
 
 def _auto_layout(n_rows: int | None, ceiling: int = 256) -> int:
-    """Default merge-shard count, scaled with the corpus row count:
-    every merge shard pays a ~fixed task-spawn + sort-boundary cost
-    regardless of data size, so small corpora must not pay a 256-way
-    layout (measured 6.7s vs 4.7s on a 40k-doc / 32-cpu build), while
-    at 1M+ rows the count reaches the 256 ceiling that balances
-    hot-term merge stragglers. Unknown row count (generic Dataset
-    source) takes the scale-safe ceiling. The resolved value joins the
-    manifest layout fingerprint, so resuming the same corpus re-derives
-    the same layout and a corpus-size change invalidates cleanly."""
+    """Default merge-group count, one per 512 corpus rows: every group
+    is one segment file, and every file costs a write at build time and
+    an open at load time whatever its size (a 200-doc delta batch
+    spread over 16 files took 7-10 ms to write against ~2 ms for one,
+    and a DeltaEngine over main plus 4 such deltas loaded in 48 ms
+    against 25 ms), while each group also pays a ~fixed task-spawn and
+    sort-boundary cost (measured 6.7s at 256 groups vs 4.7s at 64 on a
+    40k-doc / 32-cpu build). At 128k+ rows the count reaches the 256
+    ceiling that balances hot-term merge stragglers. Unknown row count
+    (generic Dataset source) takes the scale-safe ceiling. The resolved
+    value joins the manifest layout fingerprint, so resuming the same
+    corpus re-derives the same layout and a corpus-size change
+    invalidates cleanly."""
     if n_rows is None:
         return ceiling
-    return max(16, min(ceiling, n_rows // 512))
+    return max(1, min(ceiling, n_rows // 512))
 
 
 def build_index(
@@ -622,8 +619,6 @@ def build_index(
     # 6.7s @ 256 vs 4.7s @ 64 on 40k docs / 32 cpus); size these to
     # ~8-16x the worker count at cluster scale
     num_shards: int | None = None,
-    durable_shuffle: bool = False,
-    shuffle_chunks: int = 4,
     tokenizer_batch_size: int = 4096,
     fingerprint: str | None = None,
     field_cols: list[str] | None = None,
@@ -682,20 +677,17 @@ def build_index(
     if num_shards is None:
         num_shards = _auto_layout(n_rows)
     # layout-critical params join the fingerprint: resuming a build dir
-    # with a different segment layout must invalidate, never silently
-    # mix chunk bounds (the runs/segments on disk encode
-    # num_shards; field_cols change the posting table's contents;
-    # langs change the docbase/docmeta BITS
-    # encoding and id_col changes doc_id assignment semantics — a
-    # resume under different values must rebuild, not silently serve
-    # the stale index)
+    # with a different layout must rebuild, never silently serve or
+    # mix the stale index (the docbase runs' mpart and the segment
+    # group files encode num_shards; field_cols change the posting
+    # contents; langs change the docbase/docmeta bits encoding; id_col
+    # changes doc_id assignment)
     layout = (
-        f"|layout:shards={num_shards},"
-        f"chunks={shuffle_chunks if durable_shuffle else 0}"
+        f"|layout:shards={num_shards}"
         f",fields={'+'.join(field_cols)}"
         f",langs={'+'.join(langs)},id={id_col or 'rank'}"
         ",dbv=5"  # docbase schema v5 (kind=0 rows carry the doc-intrinsic bits)
-        ",segv=3"  # segment format v3: doc ids + tfs per posting, no scores
+        ",segv=4"  # segment format v4: one file per merge group, terms ascending
     )
     man = Manifest(out_dir, src.fingerprint + layout, executor=executor)
     result = BuildResult(out_dir=out_dir)
@@ -757,49 +749,39 @@ def build_index(
     result.phase_times["docbase"] = time.time() - t0
 
     # ------------------------------------------------------- phase docmeta
-    # ONE driver scan of the docbase doc rows streams them into docmeta
-    # and gives N, the token total and the exact dense-id check for
-    # stats.json: the phase owns both outputs
+    # ONE driver read of the docbase doc rows, sorted by doc_id, becomes
+    # docmeta (in doc_id order, so its bytes do not depend on how the
+    # docbase pass split its batches) and gives N, the token total and
+    # the exact dense-id check for stats.json: the phase owns both
     t0 = time.time()
     stats_path = os.path.join(out_dir, "stats", "stats.json")
     if not man.phase_done("docmeta"):
         d = man.phase_dir("docmeta", extra_dirs=("stats",))
-        docs = pads.dataset(docbase_dir, format="parquet")
-        kind0 = pads.field("kind") == 0
-        n_docs = docs.count_rows(filter=kind0)
+        dm = pads.dataset(docbase_dir, format="parquet").to_table(
+            columns=DOCMETA_SCHEMA.names, filter=pads.field("kind") == 0
+        )
+        n_docs = dm.num_rows
         if n_docs == 0:
             # id_col path can't know emptiness before the docbase pass
             raise ValueError(
                 "empty corpus: the source produced 0 docbase rows — "
                 "nothing to index (check the source path/table)"
             )
-        # min/max/count alone accept duplicates paired with gaps
-        # ([0,2,2,3] passes), and so does any fixed set of moments
-        # ([0,0,3,3] matches the id sum). Exact: the n ids all lie in
-        # [0, n), so they mark every slot of an n-slot bitmap iff none
-        # repeats. Duplicated ids would silently corrupt postings
-        # (strict-increase breaks) and the dense doc_len/bits scatter
-        # (last write wins)
-        seen = np.zeros(n_docs, dtype=bool)
-        total_tokens, lo, hi = 0, float("inf"), -float("inf")
-        with pq.ParquetWriter(os.path.join(d, "0.parquet"), DOCMETA_SCHEMA) as w:
-            for b in docs.to_batches(columns=DOCMETA_SCHEMA.names, filter=kind0):
-                if b.num_rows == 0:
-                    continue
-                doc_id = b.column("doc_id")
-                if doc_id.null_count:
-                    raise ValueError(f"null doc_ids in id column {id_col!r}")
-                ids = doc_id.to_numpy()
-                total_tokens += int(np.asarray(b.column("doc_len")).sum())
-                lo, hi = min(lo, int(ids.min())), max(hi, int(ids.max()))
-                seen[ids[(ids >= 0) & (ids < n_docs)]] = True
-                w.write_batch(b)
-        if not (lo == 0 and hi == n_docs - 1):
+        if dm["doc_id"].null_count:
+            raise ValueError(f"null doc_ids in id column {id_col!r}")
+        dm = dm.sort_by("doc_id")
+        ids = np.asarray(dm["doc_id"])
+        if not (ids[0] == 0 and ids[-1] == n_docs - 1):
             raise ValueError(
-                f"doc_ids must be dense 0..N-1 (got min={lo} "
-                f"max={hi} n={n_docs}); pass id_col=None to rank-assign"
+                f"doc_ids must be dense 0..N-1 (got min={ids[0]} "
+                f"max={ids[-1]} n={n_docs}); pass id_col=None to rank-assign"
             )
-        if not seen.all():
+        # min/max/count accept duplicates paired with gaps ([0,2,2,3]),
+        # and so does any fixed set of moments ([0,0,3,3] matches the id
+        # sum). Exact: sorted ids are a permutation of 0..N-1 iff they
+        # equal 0..N-1. Duplicated ids would silently corrupt postings
+        # (strict-increase breaks) and the dense doc_len/bits scatter
+        if not np.array_equal(ids, np.arange(n_docs)):
             raise ValueError(
                 f"doc_ids are not a permutation of 0..N-1 (duplicate ids"
                 f" with matching gaps, id column {id_col!r}); pass"
@@ -809,6 +791,14 @@ def build_index(
             raise ValueError(
                 f"docbase rows ({n_docs}) != rank table size ({n_docs_expected})"
             )
+        # sha256 is all but unique per doc: a dictionary only adds an
+        # index per row (the 6k-doc perfbench corpus: 712 KB of docmeta
+        # without one, 737 KB with)
+        pq.write_table(
+            dm.cast(DOCMETA_SCHEMA), os.path.join(d, "0.parquet"),
+            use_dictionary=[c for c in DOCMETA_SCHEMA.names if c != "sha256"],
+        )
+        total_tokens = int(np.asarray(dm["doc_len"]).sum())
         avgdl = total_tokens / max(1, n_docs)
         stats = {
             "n_docs": n_docs,
@@ -827,61 +817,28 @@ def build_index(
     result.phase_times["docmeta"] = time.time() - t0
 
     # ------------------------------------------------------ phase segments
-    # THE one merge: the docbase runs (one row per term per batch,
-    # delta+varint streams — ~10x smaller than the exploded (term, doc,
-    # tf) rows) -> groupby(mpart) -> final segments. Nothing is
-    # tokenized again, and the docbase checkpoint is already the
-    # durable map side of the exchange.
-    #
-    # Two execution modes:
-    #  - streaming (default): ONE pipeline; Ray lineage re-executes
-    #    failed tasks, resume granularity is the phase. Fastest.
-    #  - durable_shuffle=True: shuffle_chunks independently-manifested
-    #    chunks over mpart ranges — a DRIVER/cluster restart resumes
-    #    mid-merge, never redoing a finished chunk; the right default
-    #    for multi-hour 10^12-file builds. The chunks run CONCURRENTLY
-    #    from driver threads (each is its own Dataset pipeline; Ray
-    #    interleaves their tasks), so the barriers between chunks do
-    #    not serialize the wall clock (sequential chunks measured ~2.5x
-    #    streaming). Manifest writes are lock-serialized (checkpoint.py).
+    # THE one merge, over the docbase runs (the durable map side of the
+    # exchange). A group file lands whole (temp file, then rename) and
+    # is a function of its runs alone, so a rerun after a kill merges
+    # only the groups with no file and the index comes out identical.
     t0 = time.time()
-    if durable_shuffle:
-        chunks = {
-            f"segments:{ci}": (os.path.join("segments", f"chunk_{ci}"), lo, hi)
-            for ci, (lo, hi) in enumerate(_chunk_bounds(num_shards, shuffle_chunks))
-        }
-    else:
-        chunks = {"segments": ("segments", 0, num_shards)}
-    todo = [name for name in chunks if not man.phase_done(name)]
-    if todo:
-        def _plan_merge(name: str):
-            """Plan one chunk SEQUENTIALLY (read_parquet path resolution
-            imports optional fs modules — racy from threads); only the
-            execution (write) runs in the pool."""
-            subdir, lo, hi = chunks[name]
-            d = man.phase_dir(name, subdir=subdir)
-            mpart = pads.field("mpart")
-            ds = (
-                data.read_parquet(
-                    docbase_dir, columns=BATCH_RUN_SCHEMA.names + ["kind"],
-                    filter=(pads.field("kind") == 1) & (mpart >= lo) & (mpart < hi),
-                )
-                .groupby("mpart")
-                .map_groups(final_merge, batch_format="pyarrow")
+    if not man.phase_done("segments"):
+        d = os.path.abspath(man.phase_dir("segments", keep=True))
+        todo = sorted(set(range(num_shards)) - group_files(d).keys())
+        summaries = (
+            data.read_parquet(
+                docbase_dir, columns=BATCH_RUN_SCHEMA.names + ["kind"],
+                filter=(pads.field("kind") == 1) & pads.field("mpart").isin(todo),
             )
-
-            def run() -> None:
-                _write_parquet_retry(ds, d)
-                man.mark_done(name, elapsed=time.time() - t0,
-                              counters={"mpart_lo": lo, "mpart_hi": hi})
-
-            return run
-
-        runs = [_plan_merge(name) for name in todo]
-        with ThreadPoolExecutor(max_workers=len(runs)) as ex:
-            list(ex.map(lambda r: r(), runs))
+            .groupby("mpart")
+            .map_groups(_make_group_writer(d), batch_format="pyarrow")
+            .take_all()
+        )
+        man.mark_done("segments", elapsed=time.time() - t0, counters={
+            "groups": sorted(summaries, key=lambda g: g["mpart"])
+        })
     result.phase_times["segments"] = time.time() - t0
-    stats["vocab_size"] = _segment_row_count(os.path.join(out_dir, "segments"))
+    stats["vocab_size"] = man.data["phases"]["segments"]["rows"]
     stats["executor"] = executor
     with open(stats_path, "w") as f:
         json.dump(stats, f)

@@ -8,9 +8,9 @@ rename) the file list, per-file row counts (read back from parquet
 footers — no extra compute pass) and counters into ``manifest.json``.
 A rerun of ``build_index`` with the same output dir and an unchanged
 input fingerprint skips completed phases; an incomplete phase's partial
-output is discarded and the phase reruns. Partition-level skip within a
-phase comes for free for phases whose input is a completed phase's
-parquet (Ray re-reads only what the phase consumes).
+output is discarded and the phase reruns, except where the phase keeps
+its own finished files (the segments phase: one file per merge group,
+so a rerun merges only the groups with no file).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import threading
 import time
 from typing import Any
 
@@ -47,10 +46,6 @@ class Manifest:
         self.out_dir = out_dir
         self.executor = executor
         self.path = os.path.join(out_dir, MANIFEST)
-        # chunked phases can complete from concurrent driver threads
-        # (build_index runs durable-shuffle chunks in parallel): the
-        # manifest dict + tmp-file rename must be serialized
-        self._lock = threading.Lock()
         self.data: dict[str, Any] = {
             "fingerprint": fingerprint,
             "created_at": time.time(),
@@ -62,12 +57,12 @@ class Manifest:
                 prev = json.load(f)
             if prev.get("fingerprint") == fingerprint:
                 self.data = prev
-            # fingerprint changed -> stale build; start over. Chunked
-            # phases ("segments:3") live under the base name's dir.
+            # fingerprint changed -> stale build; start over, finished
+            # or not (phase_dir records a dir before its output lands)
             else:
                 for name, rec in prev.get("phases", {}).items():
                     for rel in (rec.get("dir", name), *rec.get("extra_dirs", ())):
-                        d = os.path.join(out_dir, rel.split("/")[0].split(":")[0])
+                        d = os.path.join(out_dir, rel)
                         if os.path.isdir(d):
                             shutil.rmtree(d)
                 # persist the NEW (empty) manifest immediately: the
@@ -82,24 +77,24 @@ class Manifest:
         return bool(ph and ph.get("status") == "done")
 
     def phase_dir(
-        self, name: str, subdir: str | None = None, extra_dirs: tuple = ()
+        self, name: str, extra_dirs: tuple = (), keep: bool = False
     ) -> str:
-        """Directory for a phase's output (``subdir`` for chunked phases
-        whose name isn't a valid path, e.g. "segments:3" ->
-        segments/chunk_3; ``extra_dirs``: more dirs the phase owns,
-        whose files are not listed); wipes partial output of an
-        unfinished phase so reruns are idempotent."""
-        rel = subdir or name
-        with self._lock:
-            self.data["phases"].setdefault(name, {}).update(
-                dir=rel, extra_dirs=list(extra_dirs)
-            )
-        for r in (rel, *extra_dirs):
+        """Directory for an unfinished phase's output (``extra_dirs``:
+        more dirs the phase owns, whose files are not listed), recorded
+        in the manifest on disk before any output lands, so that a
+        fingerprint change wipes it even after a kill mid-phase. Partial
+        output is wiped so reruns are idempotent, unless ``keep``: the
+        phase resumes from its own finished files."""
+        self.data["phases"].setdefault(name, {}).update(
+            dir=name, extra_dirs=list(extra_dirs)
+        )
+        self._write()
+        for r in (name, *extra_dirs):
             d = os.path.join(self.out_dir, r)
-            if not self.phase_done(name) and os.path.isdir(d):
+            if not keep and os.path.isdir(d):
                 shutil.rmtree(d)
             os.makedirs(d, exist_ok=True)
-        return os.path.join(self.out_dir, rel)
+        return os.path.join(self.out_dir, name)
 
     def mark_done(
         self,
@@ -124,12 +119,8 @@ class Manifest:
             files, rows = parquet_file_stats(d)
             rec["files"] = files
             rec["rows"] = rows
-        with self._lock:
-            self.data["phases"][name] = rec
-            self._write()
-
-    def counters(self, name: str) -> dict[str, Any]:
-        return self.data["phases"].get(name, {}).get("counters", {})
+        self.data["phases"][name] = rec
+        self._write()
 
     def _write(self) -> None:
         tmp = self.path + ".tmp"

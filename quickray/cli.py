@@ -35,7 +35,6 @@ def cmd_build(args: argparse.Namespace) -> int:
         args.corpus,
         args.out,
         num_shards=args.num_shards,
-        durable_shuffle=args.durable_shuffle,
         field_cols=(
             args.field_cols.split(",") if args.field_cols else None
         ),
@@ -165,11 +164,9 @@ def main(argv: list[str] | None = None) -> int:
     b.add_argument("--corpus", required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--num-shards", type=int, default=None,
-                   help="merge shards (default: scaled with the corpus "
-                        "row count, as build_index does)")
-    b.add_argument("--durable-shuffle", action="store_true",
-                   help="run the merge as independently checkpointed "
-                        "chunks (mid-merge resume for long builds)")
+                   help="merge groups, one segment file each (default: "
+                        "scaled with the corpus row count, as build_index "
+                        "does)")
     b.add_argument("--field-cols", default=None,
                    help="comma-separated metadata columns to index as "
                         "field-scoped keywords (subset of repo,path,"

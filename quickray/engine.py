@@ -55,7 +55,7 @@ import json
 import os
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
@@ -78,7 +78,7 @@ from quickray.query import (
     flat_or_terms,
     query_from_json,
 )
-from quickray.schema import BIT_LONG_DOC
+from quickray.schema import BIT_LONG_DOC, SEGMENT_SCHEMA, group_files
 from quickray.scoring import bm25_contrib, flags_mask
 
 
@@ -110,6 +110,17 @@ def _lru_fetch(cache: OrderedDict, key, cap: int, make):
     return val
 
 
+@dataclass
+class _ScorerMemo:
+    """A Scorer's memoized values: per-term contribution vectors, dense
+    vectors and block maxima (recency-evicting), and the flag bits."""
+
+    contrib: OrderedDict = field(default_factory=OrderedDict)
+    dense: OrderedDict = field(default_factory=OrderedDict)
+    blocks: OrderedDict = field(default_factory=OrderedDict)
+    bits: np.ndarray | None = None
+
+
 class Scorer:
     """BM25 under one fixed set of statistics: ``n_docs``, ``avgdl`` and
     a df resolver (``df.get(term, posting_df)``; None scores with each
@@ -124,29 +135,31 @@ class Scorer:
     capacity.
 
     ``Index.scorer`` is the index's own (its stored df, n_docs, avgdl,
-    every doc live)."""
+    every doc live), whose memos the index holds (``memo``)."""
 
-    def __init__(self, index, n_docs: int, avgdl: float, df=None, live=None):
-        # weak: the own scorer is an attribute of its index, and a strong
-        # back-reference would make a cycle that keeps every dropped
-        # Index (segments, posting LRU) alive until a full GC pass
-        self._index = weakref.proxy(index)
+    def __init__(
+        self, index, n_docs: int, avgdl: float, df=None, live=None, memo=None
+    ):
+        self._index = index
         self.n_docs = n_docs
         self.avgdl = avgdl
         self._df = df
         self.live = live
-        self._contrib: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._dense: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._blocks: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._memo = memo if memo is not None else _ScorerMemo()
+        self._contrib = self._memo.contrib
+        self._dense = self._memo.dense
+        self._blocks = self._memo.blocks
 
-    @functools.cached_property
+    @property
     def bits(self) -> np.ndarray:
         """Doc-indexed flag bits, which every flag filter reads: docmeta's
         bits with bit 9 REPLACED by ``doc_len > avgdl`` (so docmeta that
         still stores a build's own bit 9 serves too). Computed once."""
-        dm = self._index.docmeta_arrays(_DOC_COLS)
-        long_doc = (dm["doc_len"] > self.avgdl).astype(np.int64) << BIT_LONG_DOC
-        return (dm["bits"] & ~(1 << BIT_LONG_DOC)) | long_doc
+        if self._memo.bits is None:
+            dm = self._index.docmeta_arrays(_DOC_COLS)
+            long_doc = (dm["doc_len"] > self.avgdl).astype(np.int64) << BIT_LONG_DOC
+            self._memo.bits = (dm["bits"] & ~(1 << BIT_LONG_DOC)) | long_doc
+        return self._memo.bits
 
     def contrib(self, term: str, p: Posting) -> np.ndarray:
         """Exact BM25 contribution of every posting of ``term`` (``p`` is
@@ -263,9 +276,11 @@ def _column_view(seg: pa.Table, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Index:
-    """In-memory view of one build's segments. At multi-node scale each
-    query actor would load only its term-hash shards (the `shard`
-    column written at merge time); single-node tests load everything.
+    """In-memory view of one build's segments: every merge group's file,
+    or with ``shards`` only the files of those groups (a term-hash
+    shard per group, the reference's per-worker index,
+    sentinel.go:137-187). A group with no terms has no file and adds
+    nothing.
 
     Segments hold only doc ids and tfs per posting. Doc-level data lives
     once, in docmeta: the first docmeta read loads ``doc_len`` and
@@ -297,8 +312,13 @@ class Index:
             self.stats = json.load(f)
         self.n_docs = self.stats["n_docs"]
         self.avgdl = self.stats["avgdl"]
-        filters = [("shard", "in", sorted(shards))] if shards is not None else None
-        seg = pq.read_table(os.path.join(out_dir, "segments"), filters=filters)
+        seg_dir = os.path.join(out_dir, "segments")
+        files = [f for g, f in group_files(seg_dir).items()
+                 if shards is None or g in shards]
+        if not files:
+            seg = SEGMENT_SCHEMA.empty_table()
+        else:
+            seg = pq.read_table(seg_dir if shards is None else files)
         seg = seg.cast(
             pa.schema([f.with_type(_LARGE.get(f.name, f.type)) for f in seg.schema])
         ).combine_chunks()
@@ -319,9 +339,23 @@ class Index:
         self._cache_cap = 4096
         # docmeta columns as dense doc_id-indexed arrays (_read_docmeta)
         self._docmeta_cache: dict[str, np.ndarray] = {}
-        self.scorer = Scorer(self, self.n_docs, self.avgdl)
+        # the own scorer holds this index, so the index holds only its
+        # memos and a weak reference to it: no cycle keeps a dropped
+        # Index (segments, posting LRU) alive until a full GC pass
+        self._own_memo = _ScorerMemo()
+        self._own_scorer = lambda: None
         if preload_top_df or preload_bytes:
             self._preload(preload_top_df, preload_bytes)
+
+    @property
+    def scorer(self) -> Scorer:
+        """The index's own Scorer: one object while anything holds it,
+        and always over the index's own memos."""
+        s = self._own_scorer()
+        if s is None:
+            s = Scorer(self, self.n_docs, self.avgdl, memo=self._own_memo)
+            self._own_scorer = weakref.ref(s)
+        return s
 
     def _preload(self, preload_top_df: int, preload_bytes: int | None) -> None:
         """Decode the heaviest postings once at load time (serving
@@ -378,12 +412,13 @@ class Index:
         # only store, at a call per term (a quarter of the load time)
         self._cache.update(zip(terms, ps))
         b = bounds.tolist()
-        self.scorer._contrib.update(
+        scorer = self.scorer
+        scorer._contrib.update(
             (t, contrib[lo:hi]) for t, lo, hi in zip(terms, b, b[1:])
         )
         for term, p in zip(terms, ps):
             if len(p.doc_ids) > self.n_docs // 2:
-                self.scorer.dense(term, p)
+                scorer.dense(term, p)
 
     def _decode_rows(
         self, rows

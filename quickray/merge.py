@@ -19,11 +19,12 @@ the partition's term dictionary). There is no Python object per run or
 per term. The largest partition is the ``mpart`` holding the hottest
 terms (SURVEY §7.4).
 
-Correctness does not assume runs arrive in doc order: an O(n) check
-finds values out of (term, doc_id) order, which happens where one
-term's runs from different batches overlap in doc range, and one
-stable sort then orders them; segmented_delta_encode raises if any
-(term, doc) pair appears twice.
+Neither correctness nor the output bytes depend on run arrival order:
+terms are ordered by value and each term's runs by ``min_doc``. An
+O(n) check finds values out of (term, doc_id) order, which happens
+where one term's runs from different batches overlap in doc range,
+and one stable sort then orders them; segmented_delta_encode raises if
+any (term, doc) pair appears twice.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from quickray.codec import (
     binary_runs,
@@ -57,9 +59,14 @@ def _concat_decode_sort(t: pa.Table) -> _Merged:
     """Decode a whole partition of runs and regroup: order rows by
     (term, min_doc), take both binary columns in that order and decode
     each from its value buffer once, then put values in (term, doc_id)
-    order where runs overlap."""
+    order where runs overlap. Terms are ordered by value, not by first
+    occurrence, so the output depends on the set of runs alone, never
+    on the order they arrive in."""
     dic = t["term"].combine_chunks().dictionary_encode()
-    tcodes = np.asarray(dic.indices, dtype=np.int64)
+    by_value = np.asarray(pc.sort_indices(dic.dictionary), dtype=np.int64)
+    rank = np.empty_like(by_value)
+    rank[by_value] = np.arange(len(by_value))
+    tcodes = rank[np.asarray(dic.indices, dtype=np.int64)]
     min_doc = np.asarray(t["min_doc"], dtype=np.int64)
     df = np.asarray(t["df"], dtype=np.int64)
 
@@ -101,7 +108,8 @@ def _concat_decode_sort(t: pa.Table) -> _Merged:
         tfs=tfs,
         g_val_starts=g_val_starts,
         g_val_lens=g_val_lens,
-        terms=dic.dictionary.take(pa.array(tc_o[g_row_starts])),
+        # every dictionary entry occurs, so the groups are its ranks
+        terms=dic.dictionary.take(pa.array(by_value)),
     )
 
 

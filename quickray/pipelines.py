@@ -98,9 +98,11 @@ def _docs_engine_cached(sf_dir: str, tag: str) -> LocalEngine:
     # lang is additionally indexed as a field-scoped keyword
     # (Term(word, field="lang") — the reference's author-field parity,
     # keyword_author.go:16-54); content-term postings are unaffected
+    # 16 merge groups, so sharded_reference_queries scatters over
+    # several groups per engine stage however small the corpus
     build_index(
         corpus, out, id_col="doc_id", langs=DOC_LANGS,
-        field_cols=["lang"],
+        field_cols=["lang"], num_shards=16,
     )
     return LocalEngine(Index(out))
 

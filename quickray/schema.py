@@ -19,6 +19,9 @@ Data-model mapping from the reference (SURVEY.md §1.2):
 
 from __future__ import annotations
 
+import os
+import re
+
 import pyarrow as pa
 
 # ---------------------------------------------------------------- constants
@@ -82,6 +85,34 @@ SEGMENT_SCHEMA = pa.schema(
         ("shard", pa.int64()),  # hash(term) % num_shards (segment layout key)
     ]
 )
+
+# Segment files: one per nonempty merge group, named by its mpart and
+# holding its terms in ascending order. A file is written under a
+# hidden temp name (a leading "." that parquet readers skip) and renamed.
+_GROUP_FILE = re.compile(r"(\d{5,})\.parquet")
+
+
+def group_file(mpart: int) -> str:
+    return f"{mpart:05d}.parquet"
+
+
+def group_files(seg_dir: str) -> dict[int, str]:
+    """{merge group: path} of the group files in ``seg_dir`` (hidden
+    names skipped). Any other file means a layout this reader cannot
+    select from: ValueError naming the dir, never a silent empty view."""
+    files = {}
+    for name in sorted(os.listdir(seg_dir)):
+        if name.startswith((".", "_")):
+            continue
+        m = _GROUP_FILE.fullmatch(name)
+        if m is None:
+            raise ValueError(
+                f"segments dir {seg_dir} holds {name!r}, not a merge-group"
+                " file {mpart:05d}.parquet: rebuild the index"
+            )
+        files[int(m[1])] = os.path.join(seg_dir, name)
+    return files
+
 
 # Posting run: one row per term present in a tokenizer batch, streams
 # already delta+varint encoded, as the build's docbase pass checkpoints

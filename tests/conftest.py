@@ -1,3 +1,5 @@
+import json
+import os
 import shutil
 
 import pytest
@@ -32,14 +34,15 @@ def small_corpus():
 
 @pytest.fixture(scope="session")
 def built_index(small_corpus, tmp_path_factory):
-    """One shared 800-doc build (salting active) for all engine tests,
-    on the Ray executor: batches of 256 rows keep it a multi-batch
-    build, the production path (800 rows would otherwise fit one
-    tokenizer batch and build locally)."""
+    """One shared 800-doc build for all engine tests, on the Ray
+    executor: batches of 256 rows keep it a multi-batch build, the
+    production path (800 rows would otherwise fit one tokenizer batch
+    and build locally), and 16 merge groups give it 16 segment files
+    (the default layout would give this corpus one)."""
     from quickray.build import build_index
 
     out = str(tmp_path_factory.mktemp("idx") / "build")
-    build_index(small_corpus, out, tokenizer_batch_size=256)
+    build_index(small_corpus, out, tokenizer_batch_size=256, num_shards=16)
     yield out
     shutil.rmtree(out, ignore_errors=True)
 
@@ -68,3 +71,42 @@ def flatten_calls(monkeypatch):
     for mod in (quickray.build, quickray.tokenize):
         monkeypatch.setattr(mod, "flatten_tokens", counting)
     return calls
+
+
+@pytest.fixture
+def rerun_one_group(flatten_calls):
+    """``run(out, group, build)``: delete merge group ``group``'s segment
+    file and the ``segments`` manifest entry of the finished build in
+    ``out``, call ``build()`` and check that it merged that group only:
+    no content tokenized in this process, the rerun's manifest summary
+    names that group alone, and no other group file was rewritten.
+    Returns what ``build()`` returns."""
+    from quickray.schema import group_file
+
+    def run(out, group, build):
+        seg = os.path.join(out, "segments")
+        man_path = os.path.join(out, "manifest.json")
+        victim = group_file(group)
+        kept = {
+            f: os.stat(os.path.join(seg, f)).st_mtime_ns
+            for f in os.listdir(seg) if f != victim
+        }
+        os.remove(os.path.join(seg, victim))
+        with open(man_path) as f:
+            man = json.load(f)
+        del man["phases"]["segments"]
+        with open(man_path, "w") as f:
+            json.dump(man, f)
+        del flatten_calls[:]
+        res = build()
+        assert flatten_calls == []
+        with open(man_path) as f:
+            rec = json.load(f)["phases"]["segments"]
+        assert [g["mpart"] for g in rec["counters"]["groups"]] == [group]
+        assert os.path.exists(os.path.join(seg, victim))
+        assert {
+            f: os.stat(os.path.join(seg, f)).st_mtime_ns for f in kept
+        } == kept
+        return res
+
+    return run

@@ -67,6 +67,61 @@ def test_shard_filtered_index(tmp_path):
                   if stable_hash_str(t) % 5 != shard]
         for o in others:
             assert part.posting(o) is None
+    # a group with no terms has no file: its view is empty
+    empty = set(range(5)) - {stable_hash_str(t) % 5 for t in
+                             ("alpha", "beta", "gamma", "delta")}
+    assert empty
+    part = Index(out, shards=empty)
+    assert part.vocab_size == 0 and part.posting("alpha") is None
+    ids, _ = LocalEngine(part).search(Query(tree=Term("alpha"), k=5))
+    assert len(ids) == 0
+
+
+def test_old_segment_layout_raises(tmp_path):
+    """A segments dir whose files are not named by merge group (the
+    layout of older builds) raises, naming the dir, with or without
+    ``shards``: a shard selection must never quietly serve nothing."""
+    import os
+    import re
+
+    out = _tiny(tmp_path, ["alpha beta", "beta gamma", "gamma delta"])
+    seg = os.path.join(out, "segments")
+    first = sorted(os.listdir(seg))[0]
+    os.rename(os.path.join(seg, first), os.path.join(seg, "part-0.parquet"))
+    for shards in (None, {0, 1}):
+        with pytest.raises(ValueError, match=re.escape(seg)):
+            Index(out, shards=shards)
+
+
+def test_scorer_outlives_temporary_index(tmp_path):
+    """A Scorer holds its Index, so ``Index(out).scorer`` still serves
+    once the temporary Index has no other reference. The Index holds
+    its own scorer only weakly: with the cycle collector off, a dropped
+    Index and its engine are freed at once."""
+    import gc
+    import weakref
+
+    from quickray.corpus import generate_corpus
+    from quickray.oracle import Oracle
+
+    tbl = generate_corpus(60, seed=4)
+    out = str(tmp_path / "idx")
+    build_index(tbl, out)
+    # outside the assert: its rewriting would keep the Index alive
+    bits = Index(out).scorer.bits
+    assert dict(enumerate(bits.tolist())) == Oracle(tbl).bits
+    gc.disable()
+    try:
+        ix = Index(out, preload_bytes=1 << 20)
+        eng = LocalEngine(ix)
+        assert eng.scorer is ix.scorer
+        term = ix.df_table()["term"][0].as_py()
+        assert len(eng.search(Query(tree=Term(term), k=5))[0]) > 0
+        dead = weakref.ref(ix)
+        del ix, eng
+        assert dead() is None
+    finally:
+        gc.enable()
 
 
 def test_missing_term_and_k_zero(tmp_path):

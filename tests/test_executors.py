@@ -1,15 +1,14 @@
 """The two build executors (build.py): a source of at most one
 tokenizer batch builds in the calling process with no Ray job (local);
 larger or uncounted sources build on Ray. Both must write the same
-index, streaming or durable, and it must equal the pinned digests;
-the local one must also resume, fail on bad input and run without
-ray.init."""
+index, byte for byte and file by file, fresh or resumed after a kill
+mid-merge, and it must equal the pinned digests; the local one must
+also resume, fail on bad input and run without ray.init."""
 
 import hashlib
 import itertools
 import json
 import os
-import shutil
 import subprocess
 import sys
 import textwrap
@@ -22,18 +21,15 @@ import pytest
 from quickray.build import build_index
 from quickray.corpus import generate_corpus
 from quickray.oracle import Oracle
-from quickray.schema import DOCMETA_SCHEMA, SEGMENT_SCHEMA
+from quickray.schema import DOCMETA_SCHEMA, SEGMENT_SCHEMA, group_file
 
 N = 300
 RAY_BATCH = 128  # below N: the same input builds on the Ray executor
-DURABLE = {"durable_shuffle": True, "shuffle_chunks": 3}
+GROUPS = 16  # merge groups: the default layout gives N rows one
 VARIANTS = {
-    "streaming": {},
-    "durable": DURABLE,
-    "field_cols": {"field_cols": ["lang"]},
-    "id_col": {"id_col": "my_id"},
-    "durable_field_cols": {**DURABLE, "field_cols": ["lang"]},
-    "durable_id_col": {**DURABLE, "id_col": "my_id"},
+    "streaming": {"num_shards": GROUPS},
+    "field_cols": {"num_shards": GROUPS, "field_cols": ["lang"]},
+    "id_col": {"num_shards": GROUPS, "id_col": "my_id"},
 }
 # sha256 (_digest) of the segments sorted by term (term, df, postings,
 # tfs, shard) and of docmeta sorted by doc_id (every column) for the
@@ -41,7 +37,8 @@ VARIANTS = {
 # columns of the build that also stored block maxima, so they pin
 # postings across the format changes. The docmeta digests were taken
 # on the build that still stored the long-doc bit 9, over its docmeta
-# with that bit cleared: every other byte is pinned across the change
+# with that bit cleared: every other byte is pinned across the change.
+# All were taken at 16 merge groups (the shard column)
 PINNED = {
     "plain": (
         "0317554cfe56385679601f2fb4011c3c7149b1ebc97a763bf1524fd9ae9f3ede",
@@ -85,6 +82,15 @@ def _digests(out):
     return _digest(_segments(out)), _digest(_docmeta(out))
 
 
+def _files(out):
+    """{path: bytes} of every segment and docmeta file in ``out``."""
+    return {
+        f"{sub}/{name}": open(os.path.join(out, sub, name), "rb").read()
+        for sub in ("segments", "docmeta")
+        for name in sorted(os.listdir(os.path.join(out, sub)))
+    }
+
+
 def _stats(out):
     with open(os.path.join(out, "stats", "stats.json")) as f:
         st = json.load(f)
@@ -122,36 +128,64 @@ def test_local_equals_ray(corpus, tmp_path, kw):
     assert seg.equals(_segments(ray_out))
     assert _docmeta(loc_out).equals(_docmeta(ray_out))
     assert _digests(loc_out) == _digests(ray_out) == _pinned(kw)
+    files = _files(loc_out)
+    assert sorted(files) == ["docmeta/0.parquet"] + [
+        f"segments/{group_file(g)}" for g in range(GROUPS)
+    ]
+    assert _files(ray_out) == files
 
 
-def test_durable_resume_after_lost_segments_chunk(corpus, tmp_path, flatten_calls):
-    """Kill mid-merge on the durable Ray build: one finished
-    ``segments:{ci}`` chunk is lost. The resume reruns only that chunk
-    (no content is tokenized, the other chunks are not rewritten) and
-    the index equals the pinned digests."""
-    out = str(tmp_path / "b")
-    build_index(corpus, out, tokenizer_batch_size=RAY_BATCH, **DURABLE)
-    assert _digests(out) == PINNED["plain"]
+def test_segment_files_byte_identical(corpus, tmp_path):
+    """Every segment and docmeta file, by name and bytes, is the same
+    from the local executor, from two Ray builds, and from a Ray build
+    resumed after a kill mid-merge: half its group files had not
+    landed, one left its partial temp file, and the segments phase was
+    recorded but unfinished. The resume merges the missing groups only
+    and leaves no temp file."""
+    kw = VARIANTS["streaming"]
+    outs = [str(tmp_path / name) for name in ("local", "ray1", "ray2")]
+    build_index(corpus, outs[0], **kw)
+    for out in outs[1:]:
+        build_index(corpus, out, tokenizer_batch_size=RAY_BATCH, **kw)
+    want = _files(outs[0])
+    assert _files(outs[1]) == want and _files(outs[2]) == want
+
+    out = outs[2]
     man = _manifest(out)
-    chunk_keys = sorted(k for k in man["phases"] if k.startswith("segments:"))
-    assert len(chunk_keys) == DURABLE["shuffle_chunks"]
-    victim, survivor = chunk_keys[1], chunk_keys[0]
-
-    def mtimes(key):
-        d = os.path.join(out, man["phases"][key]["dir"])
-        return {f: os.path.getmtime(os.path.join(d, f)) for f in os.listdir(d)}
-
-    kept = mtimes(survivor)
-    shutil.rmtree(os.path.join(out, man["phases"][victim]["dir"]))
-    del man["phases"][victim]
+    man["phases"]["segments"] = {"dir": "segments", "extra_dirs": []}
     with open(os.path.join(out, "manifest.json"), "w") as f:
         json.dump(man, f)
-    del flatten_calls[:]
-    res = build_index(corpus, out, tokenizer_batch_size=RAY_BATCH, **DURABLE)
-    assert flatten_calls == []
-    assert _manifest(out)["phases"][victim]["status"] == "done"
-    assert mtimes(survivor) == kept
+    seg = os.path.join(out, "segments")
+    lost = list(range(1, GROUPS, 2))
+    for g in lost:
+        os.remove(os.path.join(seg, group_file(g)))
+    with open(os.path.join(seg, f".{group_file(lost[0])}.tmp"), "wb") as f:
+        f.write(b"PAR1 partial")
+    assert pq.read_table(seg).num_rows < _segments(outs[0]).num_rows
+    build_index(corpus, out, tokenizer_batch_size=RAY_BATCH, **kw)
+    groups = _manifest(out)["phases"]["segments"]["counters"]["groups"]
+    assert [g["mpart"] for g in groups] == lost
+    assert sorted(os.listdir(seg)) == sorted(
+        name.split("/")[1] for name in want if name.startswith("segments/")
+    )
+    assert _files(out) == want
+
+
+def test_durable_resume_after_lost_segments_chunk(corpus, tmp_path, rerun_one_group):
+    """Kill mid-merge on a Ray build: one finished merge group's file is
+    lost, with the segments manifest entry. The resume merges only that
+    group (no content is tokenized, no other group file is rewritten)
+    and the index equals the pinned digests."""
+    out = str(tmp_path / "b")
+    kw = dict(VARIANTS["streaming"], tokenizer_batch_size=RAY_BATCH)
+    build_index(corpus, out, **kw)
+    assert _digests(out) == PINNED["plain"]
+    before = _files(out)
+    docbase = _manifest(out)["phases"]["docbase"]
+    res = rerun_one_group(out, 5, lambda: build_index(corpus, out, **kw))
+    assert _manifest(out)["phases"]["docbase"] == docbase
     assert res.stats["vocab_size"] == _segments(out).num_rows
+    assert _files(out) == before
     assert _digests(out) == PINNED["plain"]
 
 

@@ -126,6 +126,12 @@ def test_run_merge_matches_naive_inversion(docs, bs, shards, shuffle):
     for mp in np.unique(np.asarray(runs["mpart"])):
         grp = runs.filter(pa.compute.equal(runs["mpart"], int(mp)))
         segs.append(final_merge(grp))
+        # the output is a function of the group's runs as a set: any
+        # arrival order gives the same table, terms ascending
+        perm = np.random.default_rng(int(mp)).permutation(grp.num_rows)
+        assert final_merge(grp.take(perm)).equals(segs[-1])
+        terms = segs[-1]["term"].to_pylist()
+        assert terms == sorted(terms)
     seg = pa.concat_tables(segs)
 
     from quickray.codec import decode_postings

@@ -5,12 +5,16 @@ fast no-op; changed inputs invalidate."""
 import json
 import os
 import shutil
+import subprocess
+import sys
+import textwrap
 import time
 
 import pyarrow.parquet as pq
 
 from quickray.build import build_index
 from quickray.corpus import generate_corpus
+from quickray.schema import group_file
 
 
 def _segments_fingerprint(out):
@@ -18,11 +22,52 @@ def _segments_fingerprint(out):
     return [t[c].to_pylist() for c in ["term", "df", "postings", "tfs"]]
 
 
-def _drop(man, out, prefixes):
-    for k in [k for k in man["phases"] if k.split(":")[0] in prefixes]:
-        del man["phases"][k]
-    for p in prefixes:
+def _drop(man, out, phases):
+    for p in phases:
+        man["phases"].pop(p, None)
         shutil.rmtree(os.path.join(out, p), ignore_errors=True)
+
+
+def _seg_files(out):
+    """{name: bytes} of the segment files in ``out``."""
+    seg = os.path.join(out, "segments")
+    return {f: open(os.path.join(seg, f), "rb").read() for f in os.listdir(seg)}
+
+
+def _killed_build(out, seed, landed):
+    """Build ``generate_corpus(250, seed)`` into ``out`` on the local
+    executor (8 merge groups, merged in mpart order) in a child process
+    that dies writing the segment file of group ``landed``: groups
+    0..landed-1 have their files, and group ``landed`` left a partial
+    temp file."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = textwrap.dedent(f"""
+        import os
+        import pyarrow.parquet as pq
+        from quickray.build import build_index
+        from quickray.corpus import generate_corpus
+
+        real, done = pq.write_table, []
+
+        def dying(table, where, **kw):
+            if str(where).endswith(".tmp"):
+                if len(done) == {landed}:
+                    with open(where, "wb") as f:
+                        f.write(b"PAR1 partial")
+                    os._exit(3)
+                done.append(where)
+            return real(table, where, **kw)
+
+        pq.write_table = dying
+        build_index(generate_corpus(250, seed={seed}), {out!r}, num_shards=8)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p
+    )
+    r = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 3, r.stderr[-3000:]
 
 
 def test_resume_noop_and_kill_resume(tmp_path, flatten_calls):
@@ -56,11 +101,9 @@ def test_resume_noop_and_kill_resume(tmp_path, flatten_calls):
     assert r3.stats == r1.stats
     assert flatten_calls == []
 
-    # manifest records lineage: files + rows per phase (chunked phases
-    # record their chunk dir)
+    # manifest records lineage: files + rows per phase
     man = json.load(open(man_path))
-    base_names = {k.split(":")[0] for k in man["phases"]}
-    assert {"docbase", "docmeta", "segments"} <= base_names
+    assert {"docbase", "docmeta", "segments"} <= set(man["phases"])
     for phase, rec in man["phases"].items():
         if phase in ("docids", "stats"):
             continue
@@ -71,36 +114,49 @@ def test_resume_noop_and_kill_resume(tmp_path, flatten_calls):
             assert f["rows"] >= 0 and f["bytes"] > 0
 
 
-def test_mid_shuffle_resume(tmp_path):
-    """Kill inside the merge: one completed segments chunk is wiped,
-    the others must be skipped on resume and the index comes back
-    byte-identical."""
+def test_mid_shuffle_resume(tmp_path, flatten_calls, rerun_one_group):
+    """Kill inside the merge: the child process dies writing a group
+    file. Readers never see its temp file; the resume merges only the
+    groups with no file (no content tokenized, finished files not
+    rewritten) and the segment files come back byte-identical. After
+    the same kill, a build of a different corpus into the dir keeps no
+    stale group file. Losing one group file later reruns that group
+    alone."""
+    out, fresh = str(tmp_path / "b"), str(tmp_path / "fresh")
     tbl = generate_corpus(250, seed=3)
-    out = str(tmp_path / "b")
-    build_index(tbl, out, durable_shuffle=True, shuffle_chunks=4)
-    fresh = _segments_fingerprint(out)
+    build_index(tbl, fresh, num_shards=8)
 
-    man_path = os.path.join(out, "manifest.json")
-    man = json.load(open(man_path))
-    chunk_keys = sorted(k for k in man["phases"] if k.startswith("segments:"))
-    assert len(chunk_keys) == 4
-    victim = chunk_keys[2]
-    vdir = os.path.join(out, man["phases"][victim]["dir"])
-    survivor = chunk_keys[0]
-    sdir = os.path.join(out, man["phases"][survivor]["dir"])
-    survivor_mtime = max(
-        os.path.getmtime(os.path.join(sdir, f)) for f in os.listdir(sdir)
+    _killed_build(out, seed=3, landed=3)
+    seg = os.path.join(out, "segments")
+    man = json.load(open(os.path.join(out, "manifest.json")))
+    assert man["phases"]["segments"].get("status") != "done"
+    assert sorted(os.listdir(seg)) == [
+        f".{group_file(3)}.tmp", *(group_file(g) for g in range(3))
+    ]
+    assert pq.read_table(seg).num_rows == sum(
+        pq.read_metadata(os.path.join(seg, group_file(g))).num_rows
+        for g in range(3)
     )
-    del man["phases"][victim]
-    shutil.rmtree(vdir)
-    json.dump(man, open(man_path, "w"))
+    kept = {g: os.stat(os.path.join(seg, group_file(g))).st_mtime_ns
+            for g in range(3)}
+    del flatten_calls[:]
+    build_index(tbl, out, num_shards=8)
+    assert flatten_calls == []
+    groups = json.load(open(os.path.join(out, "manifest.json")))[
+        "phases"]["segments"]["counters"]["groups"]
+    assert [g["mpart"] for g in groups] == list(range(3, 8))
+    assert {g: os.stat(os.path.join(seg, group_file(g))).st_mtime_ns
+            for g in range(3)} == kept
+    assert _seg_files(out) == _seg_files(fresh)
 
-    build_index(tbl, out, durable_shuffle=True, shuffle_chunks=4)
-    assert _segments_fingerprint(out) == fresh
-    # surviving chunks were not rewritten
-    assert max(
-        os.path.getmtime(os.path.join(sdir, f)) for f in os.listdir(sdir)
-    ) == survivor_mtime
+    rerun_one_group(out, 6, lambda: build_index(tbl, out, num_shards=8))
+    assert _seg_files(out) == _seg_files(fresh)
+
+    other, other_fresh = str(tmp_path / "other"), str(tmp_path / "other_fresh")
+    _killed_build(other, seed=3, landed=5)
+    build_index(generate_corpus(250, seed=4), other, num_shards=8)
+    build_index(generate_corpus(250, seed=4), other_fresh, num_shards=8)
+    assert _seg_files(other) == _seg_files(other_fresh)
 
 
 def test_fingerprint_change_invalidates(tmp_path):
@@ -148,20 +204,21 @@ def test_old_docbase_layout_rebuilds(tmp_path, flatten_calls):
     assert not any(os.path.exists(path) for path in stale)
 
 
-def test_layout_param_change_invalidates(tmp_path):
-    """Resuming with different shuffle layout params must rebuild, not
-    silently mix chunk bounds."""
-    import os
-
+def test_layout_param_change_invalidates(tmp_path, rerun_one_group):
+    """Resuming with a different num_shards must rebuild, not mix the
+    group files of two layouts; the new layout then resumes per group."""
     out = str(tmp_path / "b")
     tbl = generate_corpus(120, seed=1)
-    build_index(tbl, out, durable_shuffle=True, shuffle_chunks=4)
-    build_index(tbl, out, durable_shuffle=True, shuffle_chunks=2)
-    import json
-
-    man = json.load(open(os.path.join(out, "manifest.json")))
-    chunk_keys = [k for k in man["phases"] if k.startswith("segments:")]
-    assert len(chunk_keys) == 2  # stale 4-chunk layout fully replaced
+    build_index(tbl, out, num_shards=4)
+    assert sorted(os.listdir(os.path.join(out, "segments"))) == [
+        group_file(g) for g in range(4)
+    ]
+    build_index(tbl, out, num_shards=2)
+    # stale 4-group layout fully replaced
+    assert sorted(os.listdir(os.path.join(out, "segments"))) == [
+        group_file(0), group_file(1)
+    ]
+    rerun_one_group(out, 1, lambda: build_index(tbl, out, num_shards=2))
 
 
 def test_custom_id_col_name(tmp_path):

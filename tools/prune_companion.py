@@ -19,11 +19,11 @@ same index as ``DeltaEngine([index], deleted_keys=...)`` with a fixed
 routes split by its one part's ``last_path`` and ``count_p50_ms`` (the
 p50 of ``count()``) in place of ``candidates_p50_ms``. It also prints the build's
 phase table from its ``manifest.json`` (``build_phases``: seconds, rows
-and bytes written per phase, chunked phases summed under their base
-name) and ``largest_shard``: the segment ``shard`` with the most
-postings, its term and posting counts and the docbase run rows its
-merge read, beside the mean postings per shard. ``kernels_ms`` times
-the build's content kernels in this process, fastest of ``--passes``:
+and bytes written per phase) and ``largest_shard``: the segment
+``shard`` with the most postings, its term and posting counts, the
+docbase run rows its merge read and its merge seconds, beside the mean
+postings per shard. ``kernels_ms`` times the build's content kernels
+in this process, fastest of ``--passes``:
 ``flatten_tokens``, ``batch_postings`` and ``encode_runs`` on the
 corpus's first tokenizer batch (4096 docs, the build's default), and
 ``final_merge`` on the largest shard's merge group. It is never a
@@ -65,15 +65,16 @@ from run import HOT_LOAD  # noqa: E402
 FLAT_OR = ("term", "or", "flagged")
 
 
+def _phases(out: str) -> dict:
+    with open(os.path.join(out, "manifest.json")) as f:
+        return json.load(f)["phases"]
+
+
 def _built(out: str) -> bool:
     try:
-        with open(os.path.join(out, "manifest.json")) as f:
-            phases = json.load(f)["phases"]
+        return _phases(out).get("segments", {}).get("status") == "done"
     except (OSError, ValueError, KeyError):
         return False
-    # a durable build records its merge as segments:{chunk} phases
-    seg = [rec for name, rec in phases.items() if name.split(":")[0] == "segments"]
-    return bool(seg) and all(rec.get("status") == "done" for rec in seg)
 
 
 def ensure_index(work: str, n_docs: int, seed: int) -> tuple[str, str]:
@@ -106,23 +107,23 @@ def ensure_index(work: str, n_docs: int, seed: int) -> tuple[str, str]:
 
 
 def build_phases(out: str) -> dict:
-    """Per base phase, from ``manifest.json``: seconds (a chunked
-    phase's chunks share one start, so the latest finish), rows and
-    bytes written."""
-    with open(os.path.join(out, "manifest.json")) as f:
-        phases = json.load(f)["phases"]
-    table: dict[str, dict] = {}
-    for name, rec in phases.items():
-        row = table.setdefault(name.split(":")[0], {"s": 0.0, "rows": 0, "bytes": 0})
-        row["s"] = max(row["s"], rec.get("elapsed_sec", 0.0))
-        row["rows"] += rec.get("rows", 0)
-        row["bytes"] += sum(f["bytes"] for f in rec.get("files", []))
-    return table
+    """Per phase, from ``manifest.json``: seconds, rows and bytes
+    written."""
+    return {
+        name: {
+            "s": rec.get("elapsed_sec", 0.0),
+            "rows": rec.get("rows", 0),
+            "bytes": sum(f["bytes"] for f in rec.get("files", [])),
+        }
+        for name, rec in _phases(out).items()
+    }
 
 
 def largest_shard(out: str) -> dict:
     """The segment shard holding the most postings (the merge's
-    largest group) and the docbase run rows that merge read."""
+    largest group), the docbase run rows that merge read and its merge
+    seconds from the manifest's group summaries (None for a group the
+    run that finished the phase did not merge)."""
     seg = pads.dataset(os.path.join(out, "segments"), format="parquet").to_table(
         columns=["term", "df", "shard"]
     )
@@ -138,6 +139,11 @@ def largest_shard(out: str) -> dict:
         "terms": per["term_count"][top].as_py(),
         "postings": per["df_sum"][top].as_py(),
         "run_rows": runs,
+        "merge_s": next(
+            (g["merge_s"] for g in _phases(out)["segments"]["counters"]["groups"]
+             if g["mpart"] == shard),
+            None,
+        ),
         "mean_postings": round(float(np.mean(np.asarray(per["df_sum"]))), 1),
     }
 
