@@ -54,11 +54,6 @@ def varint_encode_sizes(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     return out.tobytes(), nbytes
 
 
-def varint_encode(values: np.ndarray) -> bytes:
-    """LEB128-encode a non-negative int array (vectorized)."""
-    return varint_encode_sizes(values)[0]
-
-
 def binary_runs(
     name: str, buf: bytes, nbytes: np.ndarray, starts: np.ndarray
 ) -> pa.BinaryArray:
@@ -162,19 +157,6 @@ def varint_decode(buf: bytes | memoryview, out_dtype=np.int64) -> np.ndarray:
         # so the uint64 -> int64 reinterpret is exact and zero-copy
         return out.view(np.int64)
     return out.astype(out_dtype)
-
-
-def encode_postings(doc_ids: np.ndarray) -> bytes:
-    """Delta+varint encode a strictly-increasing int64 doc_id array."""
-    d = np.ascontiguousarray(doc_ids, dtype=np.int64)
-    if len(d) == 0:
-        return b""
-    deltas = np.empty_like(d)
-    deltas[0] = d[0]
-    np.subtract(d[1:], d[:-1], out=deltas[1:])
-    if len(d) > 1 and deltas[1:].min() <= 0:
-        raise ValueError("doc_ids must be strictly increasing")
-    return varint_encode(deltas)
 
 
 def decode_postings(

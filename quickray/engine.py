@@ -20,21 +20,23 @@
   decides whether to prune (under any scorer) and scores the pruned
   blocks; its exhaustive side is the engine's ``_flat_eval``. Every
   other tree is routed once by its result-size estimate from segment
-  dfs (Term -> df, And -> min, Or -> sum). Above
-  ``n_docs // DENSE_DIVISOR`` it is evaluated term at a time over
-  doc-indexed arrays (Turtle & Flood, IP&M 1995): each term, in
-  ascending order, adds its contributions into one score vector and
-  sets one boolean doc mask; the tree is
+  dfs (Term -> df, And -> min, Or -> sum) to a doc universe, and one
+  evaluator (Turtle & Flood, IP&M 1995) meets each query term once,
+  in ascending order, over it. Above ``n_docs // DENSE_DIVISOR`` the
+  universe is every doc id: each term sets one boolean doc mask and
+  adds its contributions into one doc-indexed score vector, and the
+  flag filter is one mask over the scorer's bits (bits are doc-level,
+  so this equals filtering at the leaves). Below it the universe is a
+  sorted superset of the matches, filtered at its leaves (a Term's
+  posting, an And's rarest child's universe, an Or's union), and one
+  binary search per term gives both its mask and the positions of its
+  contributions; the universe's own term, when it is one term's
+  posting, is not searched at all. Either way the tree is
   ``logical_and``/``logical_or`` over the masks (an absent term is
-  all-false), the flag filter is one mask over the scorer's bits (bits
-  are doc-level, so this equals filtering at the leaves), and the top-k
-  is selected among the docs of the final mask. Below it, sorted-array
-  set algebra finds the candidates (every And, at any depth, seeds from
-  its rarest child and keeps the seed docs every other child matches)
-  and binary search scores them: the answer is exactly
-  ``score(q, candidates(q))``. Both sides add the same terms in the
-  same order and each doc at most once per term, so their scores are
-  bit-identical.
+  all-false) and the top-k is selected among the matching docs. Both
+  universes add the same terms in the same order and 0.0 where a doc
+  lacks a term, so their scores are bit-identical. ``candidates`` and
+  ``count`` evaluate the same tree unscored.
 - ``MultiPartEngine``: quicker's one distributed design (every worker
   holds its own index; the Sentinel broadcasts a query and merges the
   per-worker results, sentinel.go:137-187) over built parts, each with
@@ -242,10 +244,25 @@ def _dense_topk(
 def _find(doc_ids: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Binary search of ``docs`` in the sorted, nonempty ``doc_ids``:
     (mask over ``docs`` of those found, each one's position there,
-    meaningful where found)."""
-    li = np.searchsorted(doc_ids, docs)
-    li_c = np.minimum(li, len(doc_ids) - 1)
-    return (li < len(doc_ids)) & (doc_ids[li_c] == docs), li_c
+    meaningful where found and at most ``len(doc_ids)``: gather with
+    ``take(pos, mode="clip")``)."""
+    pos = np.searchsorted(doc_ids, docs)
+    # a doc above every doc id clips onto the last one, a smaller doc id
+    return doc_ids.take(pos, mode="clip") == docs, pos
+
+
+def _tree_mask(node, masks: dict[str, np.ndarray], n: int) -> np.ndarray:
+    """``node``'s matching docs as a boolean mask of length ``n`` over a
+    doc universe, from the per-term ``masks`` over it (a term without
+    one, and an empty And/Or, matches nothing)."""
+    if isinstance(node, Term):
+        if node.key in masks:
+            return masks[node.key]
+    elif node is not None and node.children:
+        red = np.logical_and if isinstance(node, And) else np.logical_or
+        return functools.reduce(red, (_tree_mask(c, masks, n) for c in node.children))
+    return np.zeros(n, dtype=bool)
+
 
 
 # postings per preload decode chunk. A chunk's transients (gathered
@@ -667,6 +684,14 @@ def _topk_select(
     return uniq[order], scores[order]
 
 
+def _topk_matches(docs, keep, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k of the docs that ``keep`` marks in a doc universe (``docs``;
+    None: every doc id), by ``scores`` over it. Integer gathers: a
+    boolean one over every doc id costs more."""
+    idx = np.flatnonzero(keep)
+    return _topk_select(idx if docs is None else docs[idx], scores[idx], k)
+
+
 class LocalEngine:
     def __init__(self, index: Index, scorer: Scorer | None = None):
         """Scores with ``scorer``, by default ``index.scorer``: the
@@ -692,169 +717,26 @@ class LocalEngine:
         every doc is live). It is never written to."""
         return getattr(self.scorer, "live", None)
 
-    # ------------------------------------------------------- set algebra
-    def _filters(self, q: Query) -> bool:
-        """Whether ``q``'s flag filter or the live mask may drop docs."""
-        return q.has_flags or self.live is not None
-
-    def _passes(self, doc_ids: np.ndarray, q: Query) -> np.ndarray:
-        """Mask over ``doc_ids`` of the live docs that pass ``q``'s flag
-        filter (call only when ``_filters(q)``)."""
-        if not q.has_flags:
-            return self.live[doc_ids]
-        ok = flags_mask(
-            self.scorer.bits[doc_ids], q.on_flag, q.off_flag, q.or_flags
-        )
-        return ok if self.live is None else ok & self.live[doc_ids]
-
-    def _leaf(self, term: str, q: Query) -> np.ndarray:
-        p = self.index.posting(term)
-        if p is None:
-            return np.empty(0, np.int64)
-        if not self._filters(q):
-            return p.doc_ids
-        return p.doc_ids[self._passes(p.doc_ids, q)]
-
-    def candidates(self, q: Query) -> np.ndarray:
-        """Boolean evaluation — sorted doc_id array. AND = sorted-list
-        intersection (J2), OR = sorted union (J3); flags filter at the
-        leaf scan exactly like the reference (M3), and so does the live
-        mask. An And/Or above the
-        dense gate takes the same set from the doc mask of
-        ``_dense_keep`` instead; a lone term's set is its posting."""
-        node, ests = q.tree, {}
-        if not isinstance(node, Term) and _dense_worth(
-            self._est_size(node, ests), self.index.n_docs
-        ):
-            ps = {t: self.index.posting(t) for t in collect_terms(node)}
-            return np.flatnonzero(self._dense_keep(q, node, ps))
-        return self._eval(node, q, ests)
-
-    def _eval(self, node, q: Query, ests: dict) -> np.ndarray:
-        # a method, not a recursive closure: a closure that calls itself
-        # is a reference cycle holding the engine (and its memos) until
-        # the next full garbage collection. ``ests`` is the query's
-        # estimate memo (_est_size)
-        if node is None:
-            return np.empty(0, np.int64)
-        if isinstance(node, Term):
-            return self._leaf(node.key, q)
-        if not node.children:
-            return np.empty(0, np.int64)
-        if isinstance(node, And):
-            # seed from the rarest child by estimate (segment dfs, no
-            # decode), filtered at its leaves; each other child, rarest
-            # first, keeps the seed docs it matches by binary search.
-            # Flags and the live mask are doc-level, so a seed doc that
-            # passed them needs no second test, and no other child's
-            # set is ever materialized
-            sizes = [self._est_size(c, ests) for c in node.children]
-            first, *rest = sorted(range(len(sizes)), key=sizes.__getitem__)
-            out = self._eval(node.children[first], q, ests)
-            for i in rest:
-                if len(out) == 0:
-                    break
-                out = out[self._member_mask(node.children[i], out)]
-            return out
-        return functools.reduce(
-            np.union1d, [self._eval(c, q, ests) for c in node.children]
-        )
-
-    # ------------------------------------------ dense tree evaluation
-    def _tree_mask(self, node, masks: dict[str, np.ndarray]) -> np.ndarray:
-        """``node``'s matching docs as a doc-indexed boolean mask, from
-        the per-term ``masks`` (a term without one matches nothing)."""
-        if isinstance(node, Term):
-            if node.key in masks:
-                return masks[node.key]
-        elif node.children:
-            red = np.logical_and if isinstance(node, And) else np.logical_or
-            return functools.reduce(
-                red, (self._tree_mask(c, masks) for c in node.children)
-            )
-        return np.zeros(self.index.n_docs, dtype=bool)
-
-    def _dense_keep(self, q: Query, tree, postings: dict) -> np.ndarray | None:
-        """Doc-indexed mask of the live docs that pass ``q``'s flag
-        filter and, given a ``tree``, match it over the term -> Posting
-        map ``postings`` (a term absent there, None or empty matches
-        nothing); None when nothing is excluded. It may be the stored
-        ``live`` array itself: callers must not write to it."""
-        n = self.index.n_docs
-        keep = None
-        if tree is not None:
-            masks = {}
-            for t, p in postings.items():
-                if p is not None:
-                    masks[t] = m = np.zeros(n, dtype=bool)
-                    m[p.doc_ids] = True
-            keep = self._tree_mask(tree, masks)
+    # ------------------------------------------------------ evaluation
+    def _doc_filter(self, q: Query, docs: np.ndarray | None = None):
+        """Mask of the live docs that pass ``q``'s flag filter, over the
+        doc ids ``docs`` or (None) over every doc id; None when nothing
+        is excluded. Over every doc it may be the stored ``live`` array
+        itself: callers must not write to it."""
+        live = self.live
         if q.has_flags:
-            ok = flags_mask(self.scorer.bits, q.on_flag, q.off_flag, q.or_flags)
-            keep = ok if keep is None else keep & ok
-        if self.live is not None:
-            keep = self.live if keep is None else keep & self.live
-        return keep
+            bits = self.scorer.bits
+            keep = flags_mask(
+                bits if docs is None else bits[docs],
+                q.on_flag, q.off_flag, q.or_flags,
+            )
+            if live is not None:
+                keep &= live if docs is None else live[docs]
+            return keep
+        if live is None or docs is None:
+            return live
+        return live[docs]
 
-    def _scored_postings(self, terms: list[str]):
-        """(terms, postings, contributions) of the nonempty postings of
-        ``terms``, in the order given: the summation order."""
-        ts, ps, cs = [], [], []
-        for t in terms:
-            p = self.index.posting(t)
-            if p is not None and len(p.doc_ids):
-                ts.append(t)
-                ps.append(p)
-                cs.append(self.scorer.contrib(t, p))
-        return ts, ps, cs
-
-    def _dense_eval(self, q: Query, ts, ps, cs, tree=None):
-        """Exact top-k over one doc-indexed score vector. Each nonempty
-        posting ``ps`` of the terms ``ts`` (ascending) adds, in order,
-        its scorer's dense vector (stopword-grade terms, df > N/2) or
-        its contributions ``cs`` scattered by doc id. Docs are unique
-        within a posting and adding 0.0 where a doc lacks a term is
-        IEEE-exact, so each doc's sum is bit-identical to sparse
-        accumulation in the same order. The top-k is selected among
-        the docs of ``_dense_keep``; every doc of a tree's mask holds a
-        query term, and contributions are > 0, so without a tree the
-        candidates are the docs with a score."""
-        n = self.index.n_docs
-        scores_d = np.zeros(n, dtype=np.float64)
-        for t, p, c in zip(ts, ps, cs):
-            if len(p.doc_ids) > n // 2:
-                scores_d += self.scorer.dense(t, p)
-            else:
-                scores_d[p.doc_ids] += c
-        keep = self._dense_keep(q, tree, dict(zip(ts, ps)))
-        if keep is None:
-            return _dense_topk(scores_d, q.k)
-        if tree is None:  # a doc filter alone: keep scored docs only
-            keep = keep & (scores_d > 0.0)
-        cand = np.flatnonzero(keep)
-        return _topk_select(cand, scores_d[cand], q.k)
-
-    def _flat_eval(self, q: Query, ts, ps, cs):
-        """Exhaustive exact top-k of a flat OR over the nonempty
-        postings ``ps`` of the terms ``ts`` (ascending), with
-        contributions ``cs``. Several postings holding a sizable share
-        of the corpus go through ``_dense_eval``, which filters flags
-        and the live mask with one doc mask; a lone posting is already
-        unique and sorted, so it needs no accumulation at any size."""
-        n = self.index.n_docs
-        if len(ps) > 1 and _dense_worth(sum(len(p.doc_ids) for p in ps), n):
-            return self._dense_eval(q, ts, ps, cs)
-        if not self._filters(q):
-            return _accumulate_topk([p.doc_ids for p in ps], cs, q.k, n)
-        docs_l, con_l = [], []
-        for p, c in zip(ps, cs):
-            sel = np.flatnonzero(self._passes(p.doc_ids, q))
-            if len(sel):  # a lone surviving term skips accumulation
-                docs_l.append(p.doc_ids[sel])
-                con_l.append(c[sel])
-        return _accumulate_topk(docs_l, con_l, q.k, n)
-
-    # ------------------------------------------ sparse tree evaluation
     def _est_size(self, node, ests: dict) -> int:
         """Upper-bound result-size estimate from segment dfs alone (no
         posting decode): Term -> df, Or -> sum, And -> min. ``ests`` is
@@ -873,52 +755,171 @@ class LocalEngine:
             ests[key] = est
         return est
 
-    def _member_mask(self, node, docs: np.ndarray) -> np.ndarray:
-        """Mask over the sorted ``docs`` of those that match ``node``
-        unfiltered (callers pass docs that passed the doc filters)."""
+    def _universe(self, node, q: Query, ests: dict):
+        """A sorted superset of ``node``'s matches whose docs all pass
+        ``q``'s doc filter: a Term's filtered posting, an And's rarest
+        child's universe (by ``_est_size``, memo ``ests``), an Or's
+        union of its children's. Returns (docs, hit): ``hit`` is (term,
+        positions of ``docs`` in its posting, None for all of it) when
+        ``docs`` is that one term's filtered posting, else None. A
+        method, not a recursive closure: a closure that calls itself is
+        a reference cycle holding the engine until a full collection."""
         if isinstance(node, Term):
             p = self.index.posting(node.key)
-            if p is None or len(p.doc_ids) == 0:
-                return np.zeros(len(docs), dtype=bool)
-            return _find(p.doc_ids, docs)[0]
-        if not node.children:
-            return np.zeros(len(docs), dtype=bool)
-        masks = (self._member_mask(c, docs) for c in node.children)
-        red = np.logical_and if isinstance(node, And) else np.logical_or
-        return functools.reduce(red, masks)
+            if p is None:
+                return np.empty(0, np.int64), None
+            keep = self._doc_filter(q, p.doc_ids)
+            if keep is None:
+                return p.doc_ids, (node.key, None)
+            pos = np.flatnonzero(keep)
+            return p.doc_ids[pos], (node.key, pos)
+        if node is None or not node.children:
+            return np.empty(0, np.int64), None
+        if isinstance(node, And):
+            rarest = min(node.children, key=lambda c: self._est_size(c, ests))
+            return self._universe(rarest, q, ests)
+        got = [self._universe(c, q, ests) for c in node.children]
+        if len(got) == 1:
+            return got[0]
+        return functools.reduce(np.union1d, [docs for docs, _ in got]), None
 
-    # ----------------------------------------------------------- scoring
-    def _term_contrib(
-        self, term: str, cand: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        p = self.index.posting(term)
-        # len == 0: _find needs a nonempty posting (builds write none;
-        # tombstones mask docs, never postings)
-        if p is None or len(p.doc_ids) == 0 or len(cand) == 0:
-            return None
-        hit, pos = _find(p.doc_ids, cand)
-        if not hit.any():
-            return None
-        return cand[hit], self.scorer.contrib(term, p)[pos[hit]]
+    def _tree_eval(self, q: Query, terms, tree, docs, scored: bool, hit=None):
+        """One pass over ``terms`` (ascending: the summation order) for
+        the doc universe ``docs``: None is every doc id, a sorted array
+        those docs (``_universe``, whose ``hit`` term needs no search).
+        Each nonempty posting is met once. Dense, it sets its doc mask
+        and, if ``scored``, adds its contributions by doc id (its
+        ``Scorer.dense`` vector when df > N/2); sparse, one ``_find``
+        gives both the mask and the positions of its contributions,
+        which are computed only for a term holding a doc of the
+        universe (a cold scorer pays a BM25 pass and a global df).
+        Returns (keep, scores): the mask over the universe of the docs
+        that match ``tree`` and, over every doc id, pass ``q``'s doc
+        filter (a sparse universe has passed it; with no ``tree`` the
+        filter alone, None when it excludes nothing), and the float64
+        scores over the universe (None unless ``scored``). Adding 0.0
+        where a doc lacks a term is IEEE-exact, so both universes give
+        each doc the same sum."""
+        index, scorer = self.index, self.scorer
+        n = index.n_docs if docs is None else len(docs)
+        scores = np.zeros(n, dtype=np.float64) if scored else None
+        masks = {}
+        for t in terms:
+            p = index.posting(t)
+            if p is None or len(p.doc_ids) == 0:
+                continue  # matches nothing, adds nothing
+            if docs is None:
+                if scored:
+                    if len(p.doc_ids) > n // 2:
+                        scores += scorer.dense(t, p)
+                    else:
+                        scores[p.doc_ids] += scorer.contrib(t, p)
+                if tree is not None:
+                    masks[t] = m = np.zeros(n, dtype=bool)
+                    m[p.doc_ids] = True
+            elif hit is not None and t == hit[0]:
+                masks[t] = np.ones(n, dtype=bool)
+                if scored and n:
+                    c = scorer.contrib(t, p)
+                    scores += c if hit[1] is None else c[hit[1]]
+            else:
+                masks[t], pos = _find(p.doc_ids, docs)
+                if scored and masks[t].any():
+                    c = scorer.contrib(t, p).take(pos, mode="clip")
+                    scores += np.where(masks[t], c, 0.0)
+        keep = None if tree is None else _tree_mask(tree, masks, n)
+        ok = self._doc_filter(q) if docs is None else None
+        if ok is not None:
+            keep = ok if keep is None else keep & ok
+        return keep, scores
+
+    def _match(self, q: Query, scored: bool = False):
+        """``q``'s tree evaluated once, routed by its estimate (module
+        docstring): (docs, keep, scores, path). ``docs`` is the doc
+        universe (None: every doc id), ``keep`` the mask over it of the
+        matching docs (None: all of them), ``scores`` as
+        ``_tree_eval``'s and ``path`` the route (None for a lone term,
+        whose matches are its filtered posting)."""
+        node, ests = q.tree, {}
+        if isinstance(node, Term):
+            p = self.index.posting(node.key)
+            docs = np.empty(0, np.int64) if p is None else p.doc_ids
+            return docs, self._doc_filter(q, docs), None, None
+        est = self._est_size(node, ests)
+        docs = hit = None
+        if not _dense_worth(est, self.index.n_docs):
+            docs, hit = self._universe(node, q, ests)
+        keep, scores = self._tree_eval(
+            q, collect_terms(node), node, docs, scored, hit
+        )
+        return docs, keep, scores, ("dense" if docs is None else "sparse", est)
+
+    def candidates(self, q: Query) -> np.ndarray:
+        """Boolean evaluation -> sorted doc_id array: the docs that
+        match ``q``'s tree (AND = intersection, J2; OR = union, J3) and
+        pass its flag filter (M3) and the live mask. A lone term's set
+        is its filtered posting."""
+        docs, keep, _, _ = self._match(q)
+        if docs is None:
+            return np.flatnonzero(keep)
+        return docs if keep is None else docs[keep]
+
+    def count(self, q: Query) -> int:
+        """``len(candidates(q))`` without building the doc array: the
+        matching docs' mask counted, or an unfiltered lone term's df."""
+        docs, keep, _, _ = self._match(q)
+        return len(docs) if keep is None else int(np.count_nonzero(keep))
 
     def score(self, q: Query, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        docs, contribs = [], []
-        for term in collect_terms(q.tree):
-            got = self._term_contrib(term, cand)
-            if got is not None:
-                docs.append(got[0])
-                contribs.append(got[1])
-        if len(docs) > 1 and all(len(d) == len(cand) for d in docs):
-            # every term covers every candidate (the AND shape):
-            # _term_contrib returned arrays aligned on cand, so the
-            # per-doc sum is one elementwise add per term — same
-            # ascending-term float order as the scatter path, no
-            # dense re-accumulation
-            scores = contribs[0].copy()
-            for c in contribs[1:]:
-                scores += c
-            return _topk_select(cand, scores, q.k)
-        return _accumulate_topk(docs, contribs, q.k, self.index.n_docs)
+        """Top-k of the docs of the sorted ``cand`` that match ``q``'s
+        tree, by their BM25 scores; ``cand`` is taken as already
+        passing the doc filter (recall.Searcher's survivors)."""
+        keep, scores = self._tree_eval(
+            q, collect_terms(q.tree), q.tree, cand, True
+        )
+        return _topk_matches(cand, keep, scores, q.k)
+
+    def _scored_postings(self, terms: list[str]):
+        """(terms, postings, contributions) of the nonempty postings of
+        ``terms``, in the order given: the summation order."""
+        ts, ps, cs = [], [], []
+        for t in terms:
+            p = self.index.posting(t)
+            if p is not None and len(p.doc_ids):
+                ts.append(t)
+                ps.append(p)
+                cs.append(self.scorer.contrib(t, p))
+        return ts, ps, cs
+
+    def _flat_eval(self, q: Query, ts, ps, cs):
+        """Exhaustive exact top-k of a flat OR over the nonempty
+        postings ``ps`` of the terms ``ts`` (ascending), with
+        contributions ``cs``. Several postings holding a sizable share
+        of the corpus are scored over every doc id (``_tree_eval``),
+        the doc filter being one mask; every doc holding a term scores
+        > 0, so the candidates are the docs with a score. Otherwise
+        each posting is filtered and accumulated; a lone posting is
+        already unique and sorted, so it needs no accumulation."""
+        n = self.index.n_docs
+        if len(ps) > 1 and _dense_worth(sum(len(p.doc_ids) for p in ps), n):
+            keep, scores = self._tree_eval(q, ts, None, None, True)
+            if keep is None:
+                return _dense_topk(scores, q.k)
+            cand = np.flatnonzero(keep & (scores > 0.0))
+            return _topk_select(cand, scores[cand], q.k)
+        docs_l, con_l = [], []
+        for p, c in zip(ps, cs):
+            keep = self._doc_filter(q, p.doc_ids)
+            if keep is None:
+                docs_l.append(p.doc_ids)
+                con_l.append(c)
+                continue
+            # integer gathers: two boolean ones cost about twice as much
+            sel = np.flatnonzero(keep)
+            if len(sel):  # a lone surviving term skips accumulation
+                docs_l.append(p.doc_ids[sel])
+                con_l.append(c[sel])
+        return _accumulate_topk(docs_l, con_l, q.k, n)
 
     def search(self, q: Query) -> tuple[np.ndarray, np.ndarray]:
         """Top-k (doc_ids, scores), rank-identical to the oracle. Flat
@@ -933,14 +934,8 @@ class LocalEngine:
             from quickray.wand import block_max_topk
 
             return block_max_topk(self, terms, q)
-        node, ests = q.tree, {}
-        est = self._est_size(node, ests)
-        if _dense_worth(est, self.index.n_docs):
-            self.last_path = ("dense", est)
-            ts, ps, cs = self._scored_postings(collect_terms(node))
-            return self._dense_eval(q, ts, ps, cs, node)
-        self.last_path = ("sparse", est)
-        return self.score(q, self._eval(node, q, ests))
+        docs, keep, scores, self.last_path = self._match(q, scored=True)
+        return _topk_matches(docs, keep, scores, q.k)
 
 
 class _GlobalDf:
@@ -1058,7 +1053,7 @@ class MultiPartEngine:
         190-218 sums per-worker counts) — note the reference's Count()
         counts ALL forward-index docs (indexer.go:60-67), whereas this
         counts the query's live matches; no doc ids leave the parts."""
-        return sum(len(e.candidates(q)) for e in self.engines)
+        return sum(e.count(q) for e in self.engines)
 
 
 class PartitionedEngine(MultiPartEngine):

@@ -239,7 +239,7 @@ def range_filter(sf_dir: str) -> pa.Table:
     'join' with doc_len in [40, 70]."""
     eng = docs_engine(sf_dir)
     # the flag-free candidate set of a single term IS its posting
-    # (engine._leaf), so the filter is one vectorized range mask
+    # (LocalEngine.candidates), so the filter is one vectorized range mask
     p = eng.index.posting("join")
     dls = eng.index.doc_lens(p.doc_ids)
     mask = (dls >= 40) & (dls <= 70)

@@ -8,24 +8,33 @@ from quickray.codec import (
     binary_values,
     block_max_metadata,
     decode_postings,
-    encode_postings,
+    segmented_delta_encode,
     varint_decode,
-    varint_encode,
     varint_encode_sizes,
 )
+
+
+def _encode_postings(lists: list[np.ndarray]) -> tuple[bytes, np.ndarray]:
+    """The build's posting encoding of sorted doc-id lists: one
+    delta + varint stream, each list restarting at its start (the
+    returned value indices)."""
+    lens = [len(d) for d in lists]
+    starts = np.cumsum([0] + lens[:-1]).astype(np.int64)
+    ids = np.concatenate(lists) if lists else np.empty(0, np.int64)
+    return varint_encode_sizes(segmented_delta_encode(ids, starts))[0], starts
 
 
 def test_varint_roundtrip_edges():
     for vals in ([], [0], [127], [128], [2**32], [2**62], [0, 1, 2**40, 7]):
         arr = np.array(vals, dtype=np.uint64)
-        assert np.array_equal(varint_decode(varint_encode(arr), np.uint64), arr)
+        assert np.array_equal(varint_decode(varint_encode_sizes(arr)[0], np.uint64), arr)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2**62), max_size=200))
 def test_varint_roundtrip_property(vals):
     arr = np.array(vals, dtype=np.uint64)
-    assert np.array_equal(varint_decode(varint_encode(arr), np.uint64), arr)
+    assert np.array_equal(varint_decode(varint_encode_sizes(arr)[0], np.uint64), arr)
 
 
 def _leb128(v: int) -> bytes:
@@ -48,17 +57,31 @@ def test_varint_encode_matches_reference(vals):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sets(st.integers(min_value=0, max_value=10**12), max_size=300))
-def test_postings_roundtrip_property(ids):
-    arr = np.array(sorted(ids), dtype=np.int64)
-    assert np.array_equal(decode_postings(encode_postings(arr)), arr)
+@given(st.lists(
+    st.sets(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=100),
+    max_size=4,
+))
+def test_postings_roundtrip_property(id_sets):
+    """One list and several concatenated lists decode back, each
+    restarting its running sum at its start."""
+    lists = [np.array(sorted(s), dtype=np.int64) for s in id_sets]
+    want = np.concatenate(lists) if lists else np.empty(0, np.int64)
+    buf, starts = _encode_postings(lists)
+    assert np.array_equal(decode_postings(buf, starts), want)
+    for d in lists:
+        assert np.array_equal(decode_postings(_encode_postings([d])[0]), d)
 
 
 def test_postings_reject_unsorted():
+    first = np.zeros(1, dtype=np.int64)
     with pytest.raises(ValueError):
-        encode_postings(np.array([3, 2, 5], dtype=np.int64))
+        segmented_delta_encode(np.array([3, 2, 5], dtype=np.int64), first)
     with pytest.raises(ValueError):
-        encode_postings(np.array([1, 1], dtype=np.int64))
+        segmented_delta_encode(np.array([1, 1], dtype=np.int64), first)
+    # a list start may step down: only the interior must increase
+    got = segmented_delta_encode(np.array([4, 9, 2, 3], dtype=np.int64),
+                                 np.array([0, 2], dtype=np.int64))
+    assert got.tolist() == [4, 5, 2, 1]
 
 
 def test_block_max():
@@ -99,5 +122,5 @@ def test_compression_ratio_dense_ids():
     # dense-ish doc_ids must encode near 1 byte/posting (the reason for
     # delta+varint over raw int64)
     ids = np.cumsum(np.random.default_rng(0).integers(1, 4, 100_000)).astype(np.int64)
-    enc = encode_postings(ids)
+    enc, _ = _encode_postings([ids])
     assert len(enc) < len(ids) * 2

@@ -94,7 +94,9 @@ def _run_sides(monkeypatch, eng, queries):
         rows = []
         for q in queries:
             res = [eng.search(dataclasses.replace(q, k=k)) for k in KS]
-            rows.append((res, eng.candidates(q), getattr(eng, "last_path", None)))
+            cand = eng.candidates(q)
+            assert eng.count(q) == len(cand), (side, q)
+            rows.append((res, cand, getattr(eng, "last_path", None)))
         got[side] = rows
     return got
 
@@ -206,6 +208,39 @@ def test_each_estimate_once_per_query(eng, oracle, monkeypatch):
     del calls[:]
     assert eng.candidates(q).tolist() == oracle.candidates(q)
     assert sorted(calls) == sorted({r0, r1, h0, h1, m0})
+
+
+def test_sparse_tree_searches_each_term_once(eng, oracle, monkeypatch):
+    """Sparse, every query term's posting is searched over the doc
+    universe at most once per query, scores included: an And(rare,
+    hot) searches only the hot posting (its universe is the rare
+    term's filtered posting), a compound each of its terms once."""
+    df = oracle.df()
+    pools = _pools(df, oracle.n_docs)
+    (r0, r1), (h0, h1) = pools["rare"][:2], pools["hot"][:2]
+    searched = []
+    real = engine_mod._find
+
+    def counting(doc_ids, docs):
+        searched.append(len(doc_ids))
+        return real(doc_ids, docs)
+
+    monkeypatch.setattr(engine_mod, "_find", counting)
+    cases = [
+        (And((Term(r0), Term(h0))), [df[h0]]),
+        (Or((And((Term(r0), Term(h0))), And((Term(r1), Term(h1))))),
+         sorted(df[t] for t in (r0, r1, h0, h1))),
+    ]
+    for tree, want in cases:
+        for flags in FLAGS[:2]:
+            q = Query(tree=tree, k=10, **flags)
+            del searched[:]
+            ids, sc = eng.search(q)
+            assert eng.last_path[0] == "sparse", q
+            assert sorted(searched) == want, q
+            ref = oracle.search(q)
+            assert list(ids) == [d for d, _ in ref], q
+            assert np.allclose(sc, [s for _, s in ref], rtol=1e-9, atol=1e-12)
 
 
 def test_df_of_answers_segment_df(corpus, tmp_path):

@@ -13,11 +13,14 @@ its queries took, with their count, p50 and p95: for flat ORs the
 ``block_max_topk`` path (pruned, or exhaustive and why), for the
 ``and`` and ``compound`` trees the route (dense or sparse); ``paths``
 sums the flat-OR counts over their shapes. ``candidates_p50_ms`` is
-the p50 of ``candidates()`` per shape. The ``delta`` row serves the
-same index as ``DeltaEngine([index], deleted_keys=...)`` with a fixed
-1% of its keys, drawn from ``--seed``, deleted: the same figures, with
-routes split by its one part's ``last_path`` and ``count_p50_ms`` (the
-p50 of ``count()``) in place of ``candidates_p50_ms``. It also prints the build's
+the p50 of ``candidates()`` per shape, and ``candidates_routes``
+splits each shape by its search's route as ``routes`` does. The
+``delta`` row serves the same index as ``DeltaEngine([index],
+deleted_keys=...)`` with a fixed 1% of its keys, drawn from
+``--seed``, deleted: the same figures, with routes split by its one
+part's ``last_path`` and ``count_p50_ms`` and ``count_routes`` (the
+p50 of ``count()``, and its split) in place of the candidates
+figures. It also prints the build's
 phase table from its ``manifest.json`` (``build_phases``: seconds, rows
 and bytes written per phase) and ``largest_shard``: the segment
 ``shard`` with the most postings, its term and posting counts, the
@@ -218,7 +221,7 @@ def serve(eng, parts: list, queries: list, passes: int, listing) -> dict:
     ``passes`` after a cold pass), routes by the ``last_path`` of the
     ``parts`` (LocalEngines; several join their labels), the cold pass's
     p99, and the p50 of ``listing`` (``candidates`` or ``count``) per
-    shape, fastest of ``passes``."""
+    shape, fastest of ``passes``, also split by the search's route."""
     best = np.full(len(queries), np.inf)
     cold = np.empty(len(queries))
     labels = [""] * len(queries)  # each query's path, from the cold pass
@@ -265,9 +268,16 @@ def serve(eng, parts: list, queries: list, passes: int, listing) -> dict:
     }
     if blocks[1]:
         report["pruned_blocks_scored"] = round(float(blocks[0] / blocks[1]), 3)
-    name = f"{listing.__name__}_p50_ms"
-    report[name] = {
+    name = listing.__name__
+    report[f"{name}_p50_ms"] = {
         s: round(1e3 * float(np.percentile(listed[shape == s], 50)), 3)
+        for s in SHAPES
+    }
+    report[f"{name}_routes"] = {
+        s: {
+            label: _latency(listed[(shape == s) & (labels == label)])
+            for label in sorted(set(labels[shape == s]))
+        }
         for s in SHAPES
     }
     return report
