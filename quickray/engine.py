@@ -15,28 +15,32 @@
   by the ``Scorer`` it is handed (the index's own by default). The
   scorer's optional doc-indexed ``live`` mask (tombstones) filters docs
   wherever the flag bits do: both are doc-level facts, so the postings
-  served are the Index's own. It is the one place a query is routed. A
-  flat OR or single term goes to ``wand.block_max_topk``, which only
-  decides whether to prune (under any scorer) and scores the pruned
-  blocks; its exhaustive side is the engine's ``_flat_eval``. Every
-  other tree is routed once by its result-size estimate from segment
-  dfs (Term -> df, And -> min, Or -> sum) to a doc universe, and one
-  evaluator (Turtle & Flood, IP&M 1995) meets each query term once,
-  in ascending order, over it. Above ``n_docs // DENSE_DIVISOR`` the
-  universe is every doc id: each term sets one boolean doc mask and
-  adds its contributions into one doc-indexed score vector, and the
-  flag filter is one mask over the scorer's bits (bits are doc-level,
-  so this equals filtering at the leaves). Below it the universe is a
-  sorted superset of the matches, filtered at its leaves (a Term's
-  posting, an And's rarest child's universe, an Or's union), and one
-  binary search per term gives both its mask and the positions of its
-  contributions; the universe's own term, when it is one term's
-  posting, is not searched at all. Either way the tree is
-  ``logical_and``/``logical_or`` over the masks (an absent term is
-  all-false) and the top-k is selected among the matching docs. Both
-  universes add the same terms in the same order and 0.0 where a doc
-  lacks a term, so their scores are bit-identical. ``candidates`` and
-  ``count`` evaluate the same tree unscored.
+  served are the Index's own. It is the one place a query is routed,
+  and one evaluator (Turtle & Flood, IP&M 1995) scores every query: it
+  meets each query term once, in ascending order, over a doc universe.
+  A flat OR or single term goes first to ``wand.block_max_topk``,
+  which only decides whether to prune (under any scorer) and hands the
+  kept blocks' postings to the evaluator, or else hands it back to be
+  evaluated whole. A tree is routed once by its result-size estimate
+  from segment dfs (Term -> df, And -> min, Or -> sum), a flat OR by
+  its postings' summed lengths (scored, a lone posting stays sparse).
+  Above ``n_docs // DENSE_DIVISOR`` the universe is every doc id: each
+  term sets one boolean doc mask and adds its contributions into one
+  doc-indexed score vector, and the flag filter is one mask over the
+  scorer's bits (bits are doc-level, so this equals filtering at the
+  leaves). Below it the universe is a sorted superset of the matches,
+  filtered at its leaves (a Term's posting, an And's rarest child's
+  universe, an Or's union). A term whose filtered posting lies in the
+  universe (a leaf's own, carried through every union above it) marks
+  and scores its known positions; any other term is binary-searched
+  once, which gives both its mask and the positions of its
+  contributions. Either way the tree is ``logical_and``/``logical_or``
+  over the masks (an absent term is all-false) and the top-k is
+  selected among the matching docs. A scored flat OR builds no masks:
+  its matches are the docs with a score. Every universe adds the same
+  terms in the same order and 0.0 where a doc lacks a term, so a doc's
+  full score is bit-identical whichever route or prune decision ran.
+  ``candidates`` and ``count`` evaluate the same tree unscored.
 - ``MultiPartEngine``: quicker's one distributed design (every worker
   holds its own index; the Sentinel broadcasts a query and merges the
   per-worker results, sentinel.go:137-187) over built parts, each with
@@ -263,6 +267,22 @@ def _tree_mask(node, masks: dict[str, np.ndarray], n: int) -> np.ndarray:
         return functools.reduce(red, (_tree_mask(c, masks, n) for c in node.children))
     return np.zeros(n, dtype=bool)
 
+
+def _union(parts: list) -> tuple[np.ndarray, dict]:
+    """An Or's doc universe from its children's (docs, hits) ``parts``
+    (``LocalEngine._universe``): the sorted union of their docs, with
+    every child's hits carried over by one ``searchsorted`` of its docs
+    into the union, so a hit term is never searched."""
+    if len(parts) == 1:
+        return parts[0]
+    docs = np.unique(np.concatenate([d for d, _ in parts]))
+    hits = {}
+    for d, h in parts:
+        if h:
+            at = np.searchsorted(docs, d)
+            for t, (ix, pos) in h.items():
+                hits[t] = (at if ix is None else at[ix], pos)
+    return docs, hits
 
 
 # postings per preload decode chunk. A chunk's transients (gathered
@@ -629,67 +649,25 @@ class Index:
         return self._seg.select(["term", "df"])
 
 
-def _accumulate_topk(
-    doc_arrays: list[np.ndarray],
-    contrib_arrays: list[np.ndarray],
-    k: int,
-    n_docs: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum per-term contributions per doc (term-sorted input order ->
-    deterministic float summation) and return top-k by (-score, doc_id).
-
-    Once the postings are a sizable share of the ``n_docs`` doc-id
-    space, accumulation is a scatter-add into a doc-indexed array and
-    top-k is partition-select + a lexsort of only the k-and-ties
-    candidates — exact same result as the full sort (both paths sum in
-    order of appearance = ascending term)."""
-    if not doc_arrays:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    total = sum(len(d) for d in doc_arrays)
-    if len(doc_arrays) == 1:
-        # single posting list: docs are already unique and sorted — no
-        # accumulation needed at all
-        uniq, scores = doc_arrays[0], contrib_arrays[0]
-    elif _dense_worth(total, n_docs):
-        # dense only when postings are a sizable fraction of the corpus;
-        # small queries would pay O(n_docs) allocation for nothing.
-        # Per-term scatter-add (docs are unique WITHIN a term, so plain
-        # fancy-index += is exact) beats a weighted bincount over the
-        # concatenation ~4x and skips the concat copies; the per-doc
-        # float summation order (ascending term) is unchanged.
-        scores_d = np.zeros(n_docs, dtype=np.float64)
-        for d, c in zip(doc_arrays, contrib_arrays):
-            scores_d[d] += c
-        return _dense_topk(scores_d, k)
-    else:
-        docs = np.concatenate(doc_arrays)
-        contribs = np.concatenate(contrib_arrays)
-        uniq, inv = np.unique(docs, return_inverse=True)
-        scores = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(scores, inv, contribs)
-    return _topk_select(uniq, scores, k)
-
-
-def _topk_select(
-    uniq: np.ndarray, scores: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k of (doc, score) pairs by (-score, doc_id): partition down
-    to the k-th value + ties, then lexsort only that candidate set —
-    identical result to a full sort."""
-    if len(uniq) > max(k, 0) > 0 and len(uniq) > 4 * k:
+def _topk_matches(docs, keep, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k by (-score, doc_id) of the docs that ``keep`` marks in a
+    doc universe (``docs``; None: every doc id), by ``scores`` over it.
+    ``keep`` None marks every doc of a sparse universe and, over every
+    doc id, the docs with a score (``_dense_topk``). Integer gathers: a
+    boolean one over every doc id costs more. A partition down to the
+    k-th value and its ties, then a lexsort of only those, is identical
+    to a full sort."""
+    if keep is not None:
+        idx = np.flatnonzero(keep)
+        docs, scores = idx if docs is None else docs[idx], scores[idx]
+    elif docs is None:
+        return _dense_topk(scores, k)
+    if len(docs) > max(k, 0) > 0 and len(docs) > 4 * k:
         kth = np.partition(scores, len(scores) - k)[len(scores) - k]
         cand = scores >= kth  # k-th largest value + all ties
-        uniq, scores = uniq[cand], scores[cand]
-    order = np.lexsort((uniq, -scores))[:k]
-    return uniq[order], scores[order]
-
-
-def _topk_matches(docs, keep, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k of the docs that ``keep`` marks in a doc universe (``docs``;
-    None: every doc id), by ``scores`` over it. Integer gathers: a
-    boolean one over every doc id costs more."""
-    idx = np.flatnonzero(keep)
-    return _topk_select(idx if docs is None else docs[idx], scores[idx], k)
+        docs, scores = docs[cand], scores[cand]
+    order = np.lexsort((docs, -scores))[:k]
+    return docs[order], scores[order]
 
 
 class LocalEngine:
@@ -755,104 +733,144 @@ class LocalEngine:
             ests[key] = est
         return est
 
-    def _universe(self, node, q: Query, ests: dict):
+    def _universe(self, node, q: Query, ests: dict, ps: dict):
         """A sorted superset of ``node``'s matches whose docs all pass
         ``q``'s doc filter: a Term's filtered posting, an And's rarest
         child's universe (by ``_est_size``, memo ``ests``), an Or's
-        union of its children's. Returns (docs, hit): ``hit`` is (term,
-        positions of ``docs`` in its posting, None for all of it) when
-        ``docs`` is that one term's filtered posting, else None. A
-        method, not a recursive closure: a closure that calls itself is
-        a reference cycle holding the engine until a full collection."""
+        ``_union`` of its children's; ``ps`` holds the query's postings
+        by term. Returns (docs, hits): ``hits`` maps each term whose
+        filtered docs all lie in ``docs`` to (their indexes in ``docs``,
+        None for all of it; their positions in its posting, None for
+        all of it), and such a term is never searched. A method, not a
+        recursive closure: a closure that calls itself is a reference
+        cycle holding the engine until a full collection."""
         if isinstance(node, Term):
-            p = self.index.posting(node.key)
+            p = ps[node.key]
             if p is None:
-                return np.empty(0, np.int64), None
+                return np.empty(0, np.int64), {}
             keep = self._doc_filter(q, p.doc_ids)
             if keep is None:
-                return p.doc_ids, (node.key, None)
+                return p.doc_ids, {node.key: (None, None)}
             pos = np.flatnonzero(keep)
-            return p.doc_ids[pos], (node.key, pos)
+            return p.doc_ids[pos], {node.key: (None, pos)}
         if node is None or not node.children:
-            return np.empty(0, np.int64), None
+            return np.empty(0, np.int64), {}
         if isinstance(node, And):
             rarest = min(node.children, key=lambda c: self._est_size(c, ests))
-            return self._universe(rarest, q, ests)
-        got = [self._universe(c, q, ests) for c in node.children]
-        if len(got) == 1:
-            return got[0]
-        return functools.reduce(np.union1d, [docs for docs, _ in got]), None
+            return self._universe(rarest, q, ests, ps)
+        # a repeated child (Or(a, a)) adds nothing to the union
+        kids = dict.fromkeys(node.children)
+        return _union([self._universe(c, q, ests, ps) for c in kids])
 
-    def _tree_eval(self, q: Query, terms, tree, docs, scored: bool, hit=None):
-        """One pass over ``terms`` (ascending: the summation order) for
-        the doc universe ``docs``: None is every doc id, a sorted array
-        those docs (``_universe``, whose ``hit`` term needs no search).
-        Each nonempty posting is met once. Dense, it sets its doc mask
-        and, if ``scored``, adds its contributions by doc id (its
-        ``Scorer.dense`` vector when df > N/2); sparse, one ``_find``
-        gives both the mask and the positions of its contributions,
-        which are computed only for a term holding a doc of the
+    def _tree_eval(self, q: Query, ps: dict, tree, docs, scored: bool, hits: dict):
+        """One pass over the postings ``ps`` (by term, ascending: the
+        summation order) for the doc universe ``docs``: None is every
+        doc id, a sorted array those docs (``_universe``). Each nonempty
+        posting is met once. A term of ``hits`` (term -> its indexes in
+        the universe, doc ids over every doc id, and its positions in
+        its posting) marks and scores those and is never searched. Any
+        other term, dense, marks its doc ids and adds its contributions
+        there (its ``Scorer.dense`` vector when df > N/2); sparse, one
+        ``_find`` gives its mask and the positions of its
+        contributions, computed only for a term holding a doc of the
         universe (a cold scorer pays a BM25 pass and a global df).
-        Returns (keep, scores): the mask over the universe of the docs
-        that match ``tree`` and, over every doc id, pass ``q``'s doc
-        filter (a sparse universe has passed it; with no ``tree`` the
-        filter alone, None when it excludes nothing), and the float64
-        scores over the universe (None unless ``scored``). Adding 0.0
-        where a doc lacks a term is IEEE-exact, so both universes give
-        each doc the same sum."""
-        index, scorer = self.index, self.scorer
-        n = index.n_docs if docs is None else len(docs)
-        scores = np.zeros(n, dtype=np.float64) if scored else None
+        Returns (keep, scores): the float64 scores over the universe
+        (None unless ``scored``; read-only, as they may be a memoized
+        vector) and the mask over it of the docs that match ``tree``
+        and pass ``q``'s doc filter, which a sparse universe and docs
+        reached only through hits have passed. With no ``tree`` the
+        matches are the docs holding a term: None over a sparse
+        universe, and scored over every doc id, the docs with a score
+        (None when the filter excludes nothing). Adding 0.0 where a doc
+        lacks a term is IEEE-exact, so every universe gives each doc
+        the same sum."""
+        scorer = self.scorer
+        n = self.index.n_docs if docs is None else len(docs)
+        # the sums start as the first term's contributions over the
+        # whole universe (0.0 + c is c), copied before anything adds to
+        # a memoized vector
+        scores, owned = None, False
         masks = {}
-        for t in terms:
-            p = index.posting(t)
+        for t, p in ps.items():
             if p is None or len(p.doc_ids) == 0:
                 continue  # matches nothing, adds nothing
-            if docs is None:
-                if scored:
-                    if len(p.doc_ids) > n // 2:
-                        scores += scorer.dense(t, p)
-                    else:
-                        scores[p.doc_ids] += scorer.contrib(t, p)
+            hit = hits.get(t)
+            if hit is not None or docs is None:
+                # contributions c at universe indexes ix (None: all of
+                # it); a dense term that is no hit scatters its posting
+                ix, pos = hit or (p.doc_ids, None)
                 if tree is not None:
                     masks[t] = m = np.zeros(n, dtype=bool)
-                    m[p.doc_ids] = True
-            elif hit is not None and t == hit[0]:
-                masks[t] = np.ones(n, dtype=bool)
-                if scored and n:
-                    c = scorer.contrib(t, p)
-                    scores += c if hit[1] is None else c[hit[1]]
+                    m[slice(None) if ix is None else ix] = True
+                if not scored or (pos is not None and not len(pos)):
+                    continue
+                if docs is None and pos is None and len(p.doc_ids) > n // 2:
+                    ix, c, fresh = None, scorer.dense(t, p), False
+                else:
+                    c, fresh = scorer.contrib(t, p), pos is not None
+                    if fresh:
+                        c = c[pos]
             else:
                 masks[t], pos = _find(p.doc_ids, docs)
-                if scored and masks[t].any():
-                    c = scorer.contrib(t, p).take(pos, mode="clip")
-                    scores += np.where(masks[t], c, 0.0)
+                if not (scored and masks[t].any()):
+                    continue
+                c = scorer.contrib(t, p).take(pos, mode="clip")
+                ix, c, fresh = None, np.where(masks[t], c, 0.0), True
+            if scores is None and ix is None:
+                scores, owned = c, fresh
+                continue
+            if not owned:
+                scores = np.zeros(n) if scores is None else scores.copy()
+                owned = True
+            if ix is None:
+                scores += c
+            else:
+                scores[ix] += c
+        if scored and scores is None:
+            scores = np.zeros(n)
         keep = None if tree is None else _tree_mask(tree, masks, n)
-        ok = self._doc_filter(q) if docs is None else None
-        if ok is not None:
-            keep = ok if keep is None else keep & ok
+        if docs is None and len(hits) < len(ps):  # some term is no hit
+            ok = self._doc_filter(q)
+            if ok is not None:
+                keep = ok & (scores > 0.0) if keep is None else keep & ok
         return keep, scores
 
-    def _match(self, q: Query, scored: bool = False):
-        """``q``'s tree evaluated once, routed by its estimate (module
-        docstring): (docs, keep, scores, path). ``docs`` is the doc
-        universe (None: every doc id), ``keep`` the mask over it of the
-        matching docs (None: all of them), ``scores`` as
-        ``_tree_eval``'s and ``path`` the route (None for a lone term,
-        whose matches are its filtered posting)."""
+    def _match(self, q: Query, scored: bool = False, ps: dict | None = None):
+        """``q``'s tree evaluated once, routed once (module docstring):
+        (docs, keep, scores, path). ``ps`` holds the query's postings by
+        term, ascending (fetched here unless given). ``docs`` is the doc
+        universe (None: every doc id), ``keep`` and ``scores`` as
+        ``_tree_eval``'s, and ``path`` a tree's route and estimate (None
+        for a flat OR, routed by its distinct postings' summed lengths).
+        A flat OR builds no masks when scored (its matches are the docs
+        with a score) or sparse (its universe holds only matches).
+        Unscored, a lone term's universe is its whole posting and
+        ``keep`` the doc filter over it: ``count`` builds no doc
+        array."""
         node, ests = q.tree, {}
-        if isinstance(node, Term):
+        if isinstance(node, Term) and not scored:
+            # a lone term's matches: its posting under the doc filter
             p = self.index.posting(node.key)
             docs = np.empty(0, np.int64) if p is None else p.doc_ids
             return docs, self._doc_filter(q, docs), None, None
-        est = self._est_size(node, ests)
-        docs = hit = None
-        if not _dense_worth(est, self.index.n_docs):
-            docs, hit = self._universe(node, q, ests)
-        keep, scores = self._tree_eval(
-            q, collect_terms(node), node, docs, scored, hit
-        )
-        return docs, keep, scores, ("dense" if docs is None else "sparse", est)
+        if ps is None:
+            ps = {t: self.index.posting(t) for t in collect_terms(node)}
+        flat = flat_or_terms(node) is not None
+        n = self.index.n_docs
+        if flat:
+            sizes = [len(p.doc_ids) for p in ps.values() if p is not None]
+            path = None
+            dense = (len(sizes) > 1 or not scored) and _dense_worth(sum(sizes), n)
+        else:
+            est = self._est_size(node, ests)
+            dense = _dense_worth(est, n)
+            path = ("dense" if dense else "sparse", est)
+        docs, hits = None, {}
+        if not dense:
+            docs, hits = self._universe(node, q, ests, ps)
+        tree = None if flat and (scored or not dense) else node
+        keep, scores = self._tree_eval(q, ps, tree, docs, scored, hits)
+        return docs, keep, scores, path
 
     def candidates(self, q: Query) -> np.ndarray:
         """Boolean evaluation -> sorted doc_id array: the docs that
@@ -866,7 +884,8 @@ class LocalEngine:
 
     def count(self, q: Query) -> int:
         """``len(candidates(q))`` without building the doc array: the
-        matching docs' mask counted, or an unfiltered lone term's df."""
+        matching docs' mask counted, or a sparse universe's size when
+        it holds only matches."""
         docs, keep, _, _ = self._match(q)
         return len(docs) if keep is None else int(np.count_nonzero(keep))
 
@@ -874,57 +893,15 @@ class LocalEngine:
         """Top-k of the docs of the sorted ``cand`` that match ``q``'s
         tree, by their BM25 scores; ``cand`` is taken as already
         passing the doc filter (recall.Searcher's survivors)."""
-        keep, scores = self._tree_eval(
-            q, collect_terms(q.tree), q.tree, cand, True
-        )
+        ps = {t: self.index.posting(t) for t in collect_terms(q.tree)}
+        keep, scores = self._tree_eval(q, ps, q.tree, cand, True, {})
         return _topk_matches(cand, keep, scores, q.k)
-
-    def _scored_postings(self, terms: list[str]):
-        """(terms, postings, contributions) of the nonempty postings of
-        ``terms``, in the order given: the summation order."""
-        ts, ps, cs = [], [], []
-        for t in terms:
-            p = self.index.posting(t)
-            if p is not None and len(p.doc_ids):
-                ts.append(t)
-                ps.append(p)
-                cs.append(self.scorer.contrib(t, p))
-        return ts, ps, cs
-
-    def _flat_eval(self, q: Query, ts, ps, cs):
-        """Exhaustive exact top-k of a flat OR over the nonempty
-        postings ``ps`` of the terms ``ts`` (ascending), with
-        contributions ``cs``. Several postings holding a sizable share
-        of the corpus are scored over every doc id (``_tree_eval``),
-        the doc filter being one mask; every doc holding a term scores
-        > 0, so the candidates are the docs with a score. Otherwise
-        each posting is filtered and accumulated; a lone posting is
-        already unique and sorted, so it needs no accumulation."""
-        n = self.index.n_docs
-        if len(ps) > 1 and _dense_worth(sum(len(p.doc_ids) for p in ps), n):
-            keep, scores = self._tree_eval(q, ts, None, None, True)
-            if keep is None:
-                return _dense_topk(scores, q.k)
-            cand = np.flatnonzero(keep & (scores > 0.0))
-            return _topk_select(cand, scores[cand], q.k)
-        docs_l, con_l = [], []
-        for p, c in zip(ps, cs):
-            keep = self._doc_filter(q, p.doc_ids)
-            if keep is None:
-                docs_l.append(p.doc_ids)
-                con_l.append(c)
-                continue
-            # integer gathers: two boolean ones cost about twice as much
-            sel = np.flatnonzero(keep)
-            if len(sel):  # a lone surviving term skips accumulation
-                docs_l.append(p.doc_ids[sel])
-                con_l.append(c[sel])
-        return _accumulate_topk(docs_l, con_l, q.k, n)
 
     def search(self, q: Query) -> tuple[np.ndarray, np.ndarray]:
         """Top-k (doc_ids, scores), rank-identical to the oracle. Flat
-        ORs go to wand.block_max_topk; any other tree is routed once by
-        its estimated result size (module docstring)."""
+        ORs go to wand.block_max_topk, which prunes or hands them back
+        to ``_match``; any other tree is routed once by its estimated
+        result size (module docstring)."""
         if q.k < 0:
             # numpy [:k] with negative k keeps n-|k| rows (drops from
             # the END); a nonsensical k must yield zero hits, not n-1
@@ -1112,8 +1089,7 @@ class QueryEngineActor:
             self.engine.index.docmeta_arrays(self.hydrate_cols)
 
     def _contrib_rows(self, batch: pa.Table) -> pa.Table:
-        from quickray.query import flat_or_terms
-
+        eng = self.engine
         # posting-sized outputs stay numpy until the final Arrow wrap
         # (a .tolist() here made one PyObject per posting entry)
         seg_qids: list[str] = []
@@ -1126,15 +1102,16 @@ class QueryEngineActor:
             if terms is None:
                 raise ValueError("contrib mode serves flat OR queries only")
             for t in sorted(set(terms)):
-                p = self.engine.index.posting(t)
+                p = eng.index.posting(t)
                 if p is None:
                     continue
-                bits = self.engine.scorer.bits[p.doc_ids]
-                m = flags_mask(bits, q.on_flag, q.off_flag, q.or_flags)
-                d = p.doc_ids[m]
                 # contribs are memoized by the scorer — repeated terms
                 # across the query batch cost one gather each
-                c = self.engine.scorer.contrib(t, p)[m]
+                d, c = p.doc_ids, eng.scorer.contrib(t, p)
+                keep = eng._doc_filter(q, d)
+                if keep is not None:
+                    sel = np.flatnonzero(keep)
+                    d, c = d[sel], c[sel]
                 seg_qids.append(q.id)
                 seg_lens.append(len(d))
                 doc_parts.append(d)

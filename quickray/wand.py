@@ -49,6 +49,15 @@ Pruning is rank-identical to exhaustive evaluation:
   score partial <= full < theta0 and cannot enter or tie into the
   top-k.
 
+The kept blocks' live positions go to the engine's one evaluator
+(``LocalEngine._tree_eval``) as hits: each term scatters its
+contributions at them, into doc ids when the kept postings of several
+terms hold a sizable share of the corpus (``engine._dense_worth``),
+else into their union (``engine._union``). Terms are summed in the
+exhaustive side's order, so a kept doc's score is bit-identical to its
+exhaustive one. Docs outside the kept ranges score partially, which
+the last point above allows.
+
 With theta0 known before any gather, pruning has no late exits: fewer
 than k candidates, a non-finite theta, nothing pruned and more than
 half the span kept are all ruled out by ``plan``. theta is not
@@ -67,7 +76,7 @@ from __future__ import annotations
 import numpy as np
 
 from quickray.codec import expand_ranges as _expand_blocks
-from quickray.engine import _accumulate_topk
+from quickray.engine import _dense_worth, _topk_matches, _union
 from quickray.query import Query
 
 # exhaustive work (postings, capped at n_docs) up to which scoring
@@ -148,27 +157,32 @@ def plan(ps: list, k: int, filtered: bool, n_docs: int, blocks):
 def block_max_topk(engine, terms: list[str], q: Query):
     """Top-k for a flat OR / single-term query on any LocalEngine:
     prunes with the block maxima of the engine's scorer (module
-    docstring) and scores the kept blocks' live docs; the exhaustive
-    side is the engine's own ``_flat_eval``."""
+    docstring) and hands the kept blocks' live postings to the engine's
+    evaluator as hits; the exhaustive side is the engine's ``_match``."""
     index, scorer = engine.index, engine.scorer
-    # nonempty query terms, their postings and exact contributions, in
-    # a fixed summation order (oracle-identical)
-    ts, ps, cs = engine._scored_postings(sorted(set(terms)))
+    # the query's postings in the summation order (oracle-identical),
+    # fetched once for plan and the evaluator
+    ps, nonempty = {}, {}
+    for t in sorted(set(terms)):
+        ps[t] = p = index.posting(t)
+        if p is not None and len(p.doc_ids):
+            nonempty[t] = p
     path, why, kept = plan(
-        ps, q.k, q.has_flags, index.n_docs,
-        lambda: [scorer.blocks(t, p) for t, p in zip(ts, ps)],
+        list(nonempty.values()), q.k, q.has_flags, index.n_docs,
+        lambda: [scorer.blocks(t, p) for t, p in nonempty.items()],
     )
     if path == "exhaustive":
         engine.last_path = ("exhaustive", why)
-        return engine._flat_eval(q, ts, ps, cs)
+        docs, keep, scores, _ = engine._match(q, True, ps)
+        return _topk_matches(docs, keep, scores, q.k)
 
     # ---- score only blocks that intersect a kept doc-range (plan
     # prunes only without a flag filter; dead docs are dropped here)
     starts_k, ends_k = kept
     live = scorer.live
-    docs_f, contribs_f = [], []
+    hits = {}
     scored = total = 0
-    for t, p, c in zip(ts, ps, cs):
+    for t, p in nonempty.items():
         last = scorer.blocks(t, p)[0]
         # block b holds postings [b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)
         bstarts = np.arange(len(last), dtype=np.int64) * BLOCK_SIZE
@@ -183,7 +197,14 @@ def block_max_topk(engine, terms: list[str], q: Query):
             pos = _expand_blocks(bstarts[surv], bends[surv])
             if live is not None:
                 pos = pos[live[p.doc_ids[pos]]]
-            docs_f.append(p.doc_ids[pos])
-            contribs_f.append(c[pos])
+            hits[t] = (p.doc_ids[pos], pos)
     engine.last_path = ("pruned", scored, total)
-    return _accumulate_topk(docs_f, contribs_f, q.k, index.n_docs)
+    # kept postings of several terms holding a sizable share of the
+    # corpus scatter into doc ids, any others into their union
+    kept_ps = {t: ps[t] for t in hits}
+    docs = None
+    work = sum(len(d) for d, _ in hits.values())
+    if len(hits) < 2 or not _dense_worth(work, index.n_docs):
+        docs, hits = _union([(d, {t: (None, pos)}) for t, (d, pos) in hits.items()])
+    keep, scores = engine._tree_eval(q, kept_ps, None, docs, True, hits)
+    return _topk_matches(docs, keep, scores, q.k)

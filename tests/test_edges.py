@@ -221,18 +221,44 @@ def test_minhash_no_candidates(ray_session):
     assert rows == []
 
 
-def test_topk_k_exceeds_corpus_dense_path():
-    """k >= n_docs must not crash the dense accumulate partition
-    (regression: np.partition(kth=n_docs-k) went negative on tiny
-    corpora) and must return every matching doc, ranked."""
-    from quickray.engine import _accumulate_topk, _dense_topk
+def test_topk_k_exceeds_corpus_dense_path(tmp_path, monkeypatch):
+    """k >= n_docs must not crash a dense top-k partition (regression:
+    np.partition(kth=n_docs-k) went negative on tiny corpora) and must
+    return every matching doc, ranked: through ``LocalEngine.search``
+    for a dense flat OR, a sparse flat OR and a lone term, and through
+    ``_dense_topk`` itself."""
+    from quickray import engine as engine_mod
+    from quickray.engine import _dense_topk
 
-    n_docs = 7
-    docs = [np.array([0, 2, 4, 6]), np.array([0, 1, 2, 3, 4, 5, 6])]
-    contribs = [np.full(4, 2.0), np.full(7, 1.0)]
-    ids, sc = _accumulate_topk(docs, contribs, k=10, n_docs=n_docs)
-    assert ids.tolist() == [0, 2, 4, 6, 1, 3, 5]
-    assert sc.tolist() == [3.0, 3.0, 3.0, 3.0, 1.0, 1.0, 1.0]
+    out = _tiny(tmp_path, ["alpha beta", "beta"] * 3 + ["alpha beta"])
+    eng = LocalEngine(Index(out))
+    assert eng.index.n_docs == 7
+    dense_calls = []
+
+    def counting(scores, k):
+        dense_calls.append(k)
+        return _dense_topk(scores, k)
+
+    monkeypatch.setattr(engine_mod, "_dense_topk", counting)
+    flat = Or((Term("alpha"), Term("beta")))
+    got = {}
+    for side, div in (("dense", 16), ("sparse", 0)):
+        monkeypatch.setattr(engine_mod, "DENSE_DIVISOR", div)
+        for k in (7, 10):
+            del dense_calls[:]
+            got[side, k] = eng.search(Query(tree=flat, k=k))
+            assert dense_calls == ([k] if side == "dense" else []), side
+            ids, sc = got[side, k]
+            # alpha's idf outweighs beta's shorter docs
+            assert ids.tolist() == [0, 2, 4, 6, 1, 3, 5], side
+            assert sc[0] == sc[3] > sc[4] == sc[6] > 0.0, side
+        del dense_calls[:]
+        ids, sc = eng.search(Query(tree=Term("beta"), k=10))
+        assert ids.tolist() == [1, 3, 5, 0, 2, 4, 6]
+        assert sc[0] == sc[2] > sc[3] == sc[6] > 0.0
+        assert dense_calls == []  # a lone term scores its posting
+    for k in (7, 10):
+        assert np.array_equal(got["dense", k][1], got["sparse", k][1])
 
     dense = np.zeros(5)
     dense[[1, 3]] = [0.5, 2.5]

@@ -1,10 +1,11 @@
-"""Tree queries (anything but one term or a flat OR) on both sides of
-the dense gate: term-at-a-time evaluation over doc-indexed arrays, and
-sorted-array set algebra with binary-search scoring.
+"""Queries on both sides of the dense gate: term-at-a-time evaluation
+over doc-indexed arrays, and sorted-array set algebra with
+binary-search scoring. A lone term scores its filtered posting on
+either side.
 
 Random And/Or trees of depth <= 3 over hot (stopword-grade), mid, rare
-and missing terms, without and with each flag kind, at k in
-{0, 1, 10, 100}. Each side is forced by patching
+and missing terms (flat ORs among them), and lone terms, without and
+with each flag kind, at k in {0, 1, 10, 100}. Each side is forced by patching
 ``engine.DENSE_DIVISOR``; the two must give array-equal ids, scores and
 candidates, and both must be rank-identical to the Oracle with scores
 within 1e-9. The same holds on a DeltaEngine after add, update and
@@ -73,8 +74,13 @@ def _trees(pools, n, seed):
         Or((And((Term(h[0]), Term(h[1]))), And((Term(h[2]), Term(h[3]))))),
         And((Or((Term(m[0]), Term(m[1]))), Term(h[1]), Or(()))),
     ]
-    trees = fixed + [_tree(rng, pools) for _ in range(n)]
-    return [t for t in trees if flat_or_terms(t) is None]
+    flat = [
+        Term(h[0]), Term(m[0]), Term(r[0]), Term(MISSING),
+        Or((Term(h[0]), Term(h[1]))),
+        Or((Term(r[0]), Term(m[0]), Term(MISSING))),
+        Or((Term(h[2]), Term(MISSING))),
+    ]
+    return fixed + flat + [_tree(rng, pools) for _ in range(n)]
 
 
 def _queries(trees, flags):
@@ -154,12 +160,16 @@ def test_dense_and_sparse_trees_agree_with_oracle(eng, oracle, monkeypatch):
     got = _run_sides(monkeypatch, eng, queries)
     _assert_sides_equal(got, queries)
     _assert_oracle(got["dense"], queries, oracle)
-    # each side took its own route
-    dense = [p for *_, p in got["dense"]]
-    sparse = [p for *_, p in got["sparse"]]
+    # each side took its own route; a flat OR's path is wand's
+    flat = [flat_or_terms(q.tree) is not None for q in queries]
+    dense = [p for (*_, p), f in zip(got["dense"], flat) if not f]
+    sparse = [p for (*_, p), f in zip(got["sparse"], flat) if not f]
     assert all(p[0] == "dense" for p in dense if p[1]), dense
     assert {p[0] for p in sparse} == {"sparse"}, sparse
-    assert sum(p[1] > 0 for p in dense) > len(queries) // 2
+    assert sum(p[1] > 0 for p in dense) > len(dense) // 2
+    wand = [p for side in got.values() for (*_, p), f in zip(side, flat) if f]
+    assert len(wand) >= 2 * 7 * len(FLAGS)
+    assert {p[0] for p in wand} == {"exhaustive"}, wand
 
 
 def test_gate_routes_by_estimate(eng, oracle):
@@ -211,10 +221,12 @@ def test_each_estimate_once_per_query(eng, oracle, monkeypatch):
 
 
 def test_sparse_tree_searches_each_term_once(eng, oracle, monkeypatch):
-    """Sparse, every query term's posting is searched over the doc
-    universe at most once per query, scores included: an And(rare,
-    hot) searches only the hot posting (its universe is the rare
-    term's filtered posting), a compound each of its terms once."""
+    """Sparse, a query term's posting is searched over the doc universe
+    at most once per query, scores included, and a term whose filtered
+    posting lies in the universe not at all: an And(rare, hot) and a
+    compound of two such Ands search only their hot postings (each
+    universe carries its rare terms' positions, the Or's union
+    included); a flat OR and a lone term search nothing."""
     df = oracle.df()
     pools = _pools(df, oracle.n_docs)
     (r0, r1), (h0, h1) = pools["rare"][:2], pools["hot"][:2]
@@ -227,16 +239,18 @@ def test_sparse_tree_searches_each_term_once(eng, oracle, monkeypatch):
 
     monkeypatch.setattr(engine_mod, "_find", counting)
     cases = [
-        (And((Term(r0), Term(h0))), [df[h0]]),
+        (And((Term(r0), Term(h0))), "sparse", [df[h0]]),
         (Or((And((Term(r0), Term(h0))), And((Term(r1), Term(h1))))),
-         sorted(df[t] for t in (r0, r1, h0, h1))),
+         "sparse", sorted([df[h0], df[h1]])),
+        (Or((Term(r0), Term(r1))), "exhaustive", []),
+        (Term(r0), "exhaustive", []),
     ]
-    for tree, want in cases:
+    for tree, route, want in cases:
         for flags in FLAGS[:2]:
             q = Query(tree=tree, k=10, **flags)
             del searched[:]
             ids, sc = eng.search(q)
-            assert eng.last_path[0] == "sparse", q
+            assert eng.last_path[0] == route, q
             assert sorted(searched) == want, q
             ref = oracle.search(q)
             assert list(ids) == [d for d, _ in ref], q

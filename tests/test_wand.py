@@ -70,9 +70,10 @@ def _force(monkeypatch, side):
 def _maxima(engine, terms):
     """Each nonempty query term's block maxima, from the engine's
     scorer, one per ``wand.BLOCK_SIZE`` postings."""
-    ts, ps, _ = engine._scored_postings(sorted(set(terms)))
-    bms = [engine.scorer.blocks(t, p)[1] for t, p in zip(ts, ps)]
-    for p, bm in zip(ps, bms):
+    ps = {t: engine.index.posting(t) for t in sorted(set(terms))}
+    ps = {t: p for t, p in ps.items() if p is not None}
+    bms = [engine.scorer.blocks(t, p)[1] for t, p in ps.items()]
+    for p, bm in zip(ps.values(), bms):
         assert len(bm) == -(-len(p.doc_ids) // wand.BLOCK_SIZE)
     return bms
 
@@ -129,6 +130,8 @@ def test_forced_paths_match_oracle(engine, oracle, monkeypatch):
         assert ids_e.tolist() == want_ids, q.id
         np.testing.assert_allclose(sc_p, [s for _, s in want], rtol=1e-9, atol=0)
         np.testing.assert_allclose(sc_e, [s for _, s in want], rtol=1e-9, atol=0)
+        # both sides sum each doc's contributions in ascending term order
+        assert np.array_equal(sc_p, sc_e), q.id
         assert path_e == ("exhaustive", "below cutoff") or q.k == 0, q.id
         shape = q.id.split(":")[0]
         deep = wand.theta_floor(_maxima(engine, [
