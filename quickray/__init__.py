@@ -4,9 +4,9 @@ A from-scratch reimplementation of the *capabilities* of hjrbill/quicker
 (see /root/reference, SURVEY.md) as a batch Ray Data pipeline over Arrow:
 
 - build: Parquet code corpus -> deterministic doc_ids -> one tokenizing
-  pass into per-batch compressed posting runs -> one groupby-on-term-hash
-  merge -> sorted delta+varint posting lists -> checkpointed posting
-  segments + manifest.
+  pass into per-batch compressed posting runs, written split by term-hash
+  merge group -> one sort-free merge per group -> sorted delta+varint
+  posting lists -> checkpointed posting segments + manifest.
 - query: boolean And/Or set algebra bit-identical to quicker's
   skiplist_reverse_index.go semantics, plus BM25 top-k with block-max
   pruning over block maxima derived at serving time and a bounded

@@ -7,22 +7,29 @@ Phases (each checkpointed, see checkpoint.Manifest):
             ray.put so every later stage stamps doc_id with a local C++
             hash probe. Content never shuffles for id assignment.
   docbase   THE one content pass: each tokenizer batch is tokenized
-            once into doc_id + sha256(content) + doc_len + bits(lang,
-            path) (kind=0 rows) AND its compressed posting runs, content
-            and field keys alike (kind=1 rows: term, mpart = hash(term) %
-            num_shards, min_doc, df, delta+varint doc ids, varint tfs) -> one
-            combined table. The corpus itself is NOT rewritten, and no
-            later phase reads content.
+            once into its doc rows (doc_id + sha256(content) + doc_len +
+            bits(lang, path)) -> docbase/ parquet, AND its compressed
+            posting runs, content and field keys alike (term, mpart =
+            hash(term) % num_shards, min_doc, df, delta+varint doc ids,
+            varint tfs) -> one Arrow IPC file per batch under runs/,
+            split into one record batch per merge group
+            (merge.write_runs). The corpus itself is NOT rewritten, and
+            no later phase reads content.
   docmeta   one driver read of the docbase doc rows writes them, sorted
             by doc_id, as docmeta (the forward index, J1 analog) and
             writes stats.json (n_docs / total_tokens / avgdl, exact
             dense-id check) — no Ray job, zero content or run reads.
-  segments  THE one merge: groupby(mpart) over the docbase runs ->
-            vectorized partition merge -> one segment file per merge
+  segments  THE one merge: a map over the merge groups still to merge,
+            in at most one task per cluster CPU (one on the local
+            executor), each task memory-mapping every runs file and
+            taking its groups' record batches (merge.group_runs) ->
+            vectorized group merge -> one segment file per merge
             group, segments/{mpart:05d}.parquet, written by the task
             that merges the group (doc ids + tfs; doc_len and bits stay
-            in docmeta). It scores nothing and reads no docmeta or
-            statistics. A rerun merges only the groups with no file.
+            in docmeta). No sort and no shuffle: the docbase pass
+            already split its runs by group. It scores nothing and
+            reads no docmeta or statistics. A rerun merges only the
+            groups with no file, reading only their runs.
 
 Skew: a merge group holds every run of its terms, so the largest group
 is the mpart that holds the hottest terms. Salting a hot term's runs
@@ -31,15 +38,16 @@ its one segment row. The merge orders terms by value and re-sorts
 decoded values by (term, doc_id), so neither correctness nor a group
 file's bytes depend on run arrival order (SURVEY §7.4; merge.py).
 
-Scale notes: the only all-to-all exchange is the merge's run shuffle,
-over varint-compressed payloads pre-aggregated per batch; reads prune
-columns; the small side (the rank table) is a ray.put broadcast. The
-merge writes from its tasks, so no segment data returns to the driver
-(one summary row per group does). The driver holds the rank table and,
-in the docmeta phase, the doc rows; that bounds one build partition to
-~10^8 docs (docids.py); a 10^12-file corpus runs as many independent
-key-range build partitions with doc_id offsets from a driver-side
-prefix sum.
+Scale notes: the only exchange is the merge's read of the runs files,
+varint-compressed payloads pre-aggregated per batch and already split
+by group, through the shared file system (no object-store shuffle);
+reads prune columns; the small side (the rank table) is a ray.put
+broadcast. The merge writes from its tasks, so no segment data returns
+to the driver (one summary row per group does). The driver holds the
+rank table and, in the docmeta phase, the doc rows; that bounds one
+build partition to ~10^8 docs (docids.py); a 10^12-file corpus runs as
+many independent key-range build partitions with doc_id offsets from a
+driver-side prefix sum.
 
 Executors: every data-parallel phase is written once against the few
 ``ray.data`` calls it needs, and one of two executors runs it.
@@ -81,9 +89,8 @@ import ray
 import ray.data as rd
 
 from quickray.checkpoint import MANIFEST, Manifest
-from quickray.merge import final_merge
+from quickray.merge import final_merge, group_runs, write_runs
 from quickray.schema import (
-    BATCH_RUN_SCHEMA,
     DOCMETA_SCHEMA,
     LANGS,
     group_file,
@@ -96,16 +103,7 @@ from quickray.tokenize import (
     flatten_tokens,
     rank_lookup,
 )
-from quickray.util import fetch, run_starts
-
-
-# docbase phase output: kind=0 rows are the per-doc forward-index rows
-# (DOCMETA_SCHEMA), kind=1 rows are the batch's posting runs
-# (BATCH_RUN_SCHEMA), from the SAME tokenization the doc_len computation
-# pays for: the build's one content pass. The segments phase merges the runs
-_DOCBASE_SCHEMA = pa.schema(
-    [*DOCMETA_SCHEMA, ("kind", pa.int32()), *BATCH_RUN_SCHEMA]
-)
+from quickray.util import fetch
 
 
 # per-worker cache of the rank table's binary-search view, keyed by
@@ -134,9 +132,13 @@ def _rank_probe(rank_ref) -> np.ndarray:
 
 def _make_docbase_fn(
     rank_ref, id_col_present: bool, field_cols: list[str], num_shards: int,
-    langs: list[str],
+    langs: list[str], runs_dir: str,
 ):
     def to_docbase(t: pa.Table) -> pa.Table:
+        """One tokenizer batch -> its doc rows (DOCMETA_SCHEMA),
+        returned, and its posting runs, from the SAME tokenization the
+        doc_len computation pays for, written to ``runs_dir``
+        (merge.write_runs)."""
         if id_col_present:
             doc_id = t["doc_id"]
             if isinstance(doc_id, pa.ChunkedArray):
@@ -164,16 +166,16 @@ def _make_docbase_fn(
         # ONE tokenization serves both doc_len and the posting runs
         flat, parents = flatten_tokens(t["content"])
         n = t.num_rows
-        if doc_id.null_count or len(pc.unique(doc_id)) < n:
-            # the docmeta phase rejects null or repeated ids with the id
-            # column named; encoding their runs would fail first
-            runs = BATCH_RUN_SCHEMA.empty_table()
-        else:
+        # the docmeta phase rejects null or repeated ids with the id
+        # column named; encoding their runs would fail first
+        if not (doc_id.null_count or len(pc.unique(doc_id)) < n):
             runs = encode_runs(
                 batch_postings(t, doc_id, flat, parents, field_cols),
                 num_shards,
             )
-        docs = pa.table(
+            if runs.num_rows:
+                write_runs(runs_dir, runs, num_shards)
+        return pa.table(
             {
                 "doc_id": doc_id,
                 "repo": t["repo"],
@@ -183,38 +185,41 @@ def _make_docbase_fn(
                 "sha256": pa.array(digests, pa.string()),
                 "doc_len": np.bincount(np.asarray(parents), minlength=n),
                 "bits": bits,
-                "kind": pa.array(np.zeros(n, np.int32)),
             }
-        )
-        runs = runs.append_column(
-            "kind", pa.array(np.ones(runs.num_rows, np.int32))
-        )
-        return pa.concat_tables(
-            [docs, runs], promote_options="default"
-        ).cast(_DOCBASE_SCHEMA)
+        ).cast(DOCMETA_SCHEMA)
 
     return to_docbase
 
 
-def _make_group_writer(seg_dir: str):
-    def write_group(t: pa.Table) -> pa.Table:
-        """One merge group's runs -> its segment file, written under a
-        hidden temp name and renamed into place; returns the group's
-        one-row summary."""
-        t0 = time.perf_counter()
-        seg = final_merge(t)
-        merge_s = time.perf_counter() - t0
-        mpart = int(t["mpart"][0].as_py())
-        path = os.path.join(seg_dir, group_file(mpart))
-        tmp = os.path.join(seg_dir, f".{group_file(mpart)}.tmp")
-        pq.write_table(seg, tmp)
-        os.replace(tmp, path)
-        return pa.table({
-            "mpart": [mpart], "rows": [seg.num_rows],
-            "bytes": [os.path.getsize(path)], "merge_s": [round(merge_s, 4)],
-        })
+_SUMMARY_SCHEMA = pa.schema([
+    ("mpart", pa.int64()), ("rows", pa.int64()), ("bytes", pa.int64()),
+    ("merge_s", pa.float64()),
+])
 
-    return write_group
+
+def _make_group_writer(seg_dir: str, runs_dir: str):
+    def write_groups(batch: pa.Table) -> pa.Table:
+        """The merge groups of ``batch["item"]`` -> one segment file per
+        group with runs, each written under a hidden temp name and
+        renamed into place; returns one summary row per file."""
+        rows = []
+        for mpart, runs in group_runs(runs_dir, batch["item"].to_pylist()):
+            if runs.num_rows == 0:  # no term hashes here: no file
+                continue
+            t0 = time.perf_counter()
+            seg = final_merge(runs)
+            merge_s = time.perf_counter() - t0
+            path = os.path.join(seg_dir, group_file(mpart))
+            tmp = os.path.join(seg_dir, f".{group_file(mpart)}.tmp")
+            pq.write_table(seg, tmp)
+            os.replace(tmp, path)
+            rows.append({
+                "mpart": mpart, "rows": seg.num_rows,
+                "bytes": os.path.getsize(path), "merge_s": round(merge_s, 4),
+            })
+        return pa.Table.from_pylist(rows, _SUMMARY_SCHEMA)
+
+    return write_groups
 
 
 @dataclass
@@ -236,17 +241,21 @@ class _LocalDataset:
     """The local executor: the slice of ``ray.data`` that build_index
     calls, run eagerly in this process over one in-memory Arrow table.
     The class stands in for the ``ray.data`` module too
-    (``read_parquet``, ``from_arrow``). Inputs are at most one
-    tokenizer batch, so ``map_batches`` hands ``fn`` the whole table as
-    one batch; Ray's scheduling options are accepted and ignored."""
+    (``read_parquet``, ``from_arrow``, ``from_items``). Inputs are at
+    most one tokenizer batch, so ``map_batches`` hands ``fn`` the whole
+    table as one batch; Ray's scheduling options are accepted and
+    ignored."""
 
-    def __init__(self, table: pa.Table, group_key: str | None = None):
+    def __init__(self, table: pa.Table):
         self.table = table
-        self.group_key = group_key
 
     @classmethod
     def from_arrow(cls, table: pa.Table) -> "_LocalDataset":
         return cls(table)
+
+    @classmethod
+    def from_items(cls, items: list, **_ray_options) -> "_LocalDataset":
+        return cls(pa.table({"item": items}))
 
     @classmethod
     def read_parquet(cls, path: str, columns=None, filter=None) -> "_LocalDataset":
@@ -266,20 +275,6 @@ class _LocalDataset:
 
     def map_batches(self, fn, **_ray_options):
         return _LocalDataset(fn(self.table.combine_chunks()))
-
-    def groupby(self, key: str) -> "_LocalDataset":
-        return _LocalDataset(self.table, key)
-
-    def map_groups(self, fn, **_ray_options) -> "_LocalDataset":
-        t = self.table
-        if t.num_rows == 0:  # no group: fn is never called
-            return self
-        t = t.sort_by(self.group_key).combine_chunks()
-        starts = run_starts(t[self.group_key])
-        ends = np.append(starts[1:], t.num_rows)
-        return _LocalDataset(pa.concat_tables(
-            [fn(t.slice(a, b - a)) for a, b in zip(starts, ends)]
-        ))
 
     def rename_columns(self, names: dict[str, str]) -> "_LocalDataset":
         return _LocalDataset(self.table.rename_columns(
@@ -592,11 +587,11 @@ def _auto_layout(n_rows: int | None, ceiling: int = 256) -> int:
     an open at load time whatever its size (a 200-doc delta batch
     spread over 16 files took 7-10 ms to write against ~2 ms for one,
     and a DeltaEngine over main plus 4 such deltas loaded in 48 ms
-    against 25 ms), while each group also pays a ~fixed task-spawn and
-    sort-boundary cost (measured 6.7s at 256 groups vs 4.7s at 64 on a
-    40k-doc / 32-cpu build). At 128k+ rows the count reaches the 256
-    ceiling that balances hot-term merge stragglers. Unknown row count
-    (generic Dataset source) takes the scale-safe ceiling. The resolved
+    against 25 ms); each group is also one record batch in every
+    docbase runs file, which the merge reads once per group. At 128k+
+    rows the count reaches the 256 ceiling that balances hot-term merge
+    stragglers. Unknown row count (generic Dataset source) takes the
+    scale-safe ceiling. The resolved
     value joins the manifest layout fingerprint, so resuming the same
     corpus re-derives the same layout and a corpus-size change
     invalidates cleanly."""
@@ -613,11 +608,8 @@ def build_index(
     langs: list[str] | None = None,
     # None = auto-scale with the corpus row count (see _auto_layout):
     # 256 merge groups balance the final merge far better than 64 at
-    # 1M+ docs (hot-term mparts stop being 4x stragglers: measured
-    # segments phase 26s -> 16s at 1M docs / 16 cpus) but pay ~fixed
-    # per-part shuffle spawn cost that dominates SMALL builds (measured
-    # 6.7s @ 256 vs 4.7s @ 64 on 40k docs / 32 cpus); size these to
-    # ~8-16x the worker count at cluster scale
+    # 1M+ docs (hot-term mparts stop being 4x stragglers) but cost a
+    # file each at build and load time that dominates SMALL builds
     num_shards: int | None = None,
     tokenizer_batch_size: int = 4096,
     fingerprint: str | None = None,
@@ -686,7 +678,7 @@ def build_index(
         f"|layout:shards={num_shards}"
         f",fields={'+'.join(field_cols)}"
         f",langs={'+'.join(langs)},id={id_col or 'rank'}"
-        ",dbv=5"  # docbase schema v5 (kind=0 rows carry the doc-intrinsic bits)
+        ",dbv=6"  # docbase v6: doc rows in docbase/, runs split by group in runs/
         ",segv=4"  # segment format v4: one file per merge group, terms ascending
     )
     man = Manifest(out_dir, src.fingerprint + layout, executor=executor)
@@ -723,20 +715,25 @@ def build_index(
 
     # ------------------------------------------------------ phase docbase
     # THE one content pass: each tokenizer batch is tokenized once into
-    # its forward-index rows and its posting runs (kind column;
-    # _DOCBASE_SCHEMA). No later phase reads content.
+    # its forward-index rows (docbase/) and its posting runs (runs/, one
+    # file per batch). No later phase reads content. A rerun of an
+    # unfinished phase starts from an empty runs/, so no runs file of a
+    # killed attempt reaches the merge.
     t0 = time.time()
     docbase_dir = os.path.join(out_dir, "docbase")
+    runs_dir = os.path.abspath(os.path.join(out_dir, "runs"))
     base_cols = list(_BUILD_COLS)
     if not use_rank:
         base_cols = [id_col] + base_cols
     if not man.phase_done("docbase"):
-        d = man.phase_dir("docbase")
+        d = man.phase_dir("docbase", extra_dirs=("runs",))
         ds = src.read(base_cols, data)
         if not use_rank and id_col != "doc_id":
             ds = ds.rename_columns({id_col: "doc_id"})
         ds.map_batches(
-            _make_docbase_fn(rank_ref, not use_rank, field_cols, num_shards, langs),
+            _make_docbase_fn(
+                rank_ref, not use_rank, field_cols, num_shards, langs, runs_dir
+            ),
             batch_format="pyarrow",
             # larger batches -> fewer, longer runs per term -> fewer
             # merge rows (measured 2x on the run merge); bound by
@@ -758,7 +755,7 @@ def build_index(
     if not man.phase_done("docmeta"):
         d = man.phase_dir("docmeta", extra_dirs=("stats",))
         dm = pads.dataset(docbase_dir, format="parquet").to_table(
-            columns=DOCMETA_SCHEMA.names, filter=pads.field("kind") == 0
+            columns=DOCMETA_SCHEMA.names
         )
         n_docs = dm.num_rows
         if n_docs == 0:
@@ -817,23 +814,27 @@ def build_index(
     result.phase_times["docmeta"] = time.time() - t0
 
     # ------------------------------------------------------ phase segments
-    # THE one merge, over the docbase runs (the durable map side of the
-    # exchange). A group file lands whole (temp file, then rename) and
-    # is a function of its runs alone, so a rerun after a kill merges
-    # only the groups with no file and the index comes out identical.
+    # THE one merge, over the docbase runs files (the durable map side
+    # of the exchange, already split by group). A group file lands whole
+    # (temp file, then rename) and is a function of its runs alone, so a
+    # rerun after a kill merges only the groups with no file, reads only
+    # their runs, and the index comes out identical. The groups go to
+    # at most one task per cluster CPU: a task per group (Ray's default
+    # block count here) pays its scheduling once per group, and more
+    # tasks than CPUs only queue.
     t0 = time.time()
     if not man.phase_done("segments"):
         d = os.path.abspath(man.phase_dir("segments", keep=True))
         todo = sorted(set(range(num_shards)) - group_files(d).keys())
+        cpus = int(ray.cluster_resources().get("CPU", 1)) if executor == "ray" else 1
         summaries = (
-            data.read_parquet(
-                docbase_dir, columns=BATCH_RUN_SCHEMA.names + ["kind"],
-                filter=(pads.field("kind") == 1) & pads.field("mpart").isin(todo),
+            data.from_items(todo, override_num_blocks=max(1, min(len(todo), cpus)))
+            .map_batches(
+                _make_group_writer(d, runs_dir), batch_format="pyarrow",
+                batch_size=None,
             )
-            .groupby("mpart")
-            .map_groups(_make_group_writer(d), batch_format="pyarrow")
             .take_all()
-        )
+        ) if todo else []
         man.mark_done("segments", elapsed=time.time() - t0, counters={
             "groups": sorted(summaries, key=lambda g: g["mpart"])
         })

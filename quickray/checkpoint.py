@@ -3,9 +3,10 @@
 The reference's only recovery story is "replay the whole forward index
 into RAM on restart" (index_service/indexer.go:42-58) — no mid-build
 resume. The north rule demands better: every phase of the build writes
-its output to its own directory, then records (atomically: tmp file +
-rename) the file list, per-file row counts (read back from parquet
-footers — no extra compute pass) and counters into ``manifest.json``.
+its output to its own directories, then records (atomically: tmp file +
+rename) the list of its table files, with bytes and row counts (read
+back from parquet footers and Arrow IPC batch headers — no extra
+compute pass), and counters into ``manifest.json``.
 A rerun of ``build_index`` with the same output dir and an unchanged
 input fingerprint skips completed phases; an incomplete phase's partial
 output is discarded and the phase reruns, except where the phase keeps
@@ -21,22 +22,44 @@ import shutil
 import time
 from typing import Any
 
-import pyarrow.dataset as pads
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 MANIFEST = "manifest.json"
 
 
-def parquet_file_stats(directory: str) -> tuple[list[dict[str, Any]], int]:
-    """(per-file lineage records, total rows) from parquet footers only."""
+def _table_rows(path: str) -> int | None:
+    """Rows of a parquet or Arrow IPC (``.arrow``) file from its footer
+    and batch headers; None for any other file."""
+    if path.endswith(".parquet"):
+        return pq.read_metadata(path).num_rows
+    if path.endswith(".arrow"):
+        with pa.memory_map(path) as f:
+            r = pa.ipc.open_file(f)
+            return sum(r.get_batch(i).num_rows for i in range(r.num_record_batches))
+    return None
+
+
+def table_file_stats(
+    out_dir: str, dirs: tuple[str, ...]
+) -> tuple[list[dict[str, Any]], int]:
+    """(per-file lineage records, total rows) of the table files under
+    the ``dirs`` of ``out_dir``, paths relative to ``out_dir``. Hidden
+    and temp names are skipped, and so are non-table files (stats.json:
+    the phase's counters hold its contents)."""
     files = []
-    total = 0
-    dset = pads.dataset(directory, format="parquet")
-    for frag in dset.get_fragments():
-        rows = frag.metadata.num_rows if frag.metadata else frag.count_rows()
-        size = os.path.getsize(frag.path)
-        files.append({"path": os.path.relpath(frag.path, directory), "rows": rows, "bytes": size})
-        total += rows
-    return sorted(files, key=lambda f: f["path"]), total
+    for rel in dirs:
+        for root, _, names in os.walk(os.path.join(out_dir, rel)):
+            for name in names:
+                path = os.path.join(root, name)
+                rows = None if name.startswith((".", "_")) else _table_rows(path)
+                if rows is not None:
+                    files.append({
+                        "path": os.path.relpath(path, out_dir), "rows": rows,
+                        "bytes": os.path.getsize(path),
+                    })
+    files.sort(key=lambda f: f["path"])
+    return files, sum(f["rows"] for f in files)
 
 
 class Manifest:
@@ -80,7 +103,7 @@ class Manifest:
         self, name: str, extra_dirs: tuple = (), keep: bool = False
     ) -> str:
         """Directory for an unfinished phase's output (``extra_dirs``:
-        more dirs the phase owns, whose files are not listed), recorded
+        more dirs the phase owns, listed with it), recorded
         in the manifest on disk before any output lands, so that a
         fingerprint change wipes it even after a kill mid-phase. Partial
         output is wiped so reruns are idempotent, unless ``keep``: the
@@ -114,11 +137,10 @@ class Manifest:
             rec["executor"] = self.executor
         if counters:
             rec["counters"] = counters
-        d = os.path.join(self.out_dir, rec["dir"])
-        if with_files and os.path.isdir(d):
-            files, rows = parquet_file_stats(d)
-            rec["files"] = files
-            rec["rows"] = rows
+        if with_files:
+            rec["files"], rec["rows"] = table_file_stats(
+                self.out_dir, (rec["dir"], *rec.get("extra_dirs", ()))
+            )
         self.data["phases"][name] = rec
         self._write()
 

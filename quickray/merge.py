@@ -2,21 +2,24 @@
 
 The build merges *compressed posting runs* (BATCH_RUN_SCHEMA — one row
 per term per tokenizer batch, doc_ids delta+varint, tfs varint), not
-exploded (term, doc) rows, straight from the docbase checkpoint, and
-groups them by a hash partition id rather than by term:
-groupby("mpart") — mpart = hash(term) % num_shards, written by the
-docbase pass — concats each term's runs into the final segment row
-(doc ids + tfs only). The merge scores nothing: it needs no corpus
-statistics and no doc-level data, and a segment holds no value that
-depends on them.
+exploded (term, doc) rows. The map side is the docbase pass: each
+tokenizer batch writes its runs as one Arrow IPC file under ``runs/``
+(write_runs), split into one record batch per merge group ``mpart`` =
+hash(term) % num_shards, as a MapReduce map task writes one region per
+reducer (Dean & Ghemawat, OSDI 2004). A merge task memory-maps every
+runs file and takes record batch ``g`` of each (group_runs), so the
+exchange needs no sort and a group reads only its own runs. Each
+group's runs become its final segment rows (doc ids + tfs only). The
+merge scores nothing: it needs no corpus statistics and no doc-level
+data, and a segment holds no value that depends on them.
 
-One ``map_groups`` call processes a whole partition (hundreds to
-thousands of terms) in whole-column passes: both binary columns are
-taken in (term, min_doc) order and decoded from their value buffers
+final_merge processes a whole group (hundreds to thousands of terms)
+in whole-column passes: both binary columns are taken in (term,
+min_doc) order and decoded from their value buffers
 (codec.binary_values), the values re-encoded, and the output columns
 written from buffers (codec.binary_runs; the term column is a take of
-the partition's term dictionary). There is no Python object per run or
-per term. The largest partition is the ``mpart`` holding the hottest
+the group's term dictionary). There is no Python object per run or
+per term. The largest group is the ``mpart`` holding the hottest
 terms (SURVEY §7.4).
 
 Neither correctness nor the output bytes depend on run arrival order:
@@ -29,6 +32,9 @@ any (term, doc) pair appears twice.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterable, Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +49,7 @@ from quickray.codec import (
     varint_decode,
     varint_encode_sizes,
 )
-from quickray.schema import SEGMENT_SCHEMA
+from quickray.schema import BATCH_RUN_SCHEMA, SEGMENT_SCHEMA
 
 
 @dataclass
@@ -114,8 +120,8 @@ def _concat_decode_sort(t: pa.Table) -> _Merged:
 
 
 def final_merge(t: pa.Table) -> pa.Table:
-    """groupby("mpart") finalizer: one merge group's runs -> its final
-    segment rows (doc ids and tfs only)."""
+    """One merge group's runs -> its final segment rows (doc ids and
+    tfs only)."""
     if t.num_rows == 0:
         return SEGMENT_SCHEMA.empty_table()
     m = _concat_decode_sort(t)
@@ -134,3 +140,45 @@ def final_merge(t: pa.Table) -> pa.Table:
         },
         schema=SEGMENT_SCHEMA,
     )
+
+
+def write_runs(runs_dir: str, runs: pa.Table, num_shards: int) -> None:
+    """One tokenizer batch's runs -> ``runs_dir/{min doc id}.arrow``, an
+    Arrow IPC file of ``num_shards`` record batches, batch ``g`` holding
+    the runs of merge group ``g`` (empty where the batch has none): zero-
+    copy slices of the runs sorted by ``mpart``. The name is the batch's
+    smallest doc id, so a retried task rewrites the same file with the
+    same bytes; it lands whole (temp file, then rename)."""
+    runs = runs.take(pc.sort_indices(runs["mpart"])).combine_chunks()
+    (batch,) = runs.to_batches()
+    ends = np.cumsum(np.bincount(np.asarray(runs["mpart"]), minlength=num_shards))
+    name = f"{pc.min(runs['min_doc']).as_py():012d}.arrow"
+    tmp = os.path.join(runs_dir, f".{name}.tmp")
+    with pa.OSFile(tmp, "wb") as sink, pa.ipc.new_file(sink, BATCH_RUN_SCHEMA) as w:
+        start = 0
+        for end in ends:
+            w.write_batch(batch.slice(start, end - start))
+            start = end
+    os.replace(tmp, os.path.join(runs_dir, name))
+
+
+def group_runs(
+    runs_dir: str, groups: Iterable[int]
+) -> Iterator[tuple[int, pa.Table]]:
+    """(g, the runs of merge group g) for each g of ``groups``: record
+    batch g of every runs file in ``runs_dir`` (write_runs; temp files
+    skipped), memory-mapped once per call and concatenated without a
+    copy. The maps close when the iterator ends; tables already yielded
+    keep their mapped pages alive."""
+    names = sorted(f for f in os.listdir(runs_dir) if not f.startswith("."))
+    with ExitStack() as stack:
+        readers = [
+            pa.ipc.open_file(stack.enter_context(
+                pa.memory_map(os.path.join(runs_dir, f))
+            ))
+            for f in names
+        ]
+        for g in groups:
+            yield g, pa.Table.from_batches(
+                [r.get_batch(g) for r in readers], BATCH_RUN_SCHEMA
+            )

@@ -116,9 +116,10 @@ def group_files(seg_dir: str) -> dict[int, str]:
 
 # Posting run: one row per term present in a tokenizer batch, streams
 # already delta+varint encoded, as the build's docbase pass checkpoints
-# it (its kind=1 rows). The final merge reads these compressed runs —
-# not one row per (term, doc) — which keeps its all-to-all exchange
-# ~10x smaller than the exploded token stream.
+# it (one Arrow IPC file per batch under runs/, one record batch per
+# merge group: merge.write_runs). The final merge reads these
+# compressed runs — not one row per (term, doc) — which keeps its
+# exchange ~10x smaller than the exploded token stream.
 #   mpart   = hash(term) % num_shards: the merge group, and the final
 #             segment `shard` (tokenize.term_shards)
 #   min_doc = first doc_id of the run (merge-order key; batch doc

@@ -281,8 +281,8 @@ def encode_runs(grouped: pa.Table, num_shards: int) -> pa.Table:
 class Tokenizer:
     """One tokenizer batch -> its compressed posting runs
     (BATCH_RUN_SCHEMA) with ``mpart`` taken modulo ``num_parts``: the
-    kind=1 rows the build's docbase pass writes, from the same
-    functions (flatten_tokens, batch_postings, encode_runs).
+    runs the build's docbase pass writes to its runs files, from the
+    same functions (flatten_tokens, batch_postings, encode_runs).
 
     The build does not call this class; direct callers do (tests, the
     tokenize throughput probe). ``hot_ref``, ``n_docs``, ``num_salts``

@@ -10,6 +10,7 @@ import sys
 import textwrap
 import time
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from quickray.build import build_index
@@ -181,17 +182,18 @@ def test_fingerprint_same_shape_different_content(tmp_path):
 
 
 def test_old_docbase_layout_rebuilds(tmp_path, flatten_calls):
-    """A directory built with the docbase layout v4 (doc rows without
-    their bits) rebuilds instead of resuming, and the fingerprint change
-    wipes both outputs of the docmeta phase: docmeta/ and stats/."""
+    """A directory built with the docbase layout v5 (doc rows and runs
+    in one docbase table) rebuilds instead of resuming, and the
+    fingerprint change wipes both outputs of the docmeta phase: docmeta/
+    and stats/."""
     out = str(tmp_path / "b")
     tbl = generate_corpus(120, seed=1)
     build_index(tbl, out)
     fresh = _segments_fingerprint(out)
     man_path = os.path.join(out, "manifest.json")
     man = json.load(open(man_path))
-    assert ",dbv=5," in man["fingerprint"]
-    man["fingerprint"] = man["fingerprint"].replace(",dbv=5,", ",dbv=4,")
+    assert ",dbv=6," in man["fingerprint"]
+    man["fingerprint"] = man["fingerprint"].replace(",dbv=6,", ",dbv=5,")
     json.dump(man, open(man_path, "w"))
     stale = [os.path.join(out, d, "stale.marker") for d in ("docmeta", "stats")]
     for path in stale:
@@ -199,9 +201,134 @@ def test_old_docbase_layout_rebuilds(tmp_path, flatten_calls):
     del flatten_calls[:]
     build_index(tbl, out)
     assert flatten_calls == [120]  # docbase ran again
-    assert ",dbv=5," in json.load(open(man_path))["fingerprint"]
+    assert ",dbv=6," in json.load(open(man_path))["fingerprint"]
     assert _segments_fingerprint(out) == fresh
     assert not any(os.path.exists(path) for path in stale)
+
+
+def _group_rows(out, group):
+    """Rows of merge group ``group`` over every runs file in ``out``,
+    read without quickray's reader."""
+    runs = os.path.join(out, "runs")
+    return sum(
+        pa.ipc.open_file(os.path.join(runs, f)).get_batch(group).num_rows
+        for f in os.listdir(runs)
+    )
+
+
+def test_one_group_rerun_reads_that_group_only(tmp_path, rerun_one_group,
+                                               monkeypatch):
+    """Re-merging one lost group file hands the merge exactly that
+    group's run rows, not a filtered read of every run."""
+    import quickray.build
+
+    out = str(tmp_path / "b")
+    tbl = generate_corpus(250, seed=3)
+    build_index(tbl, out, num_shards=8)
+    seen, real = [], quickray.build.final_merge
+
+    def recording(runs):
+        seen.append((sorted(set(runs["mpart"].to_pylist())), runs.num_rows))
+        return real(runs)
+
+    monkeypatch.setattr(quickray.build, "final_merge", recording)
+    rerun_one_group(out, 6, lambda: build_index(tbl, out, num_shards=8))
+    assert seen == [([6], _group_rows(out, 6))]
+    assert seen[0][1] > 0
+
+
+def test_manifest_lists_runs_files(tmp_path):
+    """The docbase phase record lists every runs file with its bytes
+    beside the doc-row parquet, so the bytes a build reports written
+    cover runs/."""
+    out = str(tmp_path / "b")
+    build_index(generate_corpus(300, seed=2), out, tokenizer_batch_size=64,
+                num_shards=4)
+    rec = json.load(open(os.path.join(out, "manifest.json")))["phases"]["docbase"]
+    listed = {f["path"]: f["bytes"] for f in rec["files"]}
+    on_disk = {
+        os.path.join(sub, name): os.path.getsize(os.path.join(out, sub, name))
+        for sub in ("docbase", "runs")
+        for name in os.listdir(os.path.join(out, sub))
+    }
+    assert listed == on_disk
+    assert sum(p.startswith("runs" + os.sep) for p in listed) == 5  # batches
+    assert rec["rows"] == 300 + sum(_group_rows(out, g) for g in range(4))
+
+
+def _docbase_fn(runs_dir, num_shards=8):
+    from quickray.build import _make_docbase_fn
+    from quickray.schema import LANGS
+
+    return _make_docbase_fn(None, True, ["lang"], num_shards, LANGS, runs_dir)
+
+
+def _with_ids(tbl, ids):
+    return tbl.append_column("doc_id", pa.array(ids, pa.int64()))
+
+
+def test_docbase_runs_file_idempotent(tmp_path):
+    """The docbase function run twice on one batch (a retried task)
+    leaves one runs file, named by the batch's smallest doc id, with the
+    same bytes, and returns the same doc rows."""
+    runs = str(tmp_path / "runs")
+    os.makedirs(runs)
+    batch = _with_ids(generate_corpus(40, seed=1), range(100, 140))
+    fn = _docbase_fn(runs)
+    first = fn(batch)
+    (name,) = os.listdir(runs)
+    assert name == "000000000100.arrow"
+    data = open(os.path.join(runs, name), "rb").read()
+    assert fn(batch).equals(first)
+    assert os.listdir(runs) == [name]
+    assert open(os.path.join(runs, name), "rb").read() == data
+    assert pa.ipc.open_file(os.path.join(runs, name)).num_record_batches == 8
+
+
+def test_rejected_ids_write_no_runs(tmp_path):
+    """A batch with a null or repeated id writes no runs file, returns
+    its doc rows, and the build fails in the docmeta phase naming the id
+    column."""
+    import pytest
+
+    runs = str(tmp_path / "runs")
+    os.makedirs(runs)
+    tbl = generate_corpus(4, seed=1)
+    for i, (ids, msg) in enumerate((
+        ([0, 1, 1, 3], "permutation.*'my_id'"),
+        ([0, None, 2, 3], "null doc_ids in id column 'my_id'"),
+    )):
+        assert _docbase_fn(runs)(_with_ids(tbl, ids)).num_rows == 4
+        assert os.listdir(runs) == []
+        bad = tbl.append_column("my_id", pa.array(ids, pa.int64()))
+        out = str(tmp_path / f"b{i}")
+        with pytest.raises(ValueError, match=msg):
+            build_index(bad, out, id_col="my_id")
+        assert os.listdir(os.path.join(out, "runs")) == []
+
+
+def test_unfinished_docbase_reruns_from_empty_runs(tmp_path):
+    """A docbase phase killed after writing some runs files reruns from
+    an emptied runs/: neither a stale runs file (here a copy of a real
+    one, which would repeat its postings) nor a temp file reaches the
+    merge, and the index equals a fresh build's."""
+    tbl = generate_corpus(300, seed=4)
+    out, fresh = str(tmp_path / "b"), str(tmp_path / "fresh")
+    kw = dict(tokenizer_batch_size=128, num_shards=4)
+    build_index(tbl, fresh, **kw)
+    build_index(tbl, out, **kw)
+    runs = os.path.join(out, "runs")
+    first = sorted(os.listdir(runs))[0]
+    shutil.copy(os.path.join(runs, first), os.path.join(runs, "999999999999.arrow"))
+    open(os.path.join(runs, f".{first}.tmp"), "wb").close()
+    man_path = os.path.join(out, "manifest.json")
+    man = json.load(open(man_path))
+    man["phases"]["docbase"] = {"dir": "docbase", "extra_dirs": ["runs"]}
+    _drop(man, out, {"docmeta", "segments"})
+    json.dump(man, open(man_path, "w"))
+    build_index(tbl, out, **kw)
+    assert sorted(os.listdir(runs)) == sorted(os.listdir(os.path.join(fresh, "runs")))
+    assert _seg_files(out) == _seg_files(fresh)
 
 
 def test_layout_param_change_invalidates(tmp_path, rerun_one_group):

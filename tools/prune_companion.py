@@ -24,7 +24,7 @@ figures. It also prints the build's
 phase table from its ``manifest.json`` (``build_phases``: seconds, rows
 and bytes written per phase) and ``largest_shard``: the segment
 ``shard`` with the most postings, its term and posting counts, the
-docbase run rows its merge read and its merge seconds, beside the mean
+run rows its merge read and its merge seconds, beside the mean
 postings per shard. ``kernels_ms`` times the build's content kernels
 in this process, fastest of ``--passes``:
 ``flatten_tokens``, ``batch_postings`` and ``encode_runs`` on the
@@ -124,24 +124,23 @@ def build_phases(out: str) -> dict:
 
 def largest_shard(out: str) -> dict:
     """The segment shard holding the most postings (the merge's
-    largest group), the docbase run rows that merge read and its merge
+    largest group), the run rows that merge read and its merge
     seconds from the manifest's group summaries (None for a group the
     run that finished the phase did not merge)."""
+    from quickray.merge import group_runs
+
     seg = pads.dataset(os.path.join(out, "segments"), format="parquet").to_table(
         columns=["term", "df", "shard"]
     )
     per = seg.group_by("shard").aggregate([("df", "sum"), ("term", "count")])
     top = int(np.argmax(np.asarray(per["df_sum"])))
     shard = per["shard"][top].as_py()
-    terms = seg.filter(pc.equal(seg["shard"], shard))["term"].combine_chunks()
-    runs = pads.dataset(os.path.join(out, "docbase"), format="parquet").count_rows(
-        filter=(pads.field("kind") == 1) & pads.field("term").isin(terms)
-    )
+    ((_, runs),) = group_runs(os.path.join(out, "runs"), [shard])
     return {
         "shard": shard,
         "terms": per["term_count"][top].as_py(),
         "postings": per["df_sum"][top].as_py(),
-        "run_rows": runs,
+        "run_rows": runs.num_rows,
         "merge_s": next(
             (g["merge_s"] for g in _phases(out)["segments"]["counters"]["groups"]
              if g["mpart"] == shard),
@@ -164,12 +163,11 @@ def _fastest_ms(fn, passes: int):
 def kernel_table(corpus: str, out: str, shard: int, passes: int) -> dict:
     """Milliseconds of each content kernel: the docbase pass's three on
     the corpus's first tokenizer batch, and the final merge on the
-    docbase runs of merge group ``shard``."""
+    runs of merge group ``shard``."""
     import pyarrow.parquet as pq
 
     from quickray.docids import rank_keys
-    from quickray.merge import final_merge
-    from quickray.schema import BATCH_RUN_SCHEMA
+    from quickray.merge import final_merge, group_runs
     from quickray.tokenize import (
         batch_postings,
         encode_runs,
@@ -190,10 +188,7 @@ def kernel_table(corpus: str, out: str, shard: int, passes: int) -> dict:
         lambda: batch_postings(batch, ids, flat, parents, []), passes)
     ms["encode_runs"], _ = _fastest_ms(lambda: encode_runs(grouped, num_shards), passes)
 
-    runs = pads.dataset(os.path.join(out, "docbase"), format="parquet").to_table(
-        columns=BATCH_RUN_SCHEMA.names,
-        filter=(pads.field("kind") == 1) & (pads.field("mpart") == shard),
-    )
+    ((_, runs),) = group_runs(os.path.join(out, "runs"), [shard])
     ms["final_merge"], _ = _fastest_ms(lambda: final_merge(runs), passes)
     return ms
 
