@@ -405,8 +405,9 @@ def _queries_sql(queries) -> str:
 
 
 def entry() -> Any:
-    """Flagship on sf0.001: build the inverted index (5 Ray phases) and
-    answer the ~36-query reference set via the actor-pool query engine."""
+    """Flagship on sf0.001: build the inverted index (two Ray jobs: the
+    content map and the merge) and answer the ~36-query reference set
+    via the actor-pool query engine."""
     from quickray.pipelines import reference_query_results
 
     return reference_query_results("/root/testdata/sf0.001")

@@ -21,7 +21,7 @@ rule's two-cluster-size criterion). Results land in BENCH/scaling.json
 and are summarized in BASELINE.md.
 
 Stages benchmarked (headline = the north-rule pipeline):
-  build_docs        full 5-phase index build over documents.parquet
+  build_docs        full index build over documents.parquet
   query_p50 / p95   reference query set latency, index loaded once
   query_batch       distributed batch-query via actor-pool engine
   codecorpus_build  same build over the synthetic source-code corpus
@@ -184,14 +184,15 @@ def _bench_pass(sf_dir: str, num_cpus: int) -> tuple[dict, dict]:
     stages["minhash_dedup"] = time.time() - t0
 
     # full dedup pipeline at 8x rows: the code corpus adapted to
-    # (doc_id, text) via the build's own rank table (keys.parquet)
+    # (doc_id, text) through the build's doc_id ranks: docids.rank_keys
+    # over a pruned (repo, path) read of the corpus
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    keys = pq.read_table(
-        os.path.join(SCRATCH, "codeidx", "docids", "keys.parquet")
-    )["key"].combine_chunks()
+    from quickray.docids import rank_keys
+
+    keys = rank_keys(pq.read_table(corpus_path, columns=["repo", "path"]))
     kref = __import__("ray").put(keys)
 
     def to_docs(t: pa.Table) -> pa.Table:

@@ -2,23 +2,24 @@
 
 Phases (each checkpointed, see checkpoint.Manifest):
 
-  docids    KEY columns only (pruned read) -> rank-ordered key array
-            (docids.rank_keys) -> small parquet artifact; broadcast via
-            ray.put so every later stage stamps doc_id with a local C++
-            hash probe. Content never shuffles for id assignment.
-  docbase   THE one content pass: each tokenizer batch is tokenized
-            once into its doc rows (doc_id + sha256(content) + doc_len +
-            bits(lang, path)) -> docbase/ parquet, AND its compressed
-            posting runs, content and field keys alike (term, mpart =
-            hash(term) % num_shards, min_doc, df, delta+varint doc ids,
-            varint tfs) -> one Arrow IPC file per batch under runs/,
-            split into one record batch per merge group
-            (merge.write_runs). The corpus itself is NOT rewritten, and
-            no later phase reads content.
-  docmeta   one driver read of the docbase doc rows writes them, sorted
-            by doc_id, as docmeta (the forward index, J1 analog) and
-            writes stats.json (n_docs / total_tokens / avgdl, exact
-            dense-id check) — no Ray job, zero content or run reads.
+  docmeta   THE one content pass and the forward index it feeds. A
+            KEY-columns-only (pruned) read gives the rank-ordered key
+            array (docids.rank_keys), built only when this phase runs
+            and broadcast via ray.put, so every batch stamps doc_id
+            with a local fixed-width searchsorted (tokenize.rank_lookup)
+            and content never shuffles for id assignment. Each
+            tokenizer batch is then tokenized once into its doc rows
+            (doc_id + sha256(content) + doc_len + bits(lang, path)),
+            returned to the driver, AND its compressed posting runs,
+            content and field keys alike (term, mpart = hash(term) %
+            num_shards, min_doc, df, delta+varint doc ids, varint tfs)
+            -> one Arrow IPC file per batch under runs/, split into one
+            record batch per merge group (merge.write_runs). The driver
+            sorts the doc rows by doc_id into docmeta (the forward
+            index, J1 analog; each doc row is stored once) and writes
+            stats.json (n_docs / total_tokens / avgdl, exact dense-id
+            check). The corpus itself is NOT rewritten, and no later
+            phase reads content.
   segments  THE one merge: a map over the merge groups still to merge,
             in at most one task per cluster CPU (one on the local
             executor), each task memory-mapping every runs file and
@@ -26,7 +27,7 @@ Phases (each checkpointed, see checkpoint.Manifest):
             vectorized group merge -> one segment file per merge
             group, segments/{mpart:05d}.parquet, written by the task
             that merges the group (doc ids + tfs; doc_len and bits stay
-            in docmeta). No sort and no shuffle: the docbase pass
+            in docmeta). No sort and no shuffle: the content pass
             already split its runs by group. It scores nothing and
             reads no docmeta or statistics. A rerun merges only the
             groups with no file, reading only their runs.
@@ -43,11 +44,12 @@ varint-compressed payloads pre-aggregated per batch and already split
 by group, through the shared file system (no object-store shuffle);
 reads prune columns; the small side (the rank table) is a ray.put
 broadcast. The merge writes from its tasks, so no segment data returns
-to the driver (one summary row per group does). The driver holds the
-rank table and, in the docmeta phase, the doc rows; that bounds one
-build partition to ~10^8 docs (docids.py); a 10^12-file corpus runs as
-many independent key-range build partitions with doc_id offsets from a
-driver-side prefix sum.
+to the driver (one summary row per group does). The doc rows reach the
+driver through the object store; while it sorts them it holds them
+twice (the rows and their sorted copy) beside the rank table. That
+bounds one build partition to ~10^8 docs (docids.py); a 10^12-file
+corpus runs as many independent key-range build partitions with doc_id
+offsets from a driver-side prefix sum.
 
 Executors: every data-parallel phase is written once against the few
 ``ray.data`` calls it needs, and one of two executors runs it.
@@ -258,7 +260,7 @@ class _LocalDataset:
         return cls(pa.table({"item": items}))
 
     @classmethod
-    def read_parquet(cls, path: str, columns=None, filter=None) -> "_LocalDataset":
+    def read_parquet(cls, path: str, columns=None) -> "_LocalDataset":
         """Every ``*.parquet`` under ``path`` with hive partition
         columns, as Ray reads it."""
         files = (
@@ -271,7 +273,7 @@ class _LocalDataset:
         dset = pads.dataset(
             files, format="parquet", partitioning="hive", partition_base_dir=path
         )
-        return cls(dset.to_table(columns=columns, filter=filter))
+        return cls(dset.to_table(columns=columns))
 
     def map_batches(self, fn, **_ray_options):
         return _LocalDataset(fn(self.table.combine_chunks()))
@@ -284,12 +286,12 @@ class _LocalDataset:
     def take_all(self) -> list[dict]:
         return self.table.to_pylist()
 
-    def write_parquet(self, path: str) -> None:
-        pq.write_table(self.table, os.path.join(path, "0.parquet"))
+    def iter_batches(self, **_ray_options):
+        yield self.table
 
 
-# the source columns a build reads besides ``id_col``: docbase reads
-# them all, and field_cols are a subset
+# the source columns a build reads besides ``id_col``: the content
+# pass reads them all, and field_cols are a subset
 _BUILD_COLS = ("repo", "path", "commit", "lang", "content")
 
 
@@ -588,8 +590,8 @@ def _auto_layout(n_rows: int | None, ceiling: int = 256) -> int:
     spread over 16 files took 7-10 ms to write against ~2 ms for one,
     and a DeltaEngine over main plus 4 such deltas loaded in 48 ms
     against 25 ms); each group is also one record batch in every
-    docbase runs file, which the merge reads once per group. At 128k+
-    rows the count reaches the 256 ceiling that balances hot-term merge
+    runs file, which the merge reads once per group. At 128k+ rows the
+    count reaches the 256 ceiling that balances hot-term merge
     stragglers. Unknown row count (generic Dataset source) takes the
     scale-safe ceiling. The resolved
     value joins the manifest layout fingerprint, so resuming the same
@@ -628,7 +630,7 @@ def build_index(
     demo/job/build_index.go:114-127; posting key field + "\\x01" +
     lower(value), gen/document.go:5) — one tf=1 posting per doc per
     field, queryable as Term(word, field=f). Must be a subset of the
-    metadata columns the docbase pass reads anyway (repo, path, commit,
+    metadata columns the content pass reads anyway (repo, path, commit,
     lang): it emits the field runs beside the content runs, and the
     one merge treats field keys like any term."""
     langs = langs or LANGS
@@ -664,73 +666,59 @@ def build_index(
     data, put = (
         (_LocalDataset, lambda v: v) if executor == "local" else (rd, ray.put)
     )
-    # the docbase runs carry their merge group, so the layout is fixed
-    # before the content pass
+    # the runs carry their merge group, so the layout is fixed before
+    # the content pass
     if num_shards is None:
         num_shards = _auto_layout(n_rows)
     # layout-critical params join the fingerprint: resuming a build dir
     # with a different layout must rebuild, never silently serve or
-    # mix the stale index (the docbase runs' mpart and the segment
-    # group files encode num_shards; field_cols change the posting
-    # contents; langs change the docbase/docmeta bits encoding; id_col
-    # changes doc_id assignment)
+    # mix the stale index (the runs' mpart and the segment group files
+    # encode num_shards; field_cols change the posting contents; langs
+    # change the docmeta bits encoding; id_col changes doc_id
+    # assignment)
     layout = (
         f"|layout:shards={num_shards}"
         f",fields={'+'.join(field_cols)}"
         f",langs={'+'.join(langs)},id={id_col or 'rank'}"
-        ",dbv=6"  # docbase v6: doc rows in docbase/, runs split by group in runs/
+        ",dbv=7"  # v7: runs split by group in runs/, doc rows only in docmeta/
         ",segv=4"  # segment format v4: one file per merge group, terms ascending
     )
     man = Manifest(out_dir, src.fingerprint + layout, executor=executor)
     result = BuildResult(out_dir=out_dir)
     use_rank = id_col is None
 
-    # ------------------------------------------------------- phase docids
-    t0 = time.time()
-    keys_path = os.path.join(out_dir, "docids", "keys.parquet")
-    rank_ref = None
-    if use_rank:
-        if not man.phase_done("docids"):
-            d = man.phase_dir("docids")
+    # ------------------------------------------------------ phase docmeta
+    # THE one content pass and the forward index it feeds. The rank
+    # table is built only here (its one user is the content map); each
+    # tokenizer batch is tokenized once into its posting runs (runs/,
+    # one file per batch) and its doc rows, which go to the driver with
+    # no checkpoint of their own. No later phase reads content. The doc rows,
+    # sorted by doc_id, become docmeta (in doc_id order, so its bytes do
+    # not depend on how the content pass split its batches) and give N,
+    # the token total and the exact dense-id check for stats.json. A
+    # rerun of an unfinished phase starts from an empty runs/, so no
+    # runs file of a killed attempt reaches the merge.
+    times, t0 = result.phase_times, time.time()
+    stats_path = os.path.join(out_dir, "stats", "stats.json")
+    runs_dir = os.path.abspath(os.path.join(out_dir, "runs"))
+    if not man.phase_done("docmeta"):
+        d = man.phase_dir("docmeta", extra_dirs=("runs", "stats"))
+        rank_ref = n_docs_expected = None
+        if use_rank:
             from quickray.docids import rank_keys
 
             ranked = rank_keys(src.keys_table())
-            pq.write_table(pa.table({"key": ranked}), keys_path)
-            man.mark_done("docids", elapsed=time.time() - t0,
-                          counters={"n_docs": len(ranked)})
-        ranked = pq.read_table(keys_path)["key"].combine_chunks()
-        if len(ranked) == 0:
-            raise ValueError(
-                "empty corpus: the source has 0 rows — nothing to index"
-            )
-        rank_ref = put(ranked)
-        n_docs_expected = len(ranked)
-    else:
-        if not man.phase_done("docids"):
-            man.phase_dir("docids")
-            man.mark_done("docids", with_files=False, elapsed=time.time() - t0,
-                          counters={"id_mode": f"column:{id_col}"})
-        n_docs_expected = None
-    result.phase_times["docids"] = time.time() - t0
-
-    # ------------------------------------------------------ phase docbase
-    # THE one content pass: each tokenizer batch is tokenized once into
-    # its forward-index rows (docbase/) and its posting runs (runs/, one
-    # file per batch). No later phase reads content. A rerun of an
-    # unfinished phase starts from an empty runs/, so no runs file of a
-    # killed attempt reaches the merge.
-    t0 = time.time()
-    docbase_dir = os.path.join(out_dir, "docbase")
-    runs_dir = os.path.abspath(os.path.join(out_dir, "runs"))
-    base_cols = list(_BUILD_COLS)
-    if not use_rank:
-        base_cols = [id_col] + base_cols
-    if not man.phase_done("docbase"):
-        d = man.phase_dir("docbase", extra_dirs=("runs",))
-        ds = src.read(base_cols, data)
+            if len(ranked) == 0:
+                raise ValueError(
+                    "empty corpus: the source has 0 rows — nothing to index"
+                )
+            rank_ref, n_docs_expected = put(ranked), len(ranked)
+        times["docids"] = time.time() - t0
+        cols = list(_BUILD_COLS) if use_rank else [id_col, *_BUILD_COLS]
+        ds = src.read(cols, data)
         if not use_rank and id_col != "doc_id":
             ds = ds.rename_columns({id_col: "doc_id"})
-        ds.map_batches(
+        doc_rows = ds.map_batches(
             _make_docbase_fn(
                 rank_ref, not use_rank, field_cols, num_shards, langs, runs_dir
             ),
@@ -740,28 +728,15 @@ def build_index(
             # batch_size x doc size per task heap — lower it for corpora
             # of very large files
             batch_size=tokenizer_batch_size,
-        ).write_parquet(d)
-        man.mark_done("docbase", elapsed=time.time() - t0,
-                      counters={"id_mode": id_col or "rank(repo,path)"})
-    result.phase_times["docbase"] = time.time() - t0
-
-    # ------------------------------------------------------- phase docmeta
-    # ONE driver read of the docbase doc rows, sorted by doc_id, becomes
-    # docmeta (in doc_id order, so its bytes do not depend on how the
-    # docbase pass split its batches) and gives N, the token total and
-    # the exact dense-id check for stats.json: the phase owns both
-    t0 = time.time()
-    stats_path = os.path.join(out_dir, "stats", "stats.json")
-    if not man.phase_done("docmeta"):
-        d = man.phase_dir("docmeta", extra_dirs=("stats",))
-        dm = pads.dataset(docbase_dir, format="parquet").to_table(
-            columns=DOCMETA_SCHEMA.names
-        )
+        ).iter_batches(batch_format="pyarrow", batch_size=None)
+        # the empty table types a source that yields no batch at all
+        dm = pa.concat_tables([DOCMETA_SCHEMA.empty_table(), *doc_rows])
+        times["docbase"] = time.time() - t0 - times["docids"]
         n_docs = dm.num_rows
         if n_docs == 0:
-            # id_col path can't know emptiness before the docbase pass
+            # id_col path can't know emptiness before the content pass
             raise ValueError(
-                "empty corpus: the source produced 0 docbase rows — "
+                "empty corpus: the source produced 0 doc rows — "
                 "nothing to index (check the source path/table)"
             )
         if dm["doc_id"].null_count:
@@ -786,7 +761,7 @@ def build_index(
             )
         if n_docs_expected is not None and n_docs != n_docs_expected:
             raise ValueError(
-                f"docbase rows ({n_docs}) != rank table size ({n_docs_expected})"
+                f"doc rows ({n_docs}) != rank table size ({n_docs_expected})"
             )
         # sha256 is all but unique per doc: a dictionary only adds an
         # index per row (the 6k-doc perfbench corpus: 712 KB of docmeta
@@ -808,14 +783,16 @@ def build_index(
         with open(stats_path, "w") as f:
             json.dump(stats, f)
         man.mark_done("docmeta", elapsed=time.time() - t0, counters=stats)
+    else:
+        times["docids"] = times["docbase"] = 0.0
     with open(stats_path) as f:
         stats = json.load(f)
     result.stats = stats
-    result.phase_times["docmeta"] = time.time() - t0
+    times["docmeta"] = time.time() - t0 - times["docids"] - times["docbase"]
 
     # ------------------------------------------------------ phase segments
-    # THE one merge, over the docbase runs files (the durable map side
-    # of the exchange, already split by group). A group file lands whole
+    # THE one merge, over the runs files (the durable map side of the
+    # exchange, already split by group). A group file lands whole
     # (temp file, then rename) and is a function of its runs alone, so a
     # rerun after a kill merges only the groups with no file, reads only
     # their runs, and the index comes out identical. The groups go to

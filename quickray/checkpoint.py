@@ -124,7 +124,6 @@ class Manifest:
         name: str,
         *,
         counters: dict[str, Any] | None = None,
-        with_files: bool = True,
         elapsed: float | None = None,
     ) -> None:
         rec: dict[str, Any] = {
@@ -137,10 +136,9 @@ class Manifest:
             rec["executor"] = self.executor
         if counters:
             rec["counters"] = counters
-        if with_files:
-            rec["files"], rec["rows"] = table_file_stats(
-                self.out_dir, (rec["dir"], *rec.get("extra_dirs", ()))
-            )
+        rec["files"], rec["rows"] = table_file_stats(
+            self.out_dir, (rec["dir"], *rec.get("extra_dirs", ()))
+        )
         self.data["phases"][name] = rec
         self._write()
 

@@ -7,9 +7,8 @@ which makes DocIds depend on worker count and arrival order. Here
 Primary path (``rank_keys`` + ``tokenize.rank_lookup``): sort only the
 KEY columns — pruned at the read, a few % of corpus bytes — into one
 rank-ordered key array, broadcast it once via ``ray.put``, and stamp
-``doc_id`` inside every downstream batch with a C++ hash probe
-(``pc.index_in``). Content rows never shuffle for id assignment. The
-key array must fit one node's memory (~60 bytes/key ⇒ fine to ~10^8
+``doc_id`` inside every content batch with a fixed-width binary search.
+Content rows never shuffle for id assignment. The key array must fit one node's memory (~60 bytes/key ⇒ fine to ~10^8
 docs *per build partition*; a 10^12-file corpus is built as many
 independent key-range partitions, each with a doc_id offset from a
 driver-side prefix sum over partition counts).

@@ -2,7 +2,7 @@
 
 The build merges *compressed posting runs* (BATCH_RUN_SCHEMA — one row
 per term per tokenizer batch, doc_ids delta+varint, tfs varint), not
-exploded (term, doc) rows. The map side is the docbase pass: each
+exploded (term, doc) rows. The map side is the build's content pass: each
 tokenizer batch writes its runs as one Arrow IPC file under ``runs/``
 (write_runs), split into one record batch per merge group ``mpart`` =
 hash(term) % num_shards, as a MapReduce map task writes one region per

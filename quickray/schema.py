@@ -115,7 +115,7 @@ def group_files(seg_dir: str) -> dict[int, str]:
 
 
 # Posting run: one row per term present in a tokenizer batch, streams
-# already delta+varint encoded, as the build's docbase pass checkpoints
+# already delta+varint encoded, as the build's content pass checkpoints
 # it (one Arrow IPC file per batch under runs/, one record batch per
 # merge group: merge.write_runs). The final merge reads these
 # compressed runs — not one row per (term, doc) — which keeps its

@@ -4,8 +4,8 @@ numpy passes, no Python loop per token.
 The reference does NO tokenization (callers supply pre-split Keywords,
 demo/job/build_index.go:85-91 merely lowercases + splits a CSV column).
 Our corpus is raw source text, so tokenization is a real stage, run
-once per build, inside its docbase pass (build.py), as three kernels
-per batch:
+once per build, inside its one content pass (the docmeta phase of
+build.py), as three kernels per batch:
 - flatten_tokens: ``utf8_lower``, one 256-entry byte table over the
   lowered value buffer (token bytes kept, every other byte a space),
   then ``ascii_split_whitespace``;
@@ -281,8 +281,9 @@ def encode_runs(grouped: pa.Table, num_shards: int) -> pa.Table:
 class Tokenizer:
     """One tokenizer batch -> its compressed posting runs
     (BATCH_RUN_SCHEMA) with ``mpart`` taken modulo ``num_parts``: the
-    runs the build's docbase pass writes to its runs files, from the
-    same functions (flatten_tokens, batch_postings, encode_runs).
+    runs the build's content pass (the docmeta phase) writes to its
+    runs files, from the same functions (flatten_tokens,
+    batch_postings, encode_runs).
 
     The build does not call this class; direct callers do (tests, the
     tokenize throughput probe). ``hot_ref``, ``n_docs``, ``num_salts``

@@ -135,6 +135,21 @@ def test_local_equals_ray(corpus, tmp_path, kw):
     assert _files(ray_out) == files
 
 
+@pytest.mark.parametrize("batch", [4096, RAY_BATCH], ids=["local", "ray"])
+def test_build_leaves_two_phases(corpus, tmp_path, batch):
+    """A fresh build writes the manifest and the four dirs of its two
+    phases, docmeta (docmeta/, runs/, stats/) and segments, and nothing
+    else: the doc rows are stored once, in docmeta/."""
+    out = str(tmp_path / "b")
+    build_index(corpus, out, tokenizer_batch_size=batch)
+    assert sorted(os.listdir(out)) == [
+        "docmeta", "manifest.json", "runs", "segments", "stats"
+    ]
+    phases = _manifest(out)["phases"]
+    assert list(phases) == ["docmeta", "segments"]
+    assert phases["docmeta"]["extra_dirs"] == ["runs", "stats"]
+
+
 def test_segment_files_byte_identical(corpus, tmp_path):
     """Every segment and docmeta file, by name and bytes, is the same
     from the local executor, from two Ray builds, and from a Ray build
@@ -181,9 +196,9 @@ def test_durable_resume_after_lost_segments_chunk(corpus, tmp_path, rerun_one_gr
     build_index(corpus, out, **kw)
     assert _digests(out) == PINNED["plain"]
     before = _files(out)
-    docbase = _manifest(out)["phases"]["docbase"]
+    docmeta = _manifest(out)["phases"]["docmeta"]
     res = rerun_one_group(out, 5, lambda: build_index(corpus, out, **kw))
-    assert _manifest(out)["phases"]["docbase"] == docbase
+    assert _manifest(out)["phases"]["docmeta"] == docmeta
     assert res.stats["vocab_size"] == _segments(out).num_rows
     assert _files(out) == before
     assert _digests(out) == PINNED["plain"]
@@ -261,7 +276,8 @@ def test_local_resume(tmp_path):
             os.path.getmtime(os.path.join(d, f))
             for d, _, fs in os.walk(os.path.join(out, ph)) for f in fs
         )
-        for ph in ("docids", "docbase", "docmeta")
+        # stats/ is rewritten by every run (its vocab_size and executor)
+        for ph in ("docmeta", "runs")
     }
     del man["phases"]["segments"]
     with open(man_path, "w") as f:

@@ -12,8 +12,9 @@ import time
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
-from quickray.build import build_index
+from quickray.build import _Source, build_index
 from quickray.corpus import generate_corpus
 from quickray.schema import group_file
 
@@ -71,7 +72,7 @@ def _killed_build(out, seed, landed):
     assert r.returncode == 3, r.stderr[-3000:]
 
 
-def test_resume_noop_and_kill_resume(tmp_path, flatten_calls):
+def test_resume_noop_and_kill_resume(tmp_path, flatten_calls, monkeypatch):
     tbl = generate_corpus(250, seed=3)
     out = str(tmp_path / "b")
     r1 = build_index(tbl, out)
@@ -82,7 +83,7 @@ def test_resume_noop_and_kill_resume(tmp_path, flatten_calls):
     build_index(tbl, out)
     assert time.time() - t0 < 5.0
 
-    # simulate a crash between docbase's dependents and the merge
+    # a crash before the content pass finished: the whole build reruns
     man_path = os.path.join(out, "manifest.json")
     man = json.load(open(man_path))
     _drop(man, out, {"segments", "docmeta"})
@@ -91,11 +92,12 @@ def test_resume_noop_and_kill_resume(tmp_path, flatten_calls):
     assert _segments_fingerprint(out) == fresh
     assert r2.stats == r1.stats
 
-    # a crash right after docbase: stats, docmeta and the merge resume
-    # from its checkpointed runs, with no content tokenized
+    # segments dropped: the merge resumes from the checkpointed runs,
+    # with no content tokenized and no key read
     man = json.load(open(man_path))
-    _drop(man, out, {"stats", "docmeta", "segments"})
+    _drop(man, out, {"segments"})
     json.dump(man, open(man_path, "w"))
+    monkeypatch.setattr(_Source, "keys_table", _no_keys)
     del flatten_calls[:]
     r3 = build_index(tbl, out)
     assert _segments_fingerprint(out) == fresh
@@ -104,15 +106,48 @@ def test_resume_noop_and_kill_resume(tmp_path, flatten_calls):
 
     # manifest records lineage: files + rows per phase
     man = json.load(open(man_path))
-    assert {"docbase", "docmeta", "segments"} <= set(man["phases"])
+    assert set(man["phases"]) == {"docmeta", "segments"}
     for phase, rec in man["phases"].items():
-        if phase in ("docids", "stats"):
-            continue
         assert rec["status"] == "done"
         assert rec["rows"] > 0, phase
         assert len(rec["files"]) >= 1
         for f in rec["files"]:
             assert f["rows"] >= 0 and f["bytes"] > 0
+
+
+def _no_keys(*_args, **_kw):
+    raise AssertionError("the rank table was rebuilt or read on a resume")
+
+
+@pytest.mark.parametrize("batch", [4096, 64], ids=["local", "ray"])
+def test_resume_reads_no_keys_and_tokenizes_nothing(
+    tmp_path, flatten_calls, monkeypatch, batch
+):
+    """A no-op resume and a resume that lost only the segments phase
+    neither build the rank table from the corpus keys nor read a stored
+    one back (it serves only the content pass), tokenize nothing, leave
+    the runs files untouched and give the fresh build's segment files."""
+    tbl = generate_corpus(200, seed=5)
+    out = str(tmp_path / "b")
+    kw = dict(tokenizer_batch_size=batch, num_shards=4)
+    r1 = build_index(tbl, out, **kw)
+    fresh = _seg_files(out)
+    runs = os.path.join(out, "runs")
+    kept = {f: os.stat(os.path.join(runs, f)).st_mtime_ns for f in os.listdir(runs)}
+    man_path = os.path.join(out, "manifest.json")
+    del flatten_calls[:]
+    with monkeypatch.context() as m:
+        m.setattr(_Source, "keys_table", _no_keys)
+        m.setattr(pq, "read_table", _no_keys)
+        assert build_index(tbl, out, **kw).stats == r1.stats
+        man = json.load(open(man_path))
+        _drop(man, out, {"segments"})
+        json.dump(man, open(man_path, "w"))
+        assert build_index(tbl, out, **kw).stats == r1.stats
+    assert flatten_calls == []
+    assert {f: os.stat(os.path.join(runs, f)).st_mtime_ns
+            for f in os.listdir(runs)} == kept
+    assert _seg_files(out) == fresh
 
 
 def test_mid_shuffle_resume(tmp_path, flatten_calls, rerun_one_group):
@@ -182,28 +217,37 @@ def test_fingerprint_same_shape_different_content(tmp_path):
 
 
 def test_old_docbase_layout_rebuilds(tmp_path, flatten_calls):
-    """A directory built with the docbase layout v5 (doc rows and runs
-    in one docbase table) rebuilds instead of resuming, and the
-    fingerprint change wipes both outputs of the docmeta phase: docmeta/
-    and stats/."""
+    """A directory built with the layout v6 (doc rows stored twice, in
+    docbase/ and docmeta/, and a rank table in docids/) rebuilds instead
+    of resuming, and the fingerprint change wipes every dir the old
+    manifest lists: the docids and docbase phases' dirs and both outputs
+    of the docmeta phase, docmeta/ and stats/."""
     out = str(tmp_path / "b")
     tbl = generate_corpus(120, seed=1)
     build_index(tbl, out)
     fresh = _segments_fingerprint(out)
     man_path = os.path.join(out, "manifest.json")
     man = json.load(open(man_path))
-    assert ",dbv=6," in man["fingerprint"]
-    man["fingerprint"] = man["fingerprint"].replace(",dbv=6,", ",dbv=5,")
+    assert ",dbv=7," in man["fingerprint"]
+    man["fingerprint"] = man["fingerprint"].replace(",dbv=7,", ",dbv=6,")
+    man["phases"]["docids"] = {"dir": "docids", "status": "done"}
+    man["phases"]["docbase"] = {
+        "dir": "docbase", "extra_dirs": ["runs"], "status": "done"
+    }
     json.dump(man, open(man_path, "w"))
+    old_dirs = [os.path.join(out, d) for d in ("docids", "docbase")]
+    for d in old_dirs:
+        os.makedirs(d)
+        open(os.path.join(d, "0.parquet"), "w").close()
     stale = [os.path.join(out, d, "stale.marker") for d in ("docmeta", "stats")]
     for path in stale:
         open(path, "w").close()
     del flatten_calls[:]
     build_index(tbl, out)
-    assert flatten_calls == [120]  # docbase ran again
-    assert ",dbv=6," in json.load(open(man_path))["fingerprint"]
+    assert flatten_calls == [120]  # the content pass ran again
+    assert ",dbv=7," in json.load(open(man_path))["fingerprint"]
     assert _segments_fingerprint(out) == fresh
-    assert not any(os.path.exists(path) for path in stale)
+    assert not any(os.path.exists(path) for path in stale + old_dirs)
 
 
 def _group_rows(out, group):
@@ -238,17 +282,17 @@ def test_one_group_rerun_reads_that_group_only(tmp_path, rerun_one_group,
 
 
 def test_manifest_lists_runs_files(tmp_path):
-    """The docbase phase record lists every runs file with its bytes
-    beside the doc-row parquet, so the bytes a build reports written
+    """The docmeta phase record lists every runs file with its bytes
+    beside the docmeta parquet, so the bytes a build reports written
     cover runs/."""
     out = str(tmp_path / "b")
     build_index(generate_corpus(300, seed=2), out, tokenizer_batch_size=64,
                 num_shards=4)
-    rec = json.load(open(os.path.join(out, "manifest.json")))["phases"]["docbase"]
+    rec = json.load(open(os.path.join(out, "manifest.json")))["phases"]["docmeta"]
     listed = {f["path"]: f["bytes"] for f in rec["files"]}
     on_disk = {
         os.path.join(sub, name): os.path.getsize(os.path.join(out, sub, name))
-        for sub in ("docbase", "runs")
+        for sub in ("docmeta", "runs")
         for name in os.listdir(os.path.join(out, sub))
     }
     assert listed == on_disk
@@ -289,8 +333,6 @@ def test_rejected_ids_write_no_runs(tmp_path):
     """A batch with a null or repeated id writes no runs file, returns
     its doc rows, and the build fails in the docmeta phase naming the id
     column."""
-    import pytest
-
     runs = str(tmp_path / "runs")
     os.makedirs(runs)
     tbl = generate_corpus(4, seed=1)
@@ -308,8 +350,8 @@ def test_rejected_ids_write_no_runs(tmp_path):
 
 
 def test_unfinished_docbase_reruns_from_empty_runs(tmp_path):
-    """A docbase phase killed after writing some runs files reruns from
-    an emptied runs/: neither a stale runs file (here a copy of a real
+    """A docmeta phase killed in its content pass, after writing some
+    runs files, reruns from an emptied runs/: neither a stale runs file (here a copy of a real
     one, which would repeat its postings) nor a temp file reaches the
     merge, and the index equals a fresh build's."""
     tbl = generate_corpus(300, seed=4)
@@ -323,8 +365,8 @@ def test_unfinished_docbase_reruns_from_empty_runs(tmp_path):
     open(os.path.join(runs, f".{first}.tmp"), "wb").close()
     man_path = os.path.join(out, "manifest.json")
     man = json.load(open(man_path))
-    man["phases"]["docbase"] = {"dir": "docbase", "extra_dirs": ["runs"]}
-    _drop(man, out, {"docmeta", "segments"})
+    man["phases"]["docmeta"] = {"dir": "docmeta", "extra_dirs": ["runs", "stats"]}
+    _drop(man, out, {"segments"})
     json.dump(man, open(man_path, "w"))
     build_index(tbl, out, **kw)
     assert sorted(os.listdir(runs)) == sorted(os.listdir(os.path.join(fresh, "runs")))
@@ -383,7 +425,6 @@ def test_duplicate_ids_with_gap_rejected(tmp_path):
     permutation check must reject duplicates paired with gaps instead
     of silently corrupting postings and the dense doc_len scatter."""
     import pyarrow as pa
-    import pytest
 
     n = 4
     tbl = pa.table(
@@ -404,7 +445,6 @@ def test_duplicate_ids_with_matching_sum_rejected(tmp_path):
     """[0,0,3,3] passes min/max/count AND the id sum (6 == 0+1+2+3);
     the permutation check must still reject it, naming the id column."""
     import pyarrow as pa
-    import pytest
 
     n = 4
     tbl = pa.table(
@@ -453,7 +493,6 @@ def test_generic_dataset_resume_needs_fingerprint(tmp_path):
     fingerprint covers only the schema: building it again into a
     directory that holds a manifest raises unless fingerprint= is
     given, instead of serving a possibly stale index."""
-    import pytest
     import ray.data as rd
 
     from quickray.engine import Index

@@ -161,7 +161,7 @@ def _fastest_ms(fn, passes: int):
 
 
 def kernel_table(corpus: str, out: str, shard: int, passes: int) -> dict:
-    """Milliseconds of each content kernel: the docbase pass's three on
+    """Milliseconds of each content kernel: the content pass's three on
     the corpus's first tokenizer batch, and the final merge on the
     runs of merge group ``shard``."""
     import pyarrow.parquet as pq
